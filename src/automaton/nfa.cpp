@@ -63,20 +63,45 @@ bool Nfa::deterministic_per_predicate() const {
 }
 
 bool Nfa::accepts(std::span<const PredId> word) const {
-  return accepts_from({initial_}, word);
+  return replay_length(word) == word.size();
 }
 
 bool Nfa::accepts_from(const std::set<StateId>& start, std::span<const PredId> word) const {
+  return replay_length_from(start, word) == word.size();
+}
+
+std::size_t Nfa::replay_length(std::span<const PredId> word) const {
+  std::size_t num_preds = 0;
+  for (const Transition& t : transitions_) num_preds = std::max(num_preds, t.pred + 1);
+  // succ[state * num_preds + pred]; kNone marks a dead end.
+  constexpr StateId kNone = static_cast<StateId>(-1);
+  std::vector<StateId> succ(num_states_ * num_preds, kNone);
+  for (const Transition& t : transitions_) {
+    StateId& slot = succ[t.src * num_preds + t.pred];
+    if (slot != kNone && slot != t.dst) return replay_length_from({initial_}, word);
+    slot = t.dst;
+  }
+  StateId state = initial_;
+  for (std::size_t i = 0; i < word.size(); ++i) {
+    if (word[i] >= num_preds) return i;
+    state = succ[state * num_preds + word[i]];
+    if (state == kNone) return i;
+  }
+  return word.size();
+}
+
+std::size_t Nfa::replay_length_from(const std::set<StateId>& start,
+                                    std::span<const PredId> word) const {
   std::set<StateId> frontier = start;
-  for (const PredId symbol : word) {
+  for (std::size_t i = 0; i < word.size(); ++i) {
     std::set<StateId> next;
     for (const Transition& t : transitions_) {
-      if (t.pred == symbol && frontier.count(t.src) > 0) next.insert(t.dst);
+      if (t.pred == word[i] && frontier.count(t.src) > 0) next.insert(t.dst);
     }
-    if (next.empty()) return false;
+    if (next.empty()) return i;
     frontier = std::move(next);
   }
-  return true;
+  return word.size();
 }
 
 std::set<StateId> Nfa::reachable_states() const {

@@ -68,6 +68,13 @@ public:
   bool accepts(std::span<const PredId> word) const;
   /// Acceptance starting from an arbitrary state set.
   bool accepts_from(const std::set<StateId>& start, std::span<const PredId> word) const;
+  /// Length of the longest prefix of `word` some run from the initial state
+  /// consumes: word.size() exactly when accepts(word), otherwise the index
+  /// of the first step every run dead-ends on. A deterministic automaton is
+  /// walked through a dense (state x predicate) successor table in O(|word|);
+  /// a nondeterministic one falls back to the set simulation of
+  /// accepts_from.
+  std::size_t replay_length(std::span<const PredId> word) const;
 
   /// States reachable from the initial state.
   std::set<StateId> reachable_states() const;
@@ -76,6 +83,10 @@ public:
   std::set<PredId> used_predicates() const;
 
 private:
+  /// Set simulation: steps of `word` consumed before the frontier empties.
+  std::size_t replay_length_from(const std::set<StateId>& start,
+                                 std::span<const PredId> word) const;
+
   std::size_t num_states_ = 0;
   StateId initial_ = 0;
   std::vector<Transition> transitions_;

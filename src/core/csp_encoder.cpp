@@ -757,8 +757,6 @@ std::size_t AutomatonCsp::reseed_from(const AutomatonCsp& old) {
       remap.map(old_base + static_cast<sat::Var>(k), new_base + static_cast<sat::Var>(k));
     }
   }
-  // Acceptance-block guards are deliberately unmapped: their clauses are
-  // model exclusions for a specific (state count, solver) pair.
 
   std::size_t imported = 0;
   sat::Clause mapped;
@@ -788,14 +786,10 @@ sat::SolveResult AutomatonCsp::solve(const Deadline& deadline) {
   solver_.set_deadline(deadline);
   decoded_valid_ = false;
   if (!persistent()) return solver_.solve();
-  // Guard assumptions select the active width; block guards replay the
-  // current N's acceptance blocks and silence the expired ones.
+  // Guard assumptions select the active width.
   assumptions_.clear();
   for (std::size_t k = 0; k < capacity_; ++k) {
     assumptions_.push_back(k < num_states_ ? sat::pos(act_[k]) : sat::neg(act_[k]));
-  }
-  for (const auto& [n, g] : block_guard_) {
-    assumptions_.push_back(n == num_states_ ? sat::pos(g) : sat::neg(g));
   }
   return solver_.solve(assumptions_);
 }
@@ -808,34 +802,9 @@ bool AutomatonCsp::unsat_for_all_states() const {
   if (solver_.in_unsat_state()) return true;  // root-level: assumption-free
   const std::vector<sat::Lit>& core = solver_.final_conflict();
   if (core.empty()) return false;  // last solve was not an assumption Unsat
-  // act_ was allocated as one contiguous batch, so a range test identifies
-  // guard variables; anything else in the core (an acceptance-block guard)
-  // expires on growth and voids the proof, as does any ~act_k.
-  const sat::Var act_lo = act_.front();
-  const sat::Var act_hi = act_.back();
-  for (const sat::Lit l : core) {
-    const sat::Var v = l.var();
-    if (v < act_lo || v > act_hi) return false;
-    if (l.negated()) return false;
-  }
-  return true;
-}
-
-void AutomatonCsp::block_current_model() {
-  std::vector<sat::Lit> clause;
-  clause.reserve(num_state_vars_ + 1);
-  if (persistent()) {
-    auto [it, inserted] = block_guard_.try_emplace(num_states_, kVarUndef);
-    if (inserted) {
-      it->second = solver_.new_var();
-      solver_.freeze(it->second);  // assumed at every later solve
-    }
-    clause.push_back(sat::neg(it->second));
-  }
-  for (std::size_t sv = 0; sv < num_state_vars_; ++sv) {
-    clause.push_back(~state_lit(sv, decode_state(sv)));
-  }
-  solver_.add_clause(clause);
+  // Column guards are the only assumptions; an inactive column's ~act_k in
+  // the core voids the proof.
+  return std::none_of(core.begin(), core.end(), [](sat::Lit l) { return l.negated(); });
 }
 
 void AutomatonCsp::decode_model() const {

@@ -25,7 +25,8 @@ namespace t2m {
 /// cache across its N-increment loop: re-encoding the accumulated forbidden
 /// words into a fresh N+1 CSP reuses the cached chains and only emits the
 /// (cheap, N-dependent) clauses. Sound only while the segment layout is
-/// fixed, which holds for the whole of one learn_from_sequence() run.
+/// fixed: the learner clears it whenever an acceptance refinement replaces
+/// the layout's leading segment.
 class ForbiddenChainCache {
 public:
   /// One dst/src state-variable adjacency along a chain.
@@ -168,20 +169,12 @@ public:
   /// column is still inactive (N < capacity), that column's variables appear
   /// in no at-most-one/determinism/forbidden clause — any automaton of any
   /// size could park a state there for free — so an Unsat whose assumption
-  /// core needs no inactive-column guard (no ~act_k) and no acceptance-block
-  /// guard can only stem from width-independent facts (e.g. a forbidden
-  /// single-predicate word's unit contradiction). A root-level Unsat is the
-  /// empty-core case of the same argument. At N == capacity the verdict may
+  /// core needs no inactive-column guard (no ~act_k) can only stem from
+  /// width-independent facts (e.g. a forbidden single-predicate word's unit
+  /// contradiction). A root-level Unsat is the empty-core case of the same
+  /// argument. At N == capacity the verdict may
   /// merely be width-capped, so this conservatively reports false there.
   bool unsat_for_all_states() const;
-
-  /// Excludes the current satisfying assignment (over the state variables)
-  /// so the next solve() yields a structurally different automaton. Used by
-  /// the trace-acceptance refinement. Requires last solve() == Sat. In
-  /// persistent mode the blocking clause is guarded per state count, so it
-  /// expires when N grows — exactly matching the fresh-per-N behaviour of
-  /// discarding blocks along with the CSP.
-  void block_current_model();
 
   /// Decodes the model into an automaton (requires last solve() == Sat).
   /// The NFA has exactly `num_states` states; unreachable ones are kept so
@@ -222,7 +215,7 @@ private:
   std::size_t decode_state(std::size_t sv) const;
   /// Fills decoded_ with the assigned state of every one-hot block in one
   /// pass over the model, so repeated decode_state() lookups during model
-  /// extraction and blocking are O(1) instead of an O(N) scan each.
+  /// extraction are O(1) instead of an O(N) scan each.
   void decode_model() const;
   /// Emits every N-dependent clause of columns [lo, hi): one-hot at-most-one
   /// pairs, determinism, and the column extensions of accumulated forbidden
@@ -295,8 +288,6 @@ private:
   /// Compressed forbidden pairs as (dst-block, src-block) index pairs; their
   /// per-column conflict binaries are re-extended at grow time.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> star_words_;
-  /// Per-state-count guard variable for acceptance-blocking clauses.
-  std::unordered_map<std::size_t, sat::Var> block_guard_;
   /// Memoised equality aux vars, keyed by sv_a * num_state_vars_ + sv_b.
   /// The map answers lookups; the vector preserves insertion order so
   /// grow-time extension is deterministic.

@@ -4,6 +4,8 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
+#include <unordered_set>
 
 #include "src/abstraction/event_stream.h"
 #include "src/base/memory_accountant.h"
@@ -60,6 +62,26 @@ LearnResult failure_result(Status status) {
   return result;
 }
 
+/// The layout of a prefix refinement: `prefix` as the leading segment (the
+/// one pin_initial pins to q0), then every other segment of `segments` that
+/// is not a window of the prefix. The prefix chain already embeds those
+/// windows, so dropping them leaves the encodable automata unchanged and
+/// keeps the rebuilt encoding, and the learn's peak memory, smaller.
+std::vector<Segment> prefix_layout(const std::vector<Segment>& segments,
+                                   std::span<const PredId> prefix) {
+  std::vector<Segment> layout{Segment(prefix.begin(), prefix.end())};
+  if (segments.size() <= 1) return layout;
+  // Every segment but the leading one is a window of one length w.
+  std::unordered_set<Segment, VectorHash> covered;
+  for (Segment& window : segment_sequence(layout.front(), segments[1].size())) {
+    covered.insert(std::move(window));
+  }
+  for (std::size_t i = 1; i < segments.size(); ++i) {
+    if (covered.count(segments[i]) == 0) layout.push_back(segments[i]);
+  }
+  return layout;
+}
+
 }  // namespace
 
 LearnStats& LearnStats::operator+=(const LearnStats& other) {
@@ -74,6 +96,7 @@ LearnStats& LearnStats::operator+=(const LearnStats& other) {
   // Work counters add up: the aggregate is the total work the run paid for.
   sat_calls += other.sat_calls;
   refinements += other.refinements;
+  prefix_refinements += other.prefix_refinements;
   state_increments += other.state_increments;
   csp_builds += other.csp_builds;
   csp_grows += other.csp_grows;
@@ -491,9 +514,15 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
 
   // Forbidden sequences accumulate across N: they are facts about P. Their
   // chain enumeration is N-independent, so one cache serves every CSP this
-  // run constructs (see ForbiddenChainCache).
+  // run constructs over the same segment layout (see ForbiddenChainCache).
   std::set<std::vector<PredId>> forbidden;
   ForbiddenChainCache chain_cache;
+
+  // The encoded segment layout: the shared `segments` until the first
+  // prefix refinement, then a run-local copy whose leading segment is the
+  // longest trace prefix every accepting model must embed from q0.
+  const std::vector<Segment>* layout = &segments;
+  std::vector<Segment> refined_layout;
 
   // Fold a finished CSP's solver counters into the run totals. In the
   // persistent path one CSP spans many state counts, so this runs only when
@@ -510,11 +539,12 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
     result.stats.forbidden_words = forbidden.size();
   };
 
-  // Best-so-far salvage: the last candidate that passed compliance but was
-  // blocked by the trace-acceptance strengthening. A run cut short by the
-  // deadline, the clause budget, or the memory cap hands this model back
-  // tagged `salvaged` instead of returning nothing — it is compliant for
-  // the window length it was checked at, just not a full verdict.
+  // Best-so-far salvage: the last candidate that passed compliance but could
+  // not replay the trace (and so triggered a prefix refinement). A run cut
+  // short by the deadline, the clause budget, or the memory cap hands this
+  // model back tagged `salvaged` instead of returning nothing — it is
+  // compliant for the window length it was checked at, just not a full
+  // verdict.
   std::optional<Nfa> best_model;
   std::size_t best_states = 0;
   const auto salvage = [&] {
@@ -530,12 +560,15 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
 
   const Stopwatch construction_watch;
   std::unique_ptr<AutomatonCsp> csp;
-  // (Re)builds the CSP at state count n. Persistent mode allocates headroom
-  // columns beyond n so subsequent increments are in-place grows; the shared
-  // chain cache keeps re-adding the accumulated forbidden words cheap, and
-  // the retired CSP's width-independent learned clauses are carried over
-  // (reseed_from) before it is dropped.
+  // (Re)builds the CSP at state count n over the current layout. Persistent
+  // mode allocates headroom columns beyond n so subsequent increments are
+  // in-place grows; the shared chain cache keeps re-adding the accumulated
+  // forbidden words cheap, and a live CSP's width-independent learned
+  // clauses are carried over (reseed_from) before it is dropped. Callers
+  // that change the layout free the CSP first, since its clauses speak about
+  // the old state variables.
   const auto build_csp = [&](std::size_t n) {
+    T2M_SPAN("learn.build_csp", "n", n);
     std::unique_ptr<AutomatonCsp> old = std::move(csp);
     if (old) absorb_solver_stats(*old);
     CspOptions options;
@@ -549,10 +582,7 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
         config_.persistent_solver
             ? std::min(config_.max_states, n + config_.state_headroom)
             : 0;
-    {
-      T2M_SPAN("learn.build_csp", "n", n);
-      csp = std::make_unique<AutomatonCsp>(segments, preds.vocab.size(), n, options);
-    }
+    csp = std::make_unique<AutomatonCsp>(*layout, preds.vocab.size(), n, options);
     csp->set_chain_cache(&chain_cache);
     csp->set_stop_flag(config_.stop);
     // Forbidden words before reseeding: the import needs the new CSP's
@@ -599,7 +629,6 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
     }
 
     bool next_n = false;
-    std::size_t acceptance_blocks = 0;
     while (!next_n) {
       if (deadline.expired() || stopped()) return abort_run(stopped());
       ++result.stats.sat_calls;
@@ -649,28 +678,39 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
       // Candidate model: compliance check (lines 38-48).
       Nfa candidate = csp->extract_model();
       const ComplianceResult compliance = compliance_checker.check(candidate);
-      bool acceptance_blocked = false;
-      if (compliance.compliant && check_acceptance &&
-          acceptance_blocks < config_.max_acceptance_blocks) {
+      std::size_t replayed = preds.seq.size();
+      if (compliance.compliant && check_acceptance) {
         T2M_SPAN("learn.acceptance", "n", n);
-        acceptance_blocked = !candidate.accepts(preds.seq);
+        replayed = candidate.replay_length(preds.seq);
       }
-      if (acceptance_blocked) {
-        // Valid per segments and compliance, but this wiring cannot replay
-        // the trace; exclude it and look for a sibling model. It is the
-        // best model seen so far — keep it for salvage if the run is cut
-        // short before a full verdict.
+      if (replayed < preds.seq.size()) {
+        // Prefix refinement: the candidate is deterministic and embeds the
+        // leading segment from q0, so it replays at least that segment and
+        // dead-ends at step `replayed`. Every accepting model embeds
+        // P[0..replayed] from q0; make that the leading segment.
+        if (replayed < layout->front().size()) {
+          throw_status(ErrorCode::internal,
+                       "learner: candidate does not replay its pinned segment");
+        }
+        refined_layout =
+            prefix_layout(segments, std::span<const PredId>(preds.seq).first(replayed + 1));
+        layout = &refined_layout;
+        // The rejected candidate is the best model seen so far — keep it for
+        // salvage if the run is cut short before a full verdict.
         best_model = std::move(candidate);
         best_states = n;
         ++result.stats.refinements;
+        ++result.stats.prefix_refinements;
         obs::Progress::global().add_refinements(1);
-        ++acceptance_blocks;
-        if (acceptance_blocks == config_.max_acceptance_blocks) {
-          result.stats.acceptance_relaxed = true;
-          log_warn() << "learner: acceptance strengthening abandoned after "
-                     << acceptance_blocks << " sibling models at N = " << n;
-        }
-        csp->block_current_model();
+        log_debug() << "learner: acceptance refinement to a " << replayed + 1
+                    << "-step prefix at N = " << n;
+        // Rebuild at the same N over the new layout. The cached chains and
+        // the retired solver's clauses name the old state variables, so both
+        // go; freeing the CSP first keeps only one encoding alive.
+        absorb_solver_stats(*csp);
+        csp.reset();
+        chain_cache = ForbiddenChainCache{};
+        build_csp(n);
         continue;
       }
       if (compliance.compliant) {

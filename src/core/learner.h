@@ -39,12 +39,11 @@ struct LearnerConfig {
   /// Additionally require the model to accept the whole predicate sequence
   /// P from its initial state (our strengthening over Algorithm 1: segment
   /// embedding plus compliance do not by themselves pin down a wiring that
-  /// replays the trace; non-accepting candidates are blocked and re-solved).
+  /// replays the trace). A compliant candidate that dead-ends at step i of P
+  /// triggers a prefix refinement: the leading segment becomes P[0..i] and
+  /// the search re-solves at the same N (see ModelLearner). A successful
+  /// learn then always returns a model that replays P.
   bool require_trace_acceptance = true;
-  /// Give up on the acceptance strengthening after this many blocked
-  /// candidates per N and return the compliant model instead (the space of
-  /// sibling models grows steeply when N exceeds the compliance minimum).
-  std::size_t max_acceptance_blocks = 256;
   /// Keep ONE SAT solver alive across the whole N-increment loop (guarded
   /// one-hot encoding + per-solve assumptions, see AutomatonCsp): learned
   /// clauses, VSIDS activity and saved phases survive state-count growth,
@@ -124,7 +123,11 @@ struct LearnStats {
   std::size_t segments = 0;          ///< unique windows encoded
   std::size_t encoded_transitions = 0;
   std::size_t sat_calls = 0;
-  std::size_t refinements = 0;       ///< compliance iterations that added constraints
+  /// Refinement iterations: failed compliance checks plus prefix refinements.
+  std::size_t refinements = 0;
+  /// Acceptance refinements: times the leading segment was extended to a
+  /// longer trace prefix (each also counts in `refinements`).
+  std::size_t prefix_refinements = 0;
   std::size_t state_increments = 0;  ///< times N had to grow
   std::size_t forbidden_words = 0;   ///< distinct forbidden sequences learned
   // Solver-reuse trajectory: how often the run could flip assumptions on a
@@ -143,8 +146,8 @@ struct LearnStats {
   /// Times the assumption-core early stop fired (0 or 1 per run): the
   /// persistent solver proved the instance Unsat for every state count.
   std::size_t core_stops = 0;
-  /// True when the trace-acceptance strengthening was abandoned after
-  /// max_acceptance_blocks sibling models (the result is still compliant).
+  /// Always false: prefix refinement never abandons trace acceptance. Kept
+  /// so stats readers that consult it still compile and read "not relaxed".
   bool acceptance_relaxed = false;
   double abstraction_seconds = 0.0;
   double construction_seconds = 0.0;
@@ -196,6 +199,26 @@ struct [[nodiscard]] LearnResult {
 /// The paper's model-learning algorithm end to end: trace abstraction,
 /// segmentation, iterative SAT search for the smallest N-state automaton,
 /// and the compliance-driven refinement loop.
+///
+/// With require_trace_acceptance on, the loop also refines on acceptance.
+/// The leading segment of the encoded layout is a prefix of P that
+/// pin_initial pins to q0: first the window P[0..w), later a longer prefix.
+/// A candidate that passes compliance is replayed on P. If it dead-ends at
+/// step i, the leading segment becomes P[0..i] (i + 1 steps), segments that
+/// occur inside that prefix are dropped, and the CSP is rebuilt at the same
+/// N with the accumulated forbidden words.
+///  - Sound: a model that replays P runs through P[0..i] from q0, so it
+///    embeds the new leading segment. The dropped segments are windows of
+///    the prefix, so the prefix chain embeds them too.
+///  - Progress: the candidate is deterministic and embeds the old leading
+///    segment from q0, so i is at least that segment's length and the
+///    prefix strictly grows. The candidate violates the new prefix, so it
+///    is excluded. There are at most |P| refinements in a whole run, and
+///    there is no give-up path.
+///  - Exact: every constraint the loop adds holds for every compliant model
+///    that replays P. So an Unsat at N proves no such N-state model exists.
+///    Since N grows from initial_states, the fresh and the persistent path
+///    both return the smallest such N (their models may differ).
 class ModelLearner {
 public:
   explicit ModelLearner(LearnerConfig config = {});

@@ -23,8 +23,9 @@ std::vector<PortfolioVariant> portfolio_configs(const LearnerConfig& base,
         v.name = base.persistent_solver ? "persistent" : "fresh";
         break;
       case 1:
-        // The opposite solving mode: fresh-per-N and persistent explore the
-        // sibling-model space in genuinely different orders (PR 2 notes).
+        // The opposite solving mode: fresh-per-N and persistent meet the
+        // candidate models of one N in different orders, so their refinement
+        // trajectories (and the models they return) differ.
         v.config.persistent_solver = !base.persistent_solver;
         v.name = v.config.persistent_solver ? "persistent" : "fresh";
         break;

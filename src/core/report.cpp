@@ -133,6 +133,7 @@ std::string to_json(const LearnStats& stats) {
      << ", \"encoded_transitions\": " << stats.encoded_transitions
      << ", \"sat_calls\": " << stats.sat_calls
      << ", \"refinements\": " << stats.refinements
+     << ", \"prefix_refinements\": " << stats.prefix_refinements
      << ", \"state_increments\": " << stats.state_increments
      << ", \"forbidden_words\": " << stats.forbidden_words
      << ", \"csp_builds\": " << stats.csp_builds
@@ -198,6 +199,7 @@ void publish_learn_metrics(const LearnResult& result) {
   if (result.salvaged) obs::count("learn.salvaged");
   obs::count("learn.sat_calls", s.sat_calls);
   obs::count("learn.refinements", s.refinements);
+  obs::count("learn.prefix_refinements", s.prefix_refinements);
   obs::count("learn.state_increments", s.state_increments);
   obs::count("learn.forbidden_words", s.forbidden_words);
   obs::count("learn.csp_builds", s.csp_builds);

@@ -266,30 +266,9 @@ TEST(PersistentCsp, ModelUsesOnlyActiveStates) {
   validate_model(m, segments);
 }
 
-TEST(PersistentCsp, BlockedModelsExpireOnGrowth) {
-  // Blocking clauses are guarded per state count: a model blocked at N must
-  // stay blocked while N is unchanged, yet the search at N+1 is unaffected
-  // (exactly the fresh-per-N semantics of discarding the CSP).
-  const std::vector<Segment> segments = {{0, 1}, {1, 0}};
-  CspOptions options;
-  options.state_capacity = 4;
-  AutomatonCsp csp(segments, 2, 2, options);
-  std::size_t models_at_2 = 0;
-  while (csp.solve() == sat::SolveResult::Sat) {
-    csp.block_current_model();
-    ++models_at_2;
-    ASSERT_LT(models_at_2, 64u) << "runaway model enumeration";
-  }
-  EXPECT_GT(models_at_2, 0u);
-  // Exhausted at N=2; growth must reopen the search.
-  ASSERT_TRUE(csp.grow_to(3));
-  EXPECT_EQ(csp.solve(), sat::SolveResult::Sat);
-  validate_model(csp.extract_model(), segments);
-}
-
 TEST(PersistentCsp, DecodeIsStablePerModel) {
-  // extract_model() and block_current_model() share one decoded snapshot:
-  // repeated extraction without an intervening solve is identical.
+  // extract_model() decodes one snapshot per model: repeated extraction
+  // without an intervening solve is identical.
   const std::vector<Segment> segments = {{0, 1, 0}, {1, 0, 1}};
   CspOptions options;
   options.state_capacity = 4;

@@ -353,11 +353,11 @@ TEST(MemoryCap, LearnUnderTinyCapReturnsResourceExhaustedVerdict) {
 TEST(Salvage, RtlinuxRunKilledByAllocationFailureSalvagesCompliantModel) {
   const FailpointGuard guard;
   // default_phase = true makes the rtlinux search pass through at least one
-  // compliant-but-acceptance-blocked candidate (deterministically), so a
-  // late failure has a best-so-far model to salvage. First count the run's
-  // arena allocations with the site armed but never firing, then rerun with
-  // the failure injected near the end — inside the final solve, after the
-  // blocked candidate was captured.
+  // compliant candidate that cannot replay the trace (deterministically; it
+  // triggers a prefix refinement), so a late failure has a best-so-far model
+  // to salvage. First count the run's arena allocations with the site armed
+  // but never firing, then rerun with the failure injected near the end —
+  // inside the final solve, after that candidate was captured.
   const Trace t = sim::generate_full_coverage_sched_trace(4000);
   LearnerConfig config;
   config.solver.default_phase = true;

@@ -4,6 +4,7 @@
 #include "src/automaton/isomorphism.h"
 #include "src/automaton/nfa.h"
 #include "src/automaton/ops.h"
+#include "src/util/rng.h"
 
 namespace t2m {
 namespace {
@@ -67,6 +68,65 @@ TEST(Nfa, AcceptsFromAnyState) {
   EXPECT_FALSE(m.accepts(word));  // not from the initial state
   std::set<StateId> everywhere = {0, 1, 2, 3};
   EXPECT_TRUE(m.accepts_from(everywhere, word));
+}
+
+/// Reference replay: the set simulation, written out independently of Nfa.
+std::size_t reference_replay_length(const Nfa& m, const std::vector<PredId>& word) {
+  std::set<StateId> frontier = {m.initial()};
+  for (std::size_t i = 0; i < word.size(); ++i) {
+    std::set<StateId> next;
+    for (const Transition& t : m.transitions()) {
+      if (t.pred == word[i] && frontier.count(t.src) > 0) next.insert(t.dst);
+    }
+    if (next.empty()) return i;
+    frontier = std::move(next);
+  }
+  return word.size();
+}
+
+TEST(Nfa, ReplayLengthMatchesSetSimulation) {
+  // Random deterministic and nondeterministic automata, random words: the
+  // table walk (deterministic) and the set fallback (nondeterministic) must
+  // both agree with the reference, and accepts() must agree with both.
+  Rng rng(2026);
+  std::size_t deterministic = 0;
+  std::size_t dead_ends = 0;
+  for (int round = 0; round < 400; ++round) {
+    const std::size_t states = 1 + rng.below(6);
+    const std::size_t preds = 1 + rng.below(4);
+    const bool make_deterministic = round % 2 == 0;
+    Nfa m(states, rng.below(states));
+    const std::size_t edges = rng.below(states * preds * 2 + 1);
+    for (std::size_t e = 0; e < edges; ++e) {
+      const StateId src = rng.below(states);
+      const PredId pred = rng.below(preds);
+      if (make_deterministic && !m.successors(src, pred).empty()) continue;
+      m.add_transition(src, pred, rng.below(states));
+    }
+    if (m.deterministic_per_predicate()) ++deterministic;
+    for (int w = 0; w < 8; ++w) {
+      std::vector<PredId> word(rng.below(40));
+      // One symbol beyond the vocabulary now and then: an unknown predicate
+      // is a dead end.
+      for (PredId& p : word) p = rng.below(preds + (rng.chance(0.05) ? 1 : 0));
+      const std::size_t expected = reference_replay_length(m, word);
+      EXPECT_EQ(m.replay_length(word), expected) << "round=" << round;
+      EXPECT_EQ(m.accepts(word), expected == word.size()) << "round=" << round;
+      if (expected < word.size()) ++dead_ends;
+    }
+  }
+  EXPECT_GT(deterministic, 200u);
+  EXPECT_LT(deterministic, 400u);
+  EXPECT_GT(dead_ends, 0u);
+}
+
+TEST(Nfa, ReplayLengthStopsAtFirstDeadEnd) {
+  const Nfa m = counter_like();
+  const std::vector<PredId> word = {0, 0, 1, 2, 2, 0, 3};  // "up" after "down" fails
+  EXPECT_EQ(m.replay_length(word), 5u);
+  EXPECT_EQ(m.replay_length(std::vector<PredId>{}), 0u);
+  const std::vector<PredId> full = {0, 1, 2, 3, 0};
+  EXPECT_EQ(m.replay_length(full), full.size());
 }
 
 TEST(Nfa, Reachability) {

@@ -4,9 +4,9 @@
 //
 // The two paths may find different (equally valid) intermediate models, so
 // their refinement trajectories can differ; what is invariant is the final
-// verdict: the minimal compliant state count N. Both returned models must
-// additionally be deterministic, embed every segment, and pass the same
-// compliance check.
+// verdict: the minimal compliant state count N that replays the trace. Both
+// returned models must additionally be deterministic, embed every segment,
+// pass the same compliance check, and accept the whole trace.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "src/core/compliance.h"
 #include "src/core/learner.h"
 #include "src/core/segmentation.h"
+#include "src/sim/basic/integrator.h"
 #include "src/trace/recorder.h"
 #include "src/util/rng.h"
 
@@ -75,6 +76,7 @@ void expect_equivalent(const LearnResult& persistent, const LearnResult& fresh,
     const ComplianceResult c =
         check_compliance(r->model, r->preds.seq, config.compliance_length);
     EXPECT_TRUE(c.compliant) << what;
+    EXPECT_TRUE(r->model.accepts(r->preds.seq)) << what << " model does not replay P";
     const std::vector<Segment> segments =
         segment_sequence(r->preds.seq, config.window);
     for (const Segment& seg : segments) {
@@ -87,8 +89,8 @@ void expect_equivalent(const LearnResult& persistent, const LearnResult& fresh,
 
 TEST(PersistentDiff, RandomisedAgainstFreshPerN) {
   // >= 500 randomised predicate sequences through both learn paths,
-  // including runs that exercise acceptance blocking (the default config
-  // blocks non-accepting siblings) and state growth from N = 2.
+  // including runs that exercise acceptance refinement (on by default) and
+  // state growth from N = 2.
   Rng rng(4242);
   int cases = 0;
   for (int round = 0; round < 500; ++round) {
@@ -109,8 +111,9 @@ TEST(PersistentDiff, RandomisedAgainstFreshPerN) {
     if (persistent.success) {
       // Every state increment was served by an in-place grow or (beyond the
       // headroom) by one capacity rebuild — never by a per-N reconstruction.
+      // The only other rebuilds are the prefix refinements, one each.
       EXPECT_EQ(persistent.stats.csp_grows + persistent.stats.csp_builds - 1,
-                persistent.stats.state_increments)
+                persistent.stats.state_increments + persistent.stats.prefix_refinements)
           << "round=" << round;
     }
     ++cases;
@@ -118,22 +121,39 @@ TEST(PersistentDiff, RandomisedAgainstFreshPerN) {
   EXPECT_GE(cases, 500);
 }
 
-TEST(PersistentDiff, AcceptanceBlockingPathAgrees) {
-  // A tiny block budget exercises both the blocking and the relaxation
-  // branches; final N must still agree.
+TEST(PersistentDiff, AcceptanceRefinementPathsAgree) {
+  // Fresh and persistent reach the same N, and both models replay P, on
+  // random traces and on every integrator prefix length Fig. 7 uses
+  // (2^6 .. 2^15) in the learner's default configuration.
   Rng rng(77);
-  for (int round = 0; round < 40; ++round) {
-    const Trace t = random_trace(rng, 8, 24, 3);
-    LearnerConfig config;
-    config.max_states = 10;
-    config.max_acceptance_blocks = 1 + rng.below(3);
+  std::size_t refined = 0;
+  const auto run_both = [&refined](const Trace& t, const LearnerConfig& config,
+                                   const std::string& what) {
     LearnerConfig fresh_config = config;
     fresh_config.persistent_solver = false;
     const LearnResult persistent = ModelLearner(config).learn(t);
     const LearnResult fresh = ModelLearner(fresh_config).learn(t);
-    expect_equivalent(persistent, fresh, config,
-                      "blocks round=" + std::to_string(round));
+    expect_equivalent(persistent, fresh, config, what);
+    EXPECT_FALSE(persistent.stats.acceptance_relaxed) << what;
+    EXPECT_FALSE(fresh.stats.acceptance_relaxed) << what;
+    refined += persistent.stats.prefix_refinements + fresh.stats.prefix_refinements;
+    return persistent.success;
+  };
+  for (int round = 0; round < 40; ++round) {
+    LearnerConfig config;
+    config.max_states = 10;
+    run_both(random_trace(rng, 8, 24, 3), config, "random round=" + std::to_string(round));
   }
+  sim::IntegratorConfig sim_config;
+  sim_config.length = 1u << 15;
+  const Trace integrator = sim::generate_integrator_trace(sim_config);
+  for (int e = 6; e <= 15; ++e) {
+    LearnerConfig config;
+    config.abstraction.input_vars = {sim::integrator_input_var()};
+    const std::string what = "fig7 len=" + std::to_string(1u << e);
+    EXPECT_TRUE(run_both(integrator.prefix(1u << e), config, what)) << what;
+  }
+  EXPECT_GT(refined, 0u);
 }
 
 TEST(PersistentDiff, TimeoutPathReportsCleanly) {

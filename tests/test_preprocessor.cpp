@@ -20,6 +20,7 @@
 #include "src/sat/preprocessor.h"
 #include "src/sat/proof_log.h"
 #include "src/sat/solver.h"
+#include "src/sim/basic/counter.h"
 #include "src/sim/rtlinux/workloads.h"
 #include "src/sim/xhci/ring_interface.h"
 #include "src/util/rng.h"
@@ -216,11 +217,12 @@ TEST(PreprocessorLearnDifferential, UsbAttach) {
 // End-to-end proof-carrying learn runs: every solver verdict the CEGIS loop
 // consumes is independently re-derived by the forward DRAT checker from the
 // emitted trace — "i" axioms for the encoding, checked lemmas for every
-// conflict, `c restart` across CSP rebuilds, and per-epoch conclusions for
-// the guarded incremental grow_to path.
+// conflict, `c restart` across CSP rebuilds (capacity and prefix-refinement
+// rebuilds alike), and per-epoch conclusions for the guarded incremental
+// grow_to path.
 
-void expect_checked_learn_run(const Trace& trace, bool persistent,
-                              const char* what) {
+void expect_checked_learn_run(const Trace& trace, bool persistent, const char* what,
+                              std::size_t min_prefix_refinements = 0) {
   std::ostringstream proof_stream;
   sat::ProofLog log(proof_stream);
   LearnerConfig config;
@@ -229,6 +231,7 @@ void expect_checked_learn_run(const Trace& trace, bool persistent,
   config.solver.proof_log = &log;
   const LearnResult result = ModelLearner(config).learn(trace);
   ASSERT_TRUE(result.success) << what;
+  EXPECT_GE(result.stats.prefix_refinements, min_prefix_refinements) << what;
   std::istringstream proof(proof_stream.str());
   const sat::DratCheckResult check =
       sat::check_drat(sat::CnfFormula{}, proof, {});
@@ -250,6 +253,16 @@ TEST(ProofCarryingLearnRun, RtlinuxSchedulerPersistent) {
 TEST(ProofCarryingLearnRun, UsbAttachFreshPerN) {
   expect_checked_learn_run(sim::generate_usb_attach_trace(), false,
                            "usb-attach-fresh");
+}
+
+TEST(ProofCarryingLearnRun, CounterPrefixRefinement) {
+  // The counter trace's first compliant candidate does not replay P, so
+  // both paths rebuild their CSP over a longer leading prefix mid-run.
+  for (const bool persistent : {true, false}) {
+    expect_checked_learn_run(sim::generate_counter_trace({}), persistent,
+                             persistent ? "counter-persistent" : "counter-fresh",
+                             /*min_prefix_refinements=*/1);
+  }
 }
 
 // ---------------------------------------------------------------------------
