@@ -1,6 +1,7 @@
 #include "src/core/csp_encoder.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <functional>
 #include <limits>
@@ -256,11 +257,21 @@ AutomatonCsp::AutomatonCsp(const std::vector<Segment>& segments, std::size_t num
     }
   }
 
-  // One-hot blocks, allocated as one contiguous batch of capacity_ columns.
+  // One-hot blocks of capacity_ columns, then the precedence chains of
+  // columns [1, capacity_-2), in one contiguous batch. The chain of column
+  // capacity_-2 is allocated when N reaches capacity_
+  // (encode_precedence_columns).
+  const std::size_t early_chains = capacity_ > 3 ? capacity_ - 3 : 0;
+  const std::size_t chain_vars = num_chain_groups() * early_chains;
   block_base_.resize(num_state_vars_);
-  const sat::Var blocks_base = solver_.new_vars(num_state_vars_ * capacity_);
+  const sat::Var blocks_base = solver_.new_vars(num_state_vars_ * capacity_ + chain_vars);
   for (std::size_t sv = 0; sv < num_state_vars_; ++sv) {
     block_base_[sv] = blocks_base + static_cast<sat::Var>(sv * capacity_);
+  }
+  const sat::Var chains_base = blocks_base + static_cast<sat::Var>(num_state_vars_ * capacity_);
+  chain_base_.assign(capacity_, kVarUndef);
+  for (std::size_t c = 1; c <= early_chains; ++c) {
+    chain_base_[c] = chains_base + static_cast<sat::Var>(num_chain_groups() * (c - 1));
   }
 
   const bool is_persistent = options_.state_capacity > 0;
@@ -293,15 +304,19 @@ AutomatonCsp::AutomatonCsp(const std::vector<Segment>& segments, std::size_t num
 
   // Frozen-variable contract (docs/preprocessing.md): every variable the
   // encoder reads back (state bits), assumes (guards), or re-mentions in
-  // later emissions (guards, successor blocks in persistent mode) must never
-  // be eliminated by the preprocessor. Successor blocks of a fixed-N CSP are
-  // internal after construction and stay eliminable.
+  // later emissions (guards, precedence chains, successor blocks in
+  // persistent mode) must never be eliminated by the preprocessor. Successor
+  // blocks of a fixed-N CSP are internal after construction and stay
+  // eliminable.
   const auto freeze_range = [this](sat::Var base, std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) {
       solver_.freeze(base + static_cast<sat::Var>(i));
     }
   };
   freeze_range(blocks_base, num_state_vars_ * capacity_);
+  // A fixed-N CSP's chains are internal too, but eliminating them made the
+  // Table-1 unsegmented rows slower, so they stay frozen in both modes.
+  freeze_range(chains_base, chain_vars);
   if (is_persistent) {
     freeze_range(act_.front(), capacity_);
     for (std::size_t p = 0; p < num_preds_; ++p) {
@@ -336,15 +351,15 @@ AutomatonCsp::AutomatonCsp(const std::vector<Segment>& segments, std::size_t num
     return;
   }
 
-  if (options_.pin_initial && num_state_vars_ > 0) {
-    solver_.add_unit(state_lit(0, 0));
-  }
-
   activate_columns(0, num_states_);
 }
 
 sat::Lit AutomatonCsp::state_lit(std::size_t sv, std::size_t k) const {
   return sat::pos(block_base_.at(sv) + static_cast<sat::Var>(k));
+}
+
+sat::Lit AutomatonCsp::chain_lit(std::size_t g, std::size_t c) const {
+  return sat::pos(chain_base_.at(c) + static_cast<sat::Var>(g));
 }
 
 void AutomatonCsp::set_overflowed(const char* where) {
@@ -383,6 +398,8 @@ void AutomatonCsp::activate_columns(std::size_t lo, std::size_t hi) {
     set_overflowed("one-hot at-most-one");
     return;
   }
+  encode_precedence_columns(lo, hi);
+  if (overflowed_) return;
 
   switch (options_.encoding) {
     case DeterminismEncoding::Pairwise:
@@ -410,6 +427,44 @@ void AutomatonCsp::activate_columns(std::size_t lo, std::size_t hi) {
       return;
     }
     encode_equality_columns(e, key / num_state_vars_, key % num_state_vars_, lo, hi);
+  }
+}
+
+void AutomatonCsp::encode_precedence_columns(std::size_t lo, std::size_t hi) {
+  if (num_state_vars_ == 0) return;
+  // Column k >= 2 reads the chain of column k-1; only the chain of column
+  // capacity_-2 is still unallocated here.
+  for (std::size_t c = std::max<std::size_t>(lo, 2) - 1; c + 1 < hi; ++c) {
+    if (chain_base_[c] != kVarUndef) continue;
+    chain_base_[c] = solver_.new_vars(num_chain_groups());
+    for (std::size_t g = 0; g < num_chain_groups(); ++g) {
+      solver_.freeze(chain_base_[c] + static_cast<sat::Var>(g));
+    }
+  }
+  // A few clauses per state variable and column: too little work to fork.
+  if (!run_emission(
+          solver_, options_.max_clauses, /*threads=*/1, num_state_vars_, options_.deadline,
+          [&](std::size_t sv, ChunkBuf& buf) {
+            const std::size_t g = sv / kChainStride;
+            const std::size_t first = g * kChainStride;
+            const bool group_end = sv + 1 == std::min(num_state_vars_, first + kChainStride);
+            std::array<sat::Lit, kChainStride + 2> lits;
+            // (lead | m(g-1,c) | x(first..end-1, c)) into `lits`.
+            const auto emit = [&](sat::Lit lead, std::size_t c, std::size_t end) {
+              std::size_t n = 0;
+              lits[n++] = lead;
+              if (g > 0) lits[n++] = chain_lit(g - 1, c);
+              for (std::size_t s = first; s < end; ++s) lits[n++] = state_lit(s, c);
+              buf.emit_span({lits.data(), n});
+            };
+            for (std::size_t k = std::max<std::size_t>(lo, 1); k < hi; ++k) {
+              if (sv == 0) buf.emit({~state_lit(0, k)});
+              if (k < 2) continue;
+              if (sv > 0) emit(~state_lit(sv, k), k - 1, sv);  // precedence
+              if (group_end) emit(~chain_lit(g, k - 1), k - 1, sv + 1);  // justification
+            }
+          })) {
+    set_overflowed("value precedence");
   }
 }
 
@@ -732,6 +787,13 @@ std::size_t AutomatonCsp::reseed_from(const AutomatonCsp& old) {
                 block_base_[sv] + static_cast<sat::Var>(k));
     }
   }
+  for (std::size_t c = 1; c < kmin; ++c) {
+    if (old.chain_base_[c] == kVarUndef || chain_base_[c] == kVarUndef) continue;
+    for (std::size_t g = 0; g < num_chain_groups(); ++g) {
+      remap.map(old.chain_base_[c] + static_cast<sat::Var>(g),
+                chain_base_[c] + static_cast<sat::Var>(g));
+    }
+  }
   for (std::size_t k = 0; k < std::min({old.act_.size(), act_.size()}); ++k) {
     remap.map(old.act_[k], act_[k]);
   }
@@ -830,7 +892,7 @@ std::size_t AutomatonCsp::decode_state(std::size_t sv) const {
 }
 
 Nfa AutomatonCsp::extract_model() const {
-  Nfa model(num_states_, options_.pin_initial && num_state_vars_ > 0 ? decode_state(0) : 0);
+  Nfa model(num_states_, 0);  // value precedence makes state variable 0 state 0
   for (std::size_t t = 0; t < preds_of_transition_.size(); ++t) {
     model.add_transition(decode_state(src_var_[t]), preds_of_transition_[t],
                          decode_state(dst_var_[t]));

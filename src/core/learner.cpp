@@ -63,7 +63,7 @@ LearnResult failure_result(Status status) {
 }
 
 /// The layout of a prefix refinement: `prefix` as the leading segment (the
-/// one pin_initial pins to q0), then every other segment of `segments` that
+/// one the encoding starts at q0), then every other segment of `segments` that
 /// is not a window of the prefix. The prefix chain already embeds those
 /// windows, so dropping them leaves the encodable automata unchanged and
 /// keeps the rebuilt encoding, and the learn's peak memory, smaller.

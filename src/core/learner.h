@@ -201,8 +201,10 @@ struct [[nodiscard]] LearnResult {
 /// and the compliance-driven refinement loop.
 ///
 /// With require_trace_acceptance on, the loop also refines on acceptance.
-/// The leading segment of the encoded layout is a prefix of P that
-/// pin_initial pins to q0: first the window P[0..w), later a longer prefix.
+/// The leading segment of the encoded layout is a prefix of P whose first
+/// state variable the encoding fixes to state 0, which is q0 (value
+/// precedence, see AutomatonCsp): first the window P[0..w), later a longer
+/// prefix.
 /// A candidate that passes compliance is replayed on P. If it dead-ends at
 /// step i, the leading segment becomes P[0..i] (i + 1 steps), segments that
 /// occur inside that prefix are dropped, and the CSP is rebuilt at the same

@@ -92,6 +92,26 @@ Var Solver::new_var() { return new_vars(1); }
 Var Solver::new_vars(std::size_t count) {
   const Var first = static_cast<Var>(assign_.size());
   const std::size_t n = assign_.size() + count;
+  if (n > assign_.capacity()) {
+    // Grow every per-variable array once, with headroom: an encoder's big
+    // batch is followed by a few small ones (guards, aux variables), and
+    // letting each array double on its own copies it and leaves the old
+    // block resident, which showed in the learner's peak RSS.
+    const std::size_t cap = n + std::max(count, assign_.size()) / 2;
+    assign_.reserve(cap);
+    saved_phase_.reserve(cap);
+    level_.reserve(cap);
+    reason_.reserve(cap);
+    activity_.reserve(cap);
+    heap_index_.reserve(cap);
+    seen_.reserve(cap);
+    frozen_.reserve(cap);
+    eliminated_.reserve(cap);
+    root_taint_.reserve(cap);
+    elim_model_.reserve(cap);
+    watches_.reserve(2 * cap);
+    heap_.reserve(cap);
+  }
   assign_.resize(n, LBool::Undef);
   saved_phase_.resize(n, lbool_of(config_.default_phase));
   level_.resize(n, 0);
@@ -104,7 +124,6 @@ Var Solver::new_vars(std::size_t count) {
   root_taint_.resize(n, 0);
   elim_model_.resize(n, LBool::Undef);
   watches_.resize(2 * n);
-  heap_.reserve(n);
   for (Var v = first; v < static_cast<Var>(n); ++v) {
     heap_index_[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(heap_.size());
     heap_.push_back(v);

@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/automaton/dot.h"
 #include "src/core/csp_encoder.h"
 #include "src/core/learner.h"
+#include "src/sat/proof_log.h"
 #include "src/trace/recorder.h"
+#include "src/util/rng.h"
 
 namespace t2m {
 namespace {
@@ -508,29 +513,60 @@ TEST(ClauseBudget, LearnerReportsBudgetExceeded) {
 
 TEST(ReseedAcrossRebuilds, ImportsClausesAndPreservesVerdicts) {
   // A capacity rebuild with reseed_from must (a) import something — at
-  // minimum the root facts — and (b) agree with a fresh CSP at every N.
+  // minimum the root facts, which include precedence facts over chain
+  // variables — and (b) agree with a fresh CSP at every N.
   const std::vector<Segment> segments = bulky_segments();
   CspOptions small_options;
-  small_options.state_capacity = 3;
+  small_options.state_capacity = 6;
   auto old_csp = std::make_unique<AutomatonCsp>(segments, 4, 2, small_options);
   old_csp->add_forbidden_sequence({0, 1});
   old_csp->add_forbidden_sequence({1, 2, 3});
-  // Burn some search so learned clauses exist to export.
-  (void)old_csp->solve();
-  EXPECT_TRUE(old_csp->grow_to(3));
-  (void)old_csp->solve();
+  // Burn some search so learned clauses exist to export. At N = 6 the first
+  // chain group cannot hold state 4 (precedence bars state k from the first
+  // k state variables), a root fact over a chain variable.
+  for (std::size_t n = 2; n <= 6; ++n) {
+    EXPECT_TRUE(old_csp->grow_to(n));
+    (void)old_csp->solve();
+  }
 
+  // The rebuilt CSP logs every clause it is handed as an `i` axiom, so the
+  // imported clauses can be read back from the proof stream.
+  std::ostringstream proof_stream;
+  sat::ProofLog log(proof_stream);
   CspOptions big_options;
-  big_options.state_capacity = 6;
-  AutomatonCsp rebuilt(segments, 4, 3, big_options);
+  big_options.state_capacity = 8;
+  big_options.solver.proof_log = &log;
+  AutomatonCsp rebuilt(segments, 4, 6, big_options);
   rebuilt.add_forbidden_sequence({0, 1});
   rebuilt.add_forbidden_sequence({1, 2, 3});
+  const std::size_t encoded_bytes = proof_stream.str().size();
   const std::size_t imported = rebuilt.reseed_from(*old_csp);
   EXPECT_GT(imported, 0u);
   old_csp.reset();
 
-  for (std::size_t n = 3; n <= 6; ++n) {
-    ASSERT_TRUE(n == 3 || rebuilt.grow_to(n));
+  std::set<sat::Var> chain_vars;
+  for (std::size_t c = 1; c < 8; ++c) {
+    if (rebuilt.chain_var(0, c) == -1) continue;
+    for (std::size_t g = 0; g < rebuilt.num_chain_groups(); ++g) {
+      chain_vars.insert(rebuilt.chain_var(g, c));
+    }
+  }
+  std::istringstream imports(proof_stream.str().substr(encoded_bytes));
+  std::size_t imports_naming_chains = 0;
+  for (std::string line; std::getline(imports, line);) {
+    if (line.rfind("i ", 0) != 0) continue;
+    std::istringstream lits(line.substr(2));
+    bool names_chain = false;
+    for (long dimacs = 0; lits >> dimacs && dimacs != 0;) {
+      names_chain = names_chain || chain_vars.count(static_cast<sat::Var>(
+                                       (dimacs < 0 ? -dimacs : dimacs) - 1)) > 0;
+    }
+    if (names_chain) ++imports_naming_chains;
+  }
+  EXPECT_GT(imports_naming_chains, 0u) << "no imported clause names a chain variable";
+
+  for (std::size_t n = 6; n <= 8; ++n) {
+    ASSERT_TRUE(rebuilt.grow_to(n));
     AutomatonCsp fresh(segments, 4, n);
     fresh.add_forbidden_sequence({0, 1});
     fresh.add_forbidden_sequence({1, 2, 3});
@@ -538,6 +574,156 @@ TEST(ReseedAcrossRebuilds, ImportsClausesAndPreservesVerdicts) {
     EXPECT_EQ(got, fresh.solve()) << "N=" << n;
     if (got == sat::SolveResult::Sat) {
       validate_model(rebuilt.extract_model(), segments);
+    }
+  }
+}
+
+/// Exhaustive reference for the CSP's verdict: the state variables laid out
+/// as the encoder does (w+1 per segment of length w, in segment order).
+class BruteForceCsp {
+public:
+  BruteForceCsp(const std::vector<Segment>& segments,
+                std::vector<std::vector<PredId>> forbidden)
+      : forbidden_(std::move(forbidden)) {
+    for (const Segment& segment : segments) {
+      const std::size_t first = num_state_vars_;
+      num_state_vars_ += segment.size() + 1;
+      for (std::size_t j = 0; j < segment.size(); ++j) {
+        transitions_.push_back({first + j, segment[j], first + j + 1});
+      }
+    }
+  }
+
+  std::size_t num_state_vars() const { return num_state_vars_; }
+
+  /// Whether some assignment of states {0..n-1} to the state variables is
+  /// deterministic and realises no forbidden word. With `canonical`, only
+  /// assignments whose states first appear in encoding order count.
+  bool satisfiable(std::size_t n, bool canonical) const {
+    std::vector<std::size_t> states(num_state_vars_);
+    return search(states, 0, n, canonical, 0);
+  }
+
+  /// Deterministic, no forbidden word realised.
+  bool admissible(const std::vector<std::size_t>& states) const {
+    for (const Step& a : transitions_) {
+      for (const Step& b : transitions_) {
+        if (a.pred == b.pred && states[a.src] == states[b.src] &&
+            states[a.dst] != states[b.dst]) {
+          return false;
+        }
+      }
+    }
+    for (const auto& word : forbidden_) {
+      // States reachable by reading a prefix of `word` from any state.
+      std::set<std::size_t> frontier;
+      for (std::size_t i = 0; i < word.size(); ++i) {
+        std::set<std::size_t> next;
+        for (const Step& t : transitions_) {
+          if (t.pred == word[i] && (i == 0 || frontier.count(states[t.src]) > 0)) {
+            next.insert(states[t.dst]);
+          }
+        }
+        frontier = std::move(next);
+      }
+      if (!frontier.empty()) return false;
+    }
+    return true;
+  }
+
+private:
+  struct Step {
+    std::size_t src;
+    PredId pred;
+    std::size_t dst;
+  };
+
+  bool search(std::vector<std::size_t>& states, std::size_t sv, std::size_t n,
+              bool canonical, std::size_t used) const {
+    if (sv == num_state_vars_) return admissible(states);
+    const std::size_t limit = canonical ? std::min(n, used + 1) : n;
+    for (std::size_t k = 0; k < limit; ++k) {
+      states[sv] = k;
+      if (search(states, sv + 1, n, canonical, std::max(used, k + 1))) return true;
+    }
+    return false;
+  }
+
+  std::vector<Step> transitions_;
+  std::vector<std::vector<PredId>> forbidden_;
+  std::size_t num_state_vars_ = 0;
+};
+
+/// A Sat model of `csp` must be admissible for the reference and number its
+/// states by first occurrence in encoding order.
+void expect_canonical_model(const AutomatonCsp& csp, const BruteForceCsp& reference,
+                            const std::string& what) {
+  std::vector<std::size_t> states(reference.num_state_vars());
+  std::size_t used = 0;
+  for (std::size_t sv = 0; sv < states.size(); ++sv) {
+    states[sv] = csp.decode_state(sv);
+    EXPECT_LE(states[sv], used) << what << ": state " << states[sv]
+                                << " precedes state " << used << " at sv " << sv;
+    used = std::max(used, states[sv] + 1);
+  }
+  EXPECT_TRUE(reference.admissible(states)) << what;
+}
+
+TEST(ValuePrecedence, FreshAndGrownVerdictsMatchExhaustiveSearch) {
+  // Random tiny layouts (<= 3 segments, vocabulary <= 3, N <= 4) with random
+  // forbidden words: the fresh and the grown CSP both answer exactly what
+  // exhaustive search over every assignment answers, and their models are
+  // canonical. The search also confirms the symmetry-breaking premise: a
+  // canonical assignment exists whenever any does.
+  Rng rng(0x9ec);
+  constexpr std::size_t kMaxStates = 4;
+  for (int c = 0; c < 120; ++c) {
+    const std::size_t num_preds = 1 + rng.below(3);
+    std::vector<Segment> segments(1 + rng.below(3));
+    for (Segment& segment : segments) {
+      segment.resize(1 + rng.below(3));
+      for (PredId& p : segment) p = static_cast<PredId>(rng.below(num_preds));
+    }
+    std::vector<std::vector<PredId>> forbidden(rng.below(3));
+    for (auto& word : forbidden) {
+      word.resize(rng.chance(0.1) ? 1 : 2 + rng.below(2));
+      for (PredId& p : word) p = static_cast<PredId>(rng.below(num_preds));
+    }
+    const BruteForceCsp reference(segments, forbidden);
+
+    CspOptions grown_options;
+    grown_options.encoding = c % 2 == 0 ? DeterminismEncoding::Successor
+                                        : DeterminismEncoding::Pairwise;
+    grown_options.state_capacity = kMaxStates;
+    AutomatonCsp grown(segments, num_preds, 1, grown_options);
+    for (const auto& word : forbidden) grown.add_forbidden_sequence(word);
+    bool unsat_everywhere = false;
+    for (std::size_t n = 1; n <= kMaxStates; ++n) {
+      const std::string what = "case " + std::to_string(c) + " N=" + std::to_string(n);
+      const bool expected = reference.satisfiable(n, /*canonical=*/false);
+      ASSERT_EQ(reference.satisfiable(n, /*canonical=*/true), expected) << what;
+
+      CspOptions fresh_options;
+      fresh_options.encoding = grown_options.encoding;
+      AutomatonCsp fresh(segments, num_preds, n, fresh_options);
+      for (const auto& word : forbidden) fresh.add_forbidden_sequence(word);
+      const sat::SolveResult fresh_result = fresh.solve();
+      EXPECT_EQ(fresh_result == sat::SolveResult::Sat, expected) << what << " fresh";
+      if (fresh_result == sat::SolveResult::Sat) {
+        expect_canonical_model(fresh, reference, what + " fresh");
+      }
+
+      ASSERT_TRUE(grown.grow_to(n));
+      const sat::SolveResult grown_result = grown.solve();
+      EXPECT_EQ(grown_result == sat::SolveResult::Sat, expected) << what << " grown";
+      if (grown_result == sat::SolveResult::Sat) {
+        expect_canonical_model(grown, reference, what + " grown");
+      } else {
+        unsat_everywhere = unsat_everywhere || grown.unsat_for_all_states();
+      }
+      if (unsat_everywhere) {
+        EXPECT_FALSE(expected) << what << ": early stop was unsound";
+      }
     }
   }
 }

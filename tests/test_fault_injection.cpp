@@ -24,6 +24,7 @@
 #include "src/sat/solver.h"
 #include "src/sim/basic/counter.h"
 #include "src/sim/rtlinux/workloads.h"
+#include "src/sim/synthetic/random_dfa.h"
 #include "src/trace/mmap_io.h"
 #include "src/trace/recorder.h"
 #include "src/util/failpoint.h"
@@ -350,21 +351,21 @@ TEST(MemoryCap, LearnUnderTinyCapReturnsResourceExhaustedVerdict) {
   EXPECT_EQ(MemoryAccountant::global().limit(), 0u);
 }
 
-TEST(Salvage, RtlinuxRunKilledByAllocationFailureSalvagesCompliantModel) {
+TEST(Salvage, RandomDfaWalkKilledByAllocationFailureSalvagesCompliantModel) {
   const FailpointGuard guard;
-  // default_phase = true makes the rtlinux search pass through at least one
-  // compliant candidate that cannot replay the trace (deterministically; it
+  // The search over this 6-state random-DFA walk passes through compliant
+  // candidates that cannot replay the trace (deterministically; each
   // triggers a prefix refinement), so a late failure has a best-so-far model
   // to salvage. First count the run's arena allocations with the site armed
   // but never firing, then rerun with the failure injected near the end —
-  // inside the final solve, after that candidate was captured.
-  const Trace t = sim::generate_full_coverage_sched_trace(4000);
+  // inside the final solve, after such a candidate was captured.
+  const Trace t = sim::random_dfa_walk_trace(6, 600, 3);
   LearnerConfig config;
-  config.solver.default_phase = true;
 
   failpoint::arm("arena.alloc", "off");
   const LearnResult clean = ModelLearner(config).learn(t);
   ASSERT_TRUE(clean.success);
+  ASSERT_GE(clean.stats.prefix_refinements, 1u);
   const std::uint64_t allocs = failpoint::evaluations("arena.alloc");
   ASSERT_GT(allocs, 100u);
   failpoint::disarm_all();

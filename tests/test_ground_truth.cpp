@@ -6,82 +6,29 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/core/compliance.h"
 #include "src/core/learner.h"
-#include "src/trace/text_io.h"
+#include "src/sim/synthetic/random_dfa.h"
 #include "src/util/rng.h"
 
 namespace t2m {
 namespace {
 
-/// A random DFA with as many symbols as states and out-degree 2. A random
-/// Hamiltonian cycle keeps it strongly connected, so a long walk visits every
-/// state; the second edge of each state carries a different symbol to a
-/// random target.
-struct RandomDfa {
-  std::size_t states = 0;
-  std::size_t initial = 0;
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> out;  // (symbol, dst)
-};
-
-RandomDfa random_dfa(Rng& rng, std::size_t states) {
-  RandomDfa dfa;
-  dfa.states = states;
-  dfa.out.resize(states);
-  std::vector<std::size_t> cycle(states);
-  for (std::size_t i = 0; i < states; ++i) cycle[i] = i;
-  for (std::size_t i = states; i > 1; --i) std::swap(cycle[i - 1], cycle[rng.below(i)]);
-  dfa.initial = cycle[0];
-  for (std::size_t i = 0; i < states; ++i) {
-    const std::size_t s1 = rng.below(states);
-    std::size_t s2 = rng.below(states - 1);
-    if (s2 >= s1) ++s2;
-    dfa.out[cycle[i]] = {{s1, cycle[(i + 1) % states]}, {s2, rng.below(states)}};
-  }
-  return dfa;
-}
-
-/// The walk as (symbol, state reached) steps from the initial state.
-std::vector<std::pair<std::size_t, std::size_t>> random_walk(Rng& rng, const RandomDfa& dfa,
-                                                             std::size_t length) {
-  std::vector<std::pair<std::size_t, std::size_t>> walk;
-  std::size_t q = dfa.initial;
-  for (std::size_t i = 0; i < length; ++i) {
-    const auto& [symbol, dst] = dfa.out[q][rng.below(2)];
-    walk.emplace_back(symbol, dst);
-    q = dst;
-  }
-  return walk;
-}
-
-Trace walk_trace(const RandomDfa& dfa,
-                 const std::vector<std::pair<std::size_t, std::size_t>>& walk) {
-  std::ostringstream text;
-  text << "# t2m-trace v1\n# var ev cat";
-  for (std::size_t s = 0; s < dfa.states; ++s) text << " a" << s;
-  text << '\n';
-  for (const auto& step : walk) text << 'a' << step.first << '\n';
-  std::istringstream in(text.str());
-  return read_trace_text(in);
-}
-
 TEST(GroundTruth, RandomDfaWalksReplayWithinGeneratorSize) {
   Rng rng(0x5eed);
   for (int c = 0; c < 30; ++c) {
     const std::size_t states = 4 + static_cast<std::size_t>(c % 3);
-    const RandomDfa dfa = random_dfa(rng, states);
-    const auto walk = random_walk(rng, dfa, 600);
+    const sim::RandomDfa dfa = sim::random_dfa(rng, states);
+    const auto walk = sim::random_walk(rng, dfa, 600);
     const std::string what = "case " + std::to_string(c) + " (" +
                              std::to_string(states) + " states)";
 
     LearnerConfig config;
     config.timeout_seconds = 60;
-    const LearnResult r = ModelLearner(config).learn(walk_trace(dfa, walk));
+    const LearnResult r = ModelLearner(config).learn(sim::walk_trace(dfa, walk));
     ASSERT_TRUE(r.success) << what;
     // The first row is the initial valuation; every later row is one event.
     ASSERT_EQ(r.preds.seq.size() + 1, walk.size()) << what;
@@ -103,6 +50,19 @@ TEST(GroundTruth, RandomDfaWalksReplayWithinGeneratorSize) {
     ASSERT_TRUE(checker.check(generator).compliant) << what;
     EXPECT_LE(r.states, states) << what;
   }
+}
+
+TEST(GroundTruth, TwelveStateWalkLearnsWithinTimeout) {
+  // A 5000-event walk over a 12-state, 12-symbol DFA. Without symmetry
+  // breaking over the state labels, its minimality proofs at N-1 re-refute
+  // every relabeling of the states and run past 40 s.
+  const Trace trace = sim::random_dfa_walk_trace(12, 5000, 1);
+  LearnerConfig config;
+  config.timeout_seconds = 30;
+  const LearnResult r = ModelLearner(config).learn(trace);
+  ASSERT_TRUE(r.success) << "timed out: " << r.timed_out;
+  EXPECT_LE(r.states, 12u);
+  EXPECT_TRUE(r.model.accepts(r.preds.seq));
 }
 
 }  // namespace

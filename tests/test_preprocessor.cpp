@@ -20,8 +20,8 @@
 #include "src/sat/preprocessor.h"
 #include "src/sat/proof_log.h"
 #include "src/sat/solver.h"
-#include "src/sim/basic/counter.h"
 #include "src/sim/rtlinux/workloads.h"
+#include "src/sim/synthetic/random_dfa.h"
 #include "src/sim/xhci/ring_interface.h"
 #include "src/util/rng.h"
 
@@ -255,12 +255,13 @@ TEST(ProofCarryingLearnRun, UsbAttachFreshPerN) {
                            "usb-attach-fresh");
 }
 
-TEST(ProofCarryingLearnRun, CounterPrefixRefinement) {
-  // The counter trace's first compliant candidate does not replay P, so
-  // both paths rebuild their CSP over a longer leading prefix mid-run.
+TEST(ProofCarryingLearnRun, RandomDfaWalkPrefixRefinement) {
+  // On this 6-state random-DFA walk, compliant candidates that do not replay
+  // P make both paths rebuild their CSP over a longer leading prefix mid-run.
+  const Trace trace = sim::random_dfa_walk_trace(6, 600, 3);
   for (const bool persistent : {true, false}) {
-    expect_checked_learn_run(sim::generate_counter_trace({}), persistent,
-                             persistent ? "counter-persistent" : "counter-fresh",
+    expect_checked_learn_run(trace, persistent,
+                             persistent ? "walk-persistent" : "walk-fresh",
                              /*min_prefix_refinements=*/1);
   }
 }
@@ -270,6 +271,28 @@ TEST(ProofCarryingLearnRun, CounterPrefixRefinement) {
 // with its CEGIS-discovered forbidden words, star compression plus
 // preprocessing must shrink the clause count by >= 30% relative to the
 // direct encoding — with the verdict unchanged.
+
+/// The CEGIS refinement loop on one CSP: solve, check compliance, forbid
+/// every new invalid sequence (recording it in `forbidden`), until the model
+/// is compliant; the compliant model lands in `model`.
+void drive_to_compliance(AutomatonCsp& csp, const ComplianceChecker& checker,
+                         std::set<std::vector<PredId>>& forbidden, Nfa& model) {
+  for (;;) {
+    ASSERT_EQ(csp.solve(), SolveResult::Sat);
+    model = csp.extract_model();
+    const ComplianceResult compliance = checker.check(model);
+    if (compliance.compliant) return;
+    std::size_t added = 0;
+    for (const auto& word : compliance.invalid_sequences) {
+      if (forbidden.insert(word).second) {
+        csp.add_forbidden_sequence(word);
+        ++added;
+      }
+    }
+    ASSERT_GT(added, 0u) << "refinement stalled";
+    ASSERT_LT(forbidden.size(), 4096u) << "runaway refinement";
+  }
+}
 
 TEST(PreprocessorReduction, RtlinuxEncodingShrinksAtLeast30Percent) {
   const Trace trace = sim::generate_full_coverage_sched_trace(20165);
@@ -285,21 +308,8 @@ TEST(PreprocessorReduction, RtlinuxEncodingShrinksAtLeast30Percent) {
   {
     CspOptions options;
     AutomatonCsp csp(segments, preds.vocab.size(), 8, options);
-    for (;;) {
-      ASSERT_EQ(csp.solve(), SolveResult::Sat);
-      model = csp.extract_model();
-      const ComplianceResult compliance = checker.check(model);
-      if (compliance.compliant) break;
-      std::size_t added = 0;
-      for (const auto& word : compliance.invalid_sequences) {
-        if (forbidden.insert(word).second) {
-          csp.add_forbidden_sequence(word);
-          ++added;
-        }
-      }
-      ASSERT_GT(added, 0u) << "refinement stalled";
-      ASSERT_LT(forbidden.size(), 4096u) << "runaway refinement";
-    }
+    drive_to_compliance(csp, checker, forbidden, model);
+    if (HasFatalFailure()) return;
   }
   ASSERT_GT(forbidden.size(), 0u) << "no forbidden words: reduction unmeasurable";
 
@@ -322,9 +332,17 @@ TEST(PreprocessorReduction, RtlinuxEncodingShrinksAtLeast30Percent) {
   EXPECT_LE(production_clauses, direct_clauses - direct_clauses * 3 / 10)
       << "direct=" << direct_clauses << " production=" << production_clauses;
 
-  // Both models are valid for the same instance.
-  const Nfa direct_model = direct.extract_model();
-  const Nfa production_model = production.extract_model();
+  // Both encodings reach a valid model for the same instance. The words
+  // that made the first CSP compliant need not make the others' first
+  // models compliant, so each CSP finishes its own refinement loop.
+  Nfa direct_model(1, 0);
+  std::set<std::vector<PredId>> direct_forbidden = forbidden;
+  drive_to_compliance(direct, checker, direct_forbidden, direct_model);
+  if (HasFatalFailure()) return;
+  Nfa production_model(1, 0);
+  std::set<std::vector<PredId>> production_forbidden = forbidden;
+  drive_to_compliance(production, checker, production_forbidden, production_model);
+  if (HasFatalFailure()) return;
   EXPECT_TRUE(direct_model.deterministic_per_predicate());
   EXPECT_TRUE(production_model.deterministic_per_predicate());
   EXPECT_TRUE(checker.check(direct_model).compliant);
