@@ -75,14 +75,12 @@ inline LearnerConfig table_config(const BenchCase& c, bool segmented,
     config.encoding = DeterminismEncoding::Pairwise;
     config.compress_forbidden = false;
   } else {
-    // Production configuration for the full-trace column: the paper's
-    // ">16 hours" rows are exactly what the successor encoding, star
-    // compression, preprocessing and threaded emission target. (The
-    // paper-faithful pairwise full-trace baseline lives in fig7.)
+    // The full-trace column runs the default encoding: the successor
+    // determinism encoding and star-compressed forbidden pairs are what
+    // keep the paper's ">16 hours" rows tractable. (The paper-faithful
+    // pairwise full-trace baseline lives in fig7.)
     config.encoding = DeterminismEncoding::Successor;
     config.compress_forbidden = true;
-    config.preprocess = true;
-    config.threads = 4;
   }
   return config;
 }
@@ -158,10 +156,6 @@ public:
     rec.stats = r.stats;
     records_.push_back(std::move(rec));
   }
-
-  /// For phase benches that measure something other than a whole learn
-  /// (e.g. encode-only timings) and fill the record themselves.
-  void add_raw(BenchRecord rec) { records_.push_back(std::move(rec)); }
 
   void write(std::ostream& os) const {
     os << "[\n";

@@ -15,7 +15,7 @@
 // --min-rss-ratio N fails the run unless streaming peak RSS is at least N
 // times below the in-memory path's (0 disables the gate). The parallel child
 // drives ModelLearner::learn_from_ftrace with --threads workers (sharded
-// ingest + partitioned compliance; byte-identical artefacts, checked here
+// ingest; byte-identical artefacts, checked here
 // via states/segments); --min-speedup N fails the run unless the parallel
 // wall clock beats the streaming one by that factor (0 disables — the gate
 // is meaningful only on machines actually offering the requested cores).

@@ -6,7 +6,6 @@
 #include "src/automaton/ops.h"
 #include "src/base/status.h"
 #include "src/obs/trace.h"
-#include "src/parallel/thread_pool.h"
 
 namespace t2m {
 
@@ -14,7 +13,7 @@ namespace {
 
 /// Amortised deadline poll shared by both DFS paths: reads the clock every
 /// 4096th leaf word and throws the structured timeout that cancels the
-/// whole check (the parallel path rethrows it from TaskGroup::wait()).
+/// whole check.
 struct DeadlinePoll {
   const Deadline& deadline;
   std::uint64_t ticks = 0;
@@ -90,12 +89,12 @@ bool ComplianceChecker::packed_usable(const Nfa& model) const {
   return true;
 }
 
-void ComplianceChecker::check_packed_range(
-    const std::vector<std::vector<std::pair<PredId, StateId>>>& adj, StateId lo,
-    StateId hi, std::unordered_set<std::uint64_t>& seen,
-    std::set<std::vector<PredId>>& invalid) const {
+void ComplianceChecker::check_packed(
+    const std::vector<std::vector<std::pair<PredId, StateId>>>& adj,
+    ComplianceResult& result) const {
   // Streaming DFS over packed keys: dedup and membership are both O(1)
   // integer hashing; only missing words are materialised.
+  std::unordered_set<std::uint64_t> seen;
   std::vector<PredId> prefix;
   prefix.reserve(l_);
   DeadlinePoll poll{deadline_};
@@ -103,7 +102,7 @@ void ComplianceChecker::check_packed_range(
     if (prefix.size() == l_) {
       poll();
       if (seen.insert(key).second && packed_windows_.count(key) == 0) {
-        invalid.insert(prefix);
+        result.invalid_sequences.insert(prefix);
       }
       return;
     }
@@ -113,15 +112,16 @@ void ComplianceChecker::check_packed_range(
       prefix.pop_back();
     }
   };
-  for (StateId s = lo; s < hi; ++s) dfs(dfs, s, 0);
+  for (StateId s = 0; s < adj.size(); ++s) dfs(dfs, s, 0);
+  result.model_sequences = seen.size();
 }
 
-void ComplianceChecker::check_vec_range(
-    const std::vector<std::vector<std::pair<PredId, StateId>>>& adj, StateId lo,
-    StateId hi, std::unordered_set<std::vector<PredId>, VectorHash>& seen,
-    std::set<std::vector<PredId>>& invalid) const {
+void ComplianceChecker::check_vec(
+    const std::vector<std::vector<std::pair<PredId, StateId>>>& adj,
+    ComplianceResult& result) const {
   // Generic path: hashed vector keys. Taken when windows exceed 64 bits
   // or a model predicate is outside the trace's id range.
+  std::unordered_set<std::vector<PredId>, VectorHash> seen;
   std::vector<PredId> prefix;
   prefix.reserve(l_);
   const auto in_trace = [this](const std::vector<PredId>& word) {
@@ -139,7 +139,7 @@ void ComplianceChecker::check_vec_range(
     if (prefix.size() == l_) {
       poll();
       if (seen.insert(prefix).second && !in_trace(prefix)) {
-        invalid.insert(prefix);
+        result.invalid_sequences.insert(prefix);
       }
       return;
     }
@@ -149,65 +149,20 @@ void ComplianceChecker::check_vec_range(
       prefix.pop_back();
     }
   };
-  for (StateId s = lo; s < hi; ++s) dfs(dfs, s);
+  for (StateId s = 0; s < adj.size(); ++s) dfs(dfs, s);
+  result.model_sequences = seen.size();
 }
-
-namespace {
-
-/// Folds per-chunk accumulators into the result in chunk (= state) order:
-/// distinct-word count is the union of the seen sets, missing words the
-/// union of the (ordered) invalid sets. One definition for both window
-/// representations, so the two DFS paths cannot drift apart.
-template <typename SeenSet>
-void merge_chunk_results(std::vector<SeenSet>& seen,
-                         std::vector<std::set<std::vector<PredId>>>& invalid,
-                         ComplianceResult& result) {
-  for (std::size_t c = 1; c < seen.size(); ++c) {
-    seen[0].insert(seen[c].begin(), seen[c].end());
-  }
-  result.model_sequences = seen[0].size();
-  result.invalid_sequences = std::move(invalid[0]);
-  for (std::size_t c = 1; c < invalid.size(); ++c) {
-    result.invalid_sequences.merge(invalid[c]);
-  }
-}
-
-}  // namespace
 
 ComplianceResult ComplianceChecker::check(const Nfa& model) const {
   T2M_SPAN_SCOPE(check_span, "compliance.check", "states", model.num_states());
   ComplianceResult result;
   result.trace_sequences = trace_windows_;
-
   const auto adj = out_edges(model);
-  const std::size_t n_states = model.num_states();
-  const std::size_t chunks =
-      threads_ <= 1 ? 1 : std::min(threads_, std::max<std::size_t>(n_states, 1));
-
-  // Each chunk DFSes its start-state range into private accumulators; the
-  // merge is a set union in chunk (= state) order, which by set semantics
-  // yields exactly the sequential single-range result: a word reached from
-  // start states in two chunks is classified identically by both, and
-  // invalid_sequences is an ordered set either way.
-  std::vector<std::set<std::vector<PredId>>> invalid(chunks);
   if (packed_usable(model)) {
-    std::vector<std::unordered_set<std::uint64_t>> seen(chunks);
-    par::for_chunks(threads_, n_states, chunks,
-                    [&](std::size_t c, std::size_t lo, std::size_t hi) {
-                      T2M_SPAN("compliance.chunk", "chunk", c, "states", hi - lo);
-                      check_packed_range(adj, lo, hi, seen[c], invalid[c]);
-                    });
-    merge_chunk_results(seen, invalid, result);
+    check_packed(adj, result);
   } else {
-    std::vector<std::unordered_set<std::vector<PredId>, VectorHash>> seen(chunks);
-    par::for_chunks(threads_, n_states, chunks,
-                    [&](std::size_t c, std::size_t lo, std::size_t hi) {
-                      T2M_SPAN("compliance.chunk", "chunk", c, "states", hi - lo);
-                      check_vec_range(adj, lo, hi, seen[c], invalid[c]);
-                    });
-    merge_chunk_results(seen, invalid, result);
+    check_vec(adj, result);
   }
-
   result.compliant = result.invalid_sequences.empty();
   check_span.arg("compliant", result.compliant);
   check_span.arg("invalid_sequences", result.invalid_sequences.size());

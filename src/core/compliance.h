@@ -48,16 +48,9 @@ public:
 
   ComplianceResult check(const Nfa& model) const;
 
-  /// Partitions check()'s DFS by start state across this many workers
-  /// (1 = sequential). Per-chunk missing-word sets merge in state order, so
-  /// the result — including counterexample selection downstream — is
-  /// identical to the sequential check by set semantics.
-  void set_threads(std::size_t threads) { threads_ = threads; }
-
   /// Cooperative wall-clock bound on check(): the DFS polls it every few
   /// thousand leaf words and throws StatusError(deadline_exceeded) when it
-  /// expires. On the parallel path the throw cancels the chunk and
-  /// TaskGroup::wait() rethrows it from check(). Defaults to never expiring.
+  /// expires. Defaults to never expiring.
   void set_deadline(const Deadline& deadline) { deadline_ = deadline; }
 
   std::size_t window_length() const { return l_; }
@@ -78,21 +71,15 @@ private:
 
   bool packed_usable(const Nfa& model) const;
 
-  /// DFS over the model's length-l paths from start states [lo, hi),
-  /// collecting the distinct words into `seen` and the words absent from
-  /// P_l into `invalid`. One call per worker chunk; the sequential path is
-  /// the single full-range call.
-  void check_packed_range(
-      const std::vector<std::vector<std::pair<PredId, StateId>>>& adj, StateId lo,
-      StateId hi, std::unordered_set<std::uint64_t>& seen,
-      std::set<std::vector<PredId>>& invalid) const;
-  void check_vec_range(const std::vector<std::vector<std::pair<PredId, StateId>>>& adj,
-                       StateId lo, StateId hi,
-                       std::unordered_set<std::vector<PredId>, VectorHash>& seen,
-                       std::set<std::vector<PredId>>& invalid) const;
+  /// DFS over the model's length-l paths from every start state, counting
+  /// the distinct words into result.model_sequences and collecting the words
+  /// absent from P_l into result.invalid_sequences.
+  void check_packed(const std::vector<std::vector<std::pair<PredId, StateId>>>& adj,
+                    ComplianceResult& result) const;
+  void check_vec(const std::vector<std::vector<std::pair<PredId, StateId>>>& adj,
+                 ComplianceResult& result) const;
 
   std::size_t l_;
-  std::size_t threads_ = 1;
   Deadline deadline_;
   std::size_t trace_windows_ = 0;
   /// Packed representation: each window folds into one 64-bit key, built by

@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <functional>
 #include <limits>
-#include <memory>
+#include <span>
 #include <stdexcept>
-#include <thread>
 
 #include "src/base/status.h"
 #include "src/obs/trace.h"
-#include "src/parallel/scratch_arena.h"
-#include "src/parallel/thread_pool.h"
 #include "src/sat/var_remap.h"
 #include "src/util/log.h"
 
@@ -22,210 +18,59 @@ namespace {
 
 constexpr std::uint32_t kNoDecodedState = std::numeric_limits<std::uint32_t>::max();
 
-/// One worker chunk's clause output. Literal payloads live in the chunk's
-/// own bump arena (no allocator contention between workers); the entry list
-/// preserves emission order for the deterministic splice.
-struct ChunkBuf {
-  par::ScratchArena arena;
-  struct Entry {
-    const sat::Lit* lits;
-    std::uint32_t len;
-    bool tainted;
-  };
-  std::vector<Entry> entries;
-  std::atomic<bool> ready{false};
-  /// Worker stopped early on the shared soft budget; the splice rebuilds the
-  /// chunk synchronously if it still needs it (see run_emission).
-  bool truncated = false;
+/// Clause output of one emission pass, written straight into the solver.
+/// Each clause is sorted first (Solver::add_clause_presorted skips the sort
+/// but keeps the root-assignment filter). Once the solver holds
+/// `max_clauses` problem clauses, further clauses are dropped and the pass
+/// reports overflow.
+class ClauseSink {
+public:
+  ClauseSink(sat::Solver& solver, std::size_t max_clauses)
+      : solver_(solver), max_clauses_(max_clauses) {}
 
   void emit(std::initializer_list<sat::Lit> lits, bool tainted = false) {
     emit_span({lits.begin(), lits.size()}, tainted);
   }
   void emit_span(std::span<const sat::Lit> lits, bool tainted = false) {
-    sat::Lit* out = arena.alloc_array<sat::Lit>(lits.size());
-    std::copy(lits.begin(), lits.end(), out);
-    // Workers do no solver-dependent normalisation (the live root state
-    // changes while earlier chunks splice), but sorting is pure — it feeds
-    // Solver::add_clause_presorted.
-    std::sort(out, out + lits.size());
-    entries.push_back({out, static_cast<std::uint32_t>(lits.size()), tainted});
+    if (overflowed_) return;
+    if (solver_.num_clauses() >= max_clauses_) {
+      overflowed_ = true;
+      return;
+    }
+    sorted_.assign(lits.begin(), lits.end());
+    std::sort(sorted_.begin(), sorted_.end());
+    solver_.add_clause_presorted(sorted_, tainted);
   }
-  void clear() {
-    entries.clear();
-    arena.reset();
-  }
+  bool overflowed() const { return overflowed_; }
+
+private:
+  sat::Solver& solver_;
+  std::size_t max_clauses_;
+  bool overflowed_ = false;
+  std::vector<sat::Lit> sorted_;
 };
 
-/// Chunked clause emission with a deterministic splice.
-///
-/// `build(item, buf)` must be a pure function of the item index (no solver
-/// reads): workers run chunks of the item space [0, n_items) concurrently,
-/// and the main thread splices finished chunks into the solver strictly in
-/// chunk-index order, normalising against the live root-level assignment as
-/// it goes. Item order within a chunk and chunk order together reproduce the
-/// serial order exactly, so the clause database is byte-identical at every
-/// thread count — chunk boundaries only decide who builds what.
-///
-/// The clause budget is enforced exactly at the splice (one check per
-/// clause); workers additionally watch a shared approximate counter so a
-/// hopeless over-budget emission stops buffering early instead of
-/// materialising gigabytes. A chunk truncated by that soft stop is rebuilt
-/// synchronously if the splice reaches it still under budget (possible when
-/// many buffered clauses were root-satisfied and not counted).
-///
-/// Returns false when the budget was hit; the caller marks the CSP
+/// Runs `build(item, sink)` for every item in [0, n_items), in order.
+/// Returns false when the clause budget was hit; the caller marks the CSP
 /// overflowed.
+///
+/// The deadline is polled once per 64 items. An expiry throws
+/// deadline_exceeded; the learner discards the half-built CSP and converts
+/// the escape into its timed-out verdict.
 template <typename BuildFn>
-bool run_emission(sat::Solver& solver, std::size_t max_clauses, std::size_t threads,
-                  std::size_t n_items, const Deadline& deadline,
-                  const BuildFn& build) {
+bool run_emission(sat::Solver& solver, std::size_t max_clauses, std::size_t n_items,
+                  const Deadline& deadline, const BuildFn& build) {
   if (n_items == 0) return true;
-  const std::size_t soft_cap = max_clauses + max_clauses / 4 + 16384;
-
-  // Amortised deadline poll shared by workers and the serial walk: one clock
-  // read per 64 items. An expiry throws deadline_exceeded — from a worker it
-  // is rethrown at the fork-join; either way the half-built CSP is discarded
-  // by the learner, which converts the escape into its timed-out verdict.
-  const auto check_deadline = [&deadline](std::size_t i) {
-    if (!deadline.is_finite() || (i & 63u) != 0) return;
-    if (deadline.expired()) {
+  T2M_SPAN("encode.emit_serial", "items", n_items);
+  ClauseSink sink(solver, max_clauses);
+  for (std::size_t i = 0; i < n_items && !sink.overflowed(); ++i) {
+    if (deadline.is_finite() && (i & 63u) == 0 && deadline.expired()) {
       throw_status(ErrorCode::deadline_exceeded,
                    "clause emission exceeded the learn deadline");
     }
-  };
-
-  const auto splice = [&](const ChunkBuf& buf) -> bool {
-    for (const ChunkBuf::Entry& e : buf.entries) {
-      if (solver.num_clauses() >= max_clauses) return false;
-      solver.add_clause_presorted({e.lits, e.len}, e.tainted);
-    }
-    return true;
-  };
-
-  if (threads <= 1 || n_items == 1) {
-    // Same item walk, spliced incrementally so memory stays bounded even
-    // when the emission is destined to overflow.
-    T2M_SPAN("encode.emit_serial", "items", n_items);
-    ChunkBuf buf;
-    for (std::size_t i = 0; i < n_items; ++i) {
-      check_deadline(i);
-      build(i, buf);
-      if (buf.entries.size() >= 65536 ||
-          solver.num_clauses() + buf.entries.size() > soft_cap) {
-        if (!splice(buf)) return false;
-        buf.clear();
-      }
-    }
-    return splice(buf);
+    build(i, sink);
   }
-
-  const std::size_t chunks = std::min(n_items, threads * 4);
-  const std::size_t per_chunk = (n_items + chunks - 1) / chunks;
-  std::vector<std::unique_ptr<ChunkBuf>> bufs(chunks);
-  for (auto& b : bufs) b = std::make_unique<ChunkBuf>();
-
-  std::atomic<std::size_t> approx_total{solver.num_clauses()};
-  par::ThreadPool& pool = par::ThreadPool::global();
-  pool.ensure_size(threads);
-
-  // Deferred watcher attachment: the splice thread only root-filters and
-  // allocates each clause (Solver::add_clause_deferred); the watcher pushes —
-  // the cache-hostile half of a serial add — happen at flush points, sharded
-  // across the pool by literal code. Shards own disjoint watcher lists and
-  // each list is filled in clause order, so the flushed state is identical to
-  // immediate attachment. Flushes are forced whenever the root assignment is
-  // about to advance (a spliced clause filtered down to a unit), and once at
-  // the end; every exit path below flushes before returning.
-  std::vector<sat::ClauseRef> pending;
-  const auto flush_pending = [&solver, &pool, &pending, threads] {
-    if (pending.empty()) return;
-    // Small flushes (the unit-triggered ones early in an emission) are not
-    // worth a fork-join; the big final flush uses the whole pool. Every
-    // shard scans all of `pending`, so sharding beyond the machine's real
-    // core count only multiplies that scan.
-    const std::size_t shards = std::min(
-        {threads, par::hardware_threads(), 1 + pending.size() / 16384});
-    if (shards <= 1) {
-      solver.attach_shard(pending, 0, 1);
-    } else {
-      par::TaskGroup attach(pool);
-      for (std::size_t s = 1; s < shards; ++s) {
-        attach.run([&solver, &pending, s, shards] {
-          solver.attach_shard(pending, s, shards);
-        });
-      }
-      solver.attach_shard(pending, 0, shards);
-      attach.wait();
-    }
-    pending.clear();
-  };
-  const auto splice_deferred = [&](const ChunkBuf& buf) -> bool {
-    for (const ChunkBuf::Entry& e : buf.entries) {
-      if (solver.num_clauses() >= max_clauses) return false;
-      const std::span<const sat::Lit> lits{e.lits, e.len};
-      if (!solver.add_clause_deferred(lits, e.tainted, pending)) {
-        flush_pending();
-        solver.add_clause_presorted(lits, e.tainted);
-      }
-    }
-    return true;
-  };
-
-  par::TaskGroup group(pool);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    ChunkBuf* buf = bufs[c].get();
-    const std::size_t begin = c * per_chunk;
-    const std::size_t end = std::min(n_items, begin + per_chunk);
-    group.run([&build, &approx_total, &check_deadline, buf, c, begin, end, soft_cap] {
-      T2M_SPAN("encode.emit_chunk", "chunk", c, "items", end - begin);
-      std::size_t counted = 0;
-      for (std::size_t i = begin; i < end; ++i) {
-        check_deadline(i);
-        build(i, *buf);
-        const std::size_t delta = buf->entries.size() - counted;
-        counted = buf->entries.size();
-        // order: relaxed — an approximate cross-chunk total for a soft cap;
-        // slight over-emission past the cap is by design.
-        if (approx_total.fetch_add(delta, std::memory_order_relaxed) + delta > soft_cap) {
-          buf->truncated = true;
-          break;
-        }
-      }
-      // order: release publishes buf->entries / buf->truncated; pairs with
-      // the splicer's acquire loads of ready below.
-      buf->ready.store(true, std::memory_order_release);
-    });
-  }
-
-  // Pipelined splice: consume chunk c while later chunks are still being
-  // built, helping the pool whenever c isn't ready yet.
-  T2M_SPAN("encode.splice", "chunks", chunks);
-  bool ok = true;
-  for (std::size_t c = 0; c < chunks && ok; ++c) {
-    // order: acquire pairs with the emitter's release store of ready, making
-    // the chunk's entries fully visible before the splice reads them.
-    while (!bufs[c]->ready.load(std::memory_order_acquire)) {
-      if (!pool.help_one()) {
-        if (group.done()) break;  // a task died; group.wait() rethrows below
-        std::this_thread::yield();
-      }
-    }
-    // order: acquire — same pairing as the spin above (a dead task path).
-    if (!bufs[c]->ready.load(std::memory_order_acquire)) break;
-    if (bufs[c]->truncated) {
-      ChunkBuf full;
-      const std::size_t begin = c * per_chunk;
-      const std::size_t end = std::min(n_items, begin + per_chunk);
-      for (std::size_t i = begin; i < end; ++i) build(i, full);
-      ok = splice_deferred(full);
-    } else {
-      ok = splice_deferred(*bufs[c]);
-    }
-    bufs[c].reset();  // release the chunk's arena before later chunks land
-  }
-  flush_pending();
-  group.wait();
-  return ok;
+  return !sink.overflowed();
 }
 
 }  // namespace
@@ -302,28 +147,6 @@ AutomatonCsp::AutomatonCsp(const std::vector<Segment>& segments, std::size_t num
     }
   }
 
-  // Frozen-variable contract (docs/preprocessing.md): every variable the
-  // encoder reads back (state bits), assumes (guards), or re-mentions in
-  // later emissions (guards, precedence chains, successor blocks in
-  // persistent mode) must never be eliminated by the preprocessor. Successor
-  // blocks of a fixed-N CSP are internal after construction and stay
-  // eliminable.
-  const auto freeze_range = [this](sat::Var base, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) {
-      solver_.freeze(base + static_cast<sat::Var>(i));
-    }
-  };
-  freeze_range(blocks_base, num_state_vars_ * capacity_);
-  // A fixed-N CSP's chains are internal too, but eliminating them made the
-  // Table-1 unsegmented rows slower, so they stay frozen in both modes.
-  freeze_range(chains_base, chain_vars);
-  if (is_persistent) {
-    freeze_range(act_.front(), capacity_);
-    for (std::size_t p = 0; p < num_preds_; ++p) {
-      if (succ_base_[p] != kVarUndef) freeze_range(succ_base_[p], capacity_ * capacity_);
-    }
-  }
-
   // At-least-one over the full block width (tainted: it is the one clause
   // of the encoding whose literal set depends on the capacity, so nothing
   // derived from it may be re-seeded into a differently-sized rebuild). In
@@ -332,18 +155,17 @@ AutomatonCsp::AutomatonCsp(const std::vector<Segment>& segments, std::size_t num
   // IS the state count.
   const std::size_t cap = capacity_;
   const std::size_t n0 = num_states_;
-  if (!run_emission(solver_, options_.max_clauses, options_.threads, num_state_vars_,
-                    options_.deadline,
-                    [&](std::size_t sv, ChunkBuf& buf) {
-                      sat::Lit* alo = buf.arena.alloc_array<sat::Lit>(cap);
+  std::vector<sat::Lit> alo(cap);
+  if (!run_emission(solver_, options_.max_clauses, num_state_vars_, options_.deadline,
+                    [&](std::size_t sv, ClauseSink& sink) {
                       for (std::size_t k = 0; k < cap; ++k) alo[k] = state_lit(sv, k);
-                      buf.emit_span({alo, cap}, /*tainted=*/true);
+                      sink.emit_span(alo, /*tainted=*/true);
                       if (!act_.empty()) {
                         // Guard binaries only for columns that can ever be
                         // inactive: N only grows, so the first n0 columns
                         // never need deactivating.
                         for (std::size_t k = n0; k < cap; ++k) {
-                          buf.emit({sat::pos(act_[k]), ~state_lit(sv, k)});
+                          sink.emit({sat::pos(act_[k]), ~state_lit(sv, k)});
                         }
                       }
                     })) {
@@ -385,13 +207,12 @@ bool AutomatonCsp::grow_to(std::size_t n) {
 
 void AutomatonCsp::activate_columns(std::size_t lo, std::size_t hi) {
   if (overflowed_) return;
-  // At-most-one pairs whose larger column is new, chunked by state variable.
-  if (!run_emission(solver_, options_.max_clauses, options_.threads, num_state_vars_,
-                    options_.deadline,
-                    [&](std::size_t sv, ChunkBuf& buf) {
+  // At-most-one pairs whose larger column is new, one item per state variable.
+  if (!run_emission(solver_, options_.max_clauses, num_state_vars_, options_.deadline,
+                    [&](std::size_t sv, ClauseSink& sink) {
                       for (std::size_t j = std::max<std::size_t>(lo, 1); j < hi; ++j) {
                         for (std::size_t i = 0; i < j; ++i) {
-                          buf.emit({~state_lit(sv, i), ~state_lit(sv, j)});
+                          sink.emit({~state_lit(sv, i), ~state_lit(sv, j)});
                         }
                       }
                     })) {
@@ -437,14 +258,10 @@ void AutomatonCsp::encode_precedence_columns(std::size_t lo, std::size_t hi) {
   for (std::size_t c = std::max<std::size_t>(lo, 2) - 1; c + 1 < hi; ++c) {
     if (chain_base_[c] != kVarUndef) continue;
     chain_base_[c] = solver_.new_vars(num_chain_groups());
-    for (std::size_t g = 0; g < num_chain_groups(); ++g) {
-      solver_.freeze(chain_base_[c] + static_cast<sat::Var>(g));
-    }
   }
-  // A few clauses per state variable and column: too little work to fork.
   if (!run_emission(
-          solver_, options_.max_clauses, /*threads=*/1, num_state_vars_, options_.deadline,
-          [&](std::size_t sv, ChunkBuf& buf) {
+          solver_, options_.max_clauses, num_state_vars_, options_.deadline,
+          [&](std::size_t sv, ClauseSink& sink) {
             const std::size_t g = sv / kChainStride;
             const std::size_t first = g * kChainStride;
             const bool group_end = sv + 1 == std::min(num_state_vars_, first + kChainStride);
@@ -455,10 +272,10 @@ void AutomatonCsp::encode_precedence_columns(std::size_t lo, std::size_t hi) {
               lits[n++] = lead;
               if (g > 0) lits[n++] = chain_lit(g - 1, c);
               for (std::size_t s = first; s < end; ++s) lits[n++] = state_lit(s, c);
-              buf.emit_span({lits.data(), n});
+              sink.emit_span({lits.data(), n});
             };
             for (std::size_t k = std::max<std::size_t>(lo, 1); k < hi; ++k) {
-              if (sv == 0) buf.emit({~state_lit(0, k)});
+              if (sv == 0) sink.emit({~state_lit(0, k)});
               if (k < 2) continue;
               if (sv > 0) emit(~state_lit(sv, k), k - 1, sv);  // precedence
               if (group_end) emit(~chain_lit(g, k - 1), k - 1, sv + 1);  // justification
@@ -472,9 +289,9 @@ void AutomatonCsp::encode_determinism_pairwise(std::size_t lo, std::size_t hi) {
   // For every pair of transitions sharing a predicate: equal sources force
   // equal destinations. Clauses (~srcA=k | ~srcB=k | ~dstA=k1 | ~dstB=k2)
   // for k1 != k2 -- the paper's "wrong transition" condition, line 29.
-  // Only tuples touching a column in [lo, hi) are new. Chunked over the
-  // flattened (group, first-transition) item space; each item emits the
-  // pairs of one transition against its group successors.
+  // Only tuples touching a column in [lo, hi) are new. One item per
+  // (group, first-transition) pair; each item emits the pairs of one
+  // transition against its group successors.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> items;  // (pred, a_i)
   for (std::size_t p = 0; p < transitions_with_pred_.size(); ++p) {
     const std::size_t n = transitions_with_pred_[p].size();
@@ -483,9 +300,8 @@ void AutomatonCsp::encode_determinism_pairwise(std::size_t lo, std::size_t hi) {
     }
   }
   if (!run_emission(
-          solver_, options_.max_clauses, options_.threads, items.size(),
-          options_.deadline,
-          [&](std::size_t idx, ChunkBuf& buf) {
+          solver_, options_.max_clauses, items.size(), options_.deadline,
+          [&](std::size_t idx, ClauseSink& sink) {
             const auto& group = transitions_with_pred_[items[idx].first];
             const std::size_t a_i = items[idx].second;
             const std::size_t a = group[a_i];
@@ -497,7 +313,7 @@ void AutomatonCsp::encode_determinism_pairwise(std::size_t lo, std::size_t hi) {
                   for (std::size_t k2 = 0; k2 < hi; ++k2) {
                     if (k1 == k2) continue;
                     if (k < lo && k1 < lo && k2 < lo) continue;  // already emitted
-                    buf.emit({~state_lit(src_var_[a], k), ~state_lit(src_var_[b], k),
+                    sink.emit({~state_lit(src_var_[a], k), ~state_lit(src_var_[b], k),
                               ~state_lit(dst_var_[a], k1), ~state_lit(dst_var_[b], k2)});
                   }
                 }
@@ -519,9 +335,8 @@ void AutomatonCsp::encode_determinism_successor(std::size_t lo, std::size_t hi) 
   // Phase 1: at-most-one per (source state, predicate) successor block; for
   // sources already active only the pairs reaching into the new columns are
   // missing.
-  if (!run_emission(solver_, options_.max_clauses, options_.threads, used_preds.size(),
-                    options_.deadline,
-                    [&](std::size_t pi, ChunkBuf& buf) {
+  if (!run_emission(solver_, options_.max_clauses, used_preds.size(), options_.deadline,
+                    [&](std::size_t pi, ClauseSink& sink) {
                       const sat::Var succ_base = succ_base_[used_preds[pi]];
                       const auto succ = [&](std::size_t k, std::size_t k2) {
                         return sat::pos(succ_base + static_cast<sat::Var>(k * capacity_ + k2));
@@ -529,7 +344,7 @@ void AutomatonCsp::encode_determinism_successor(std::size_t lo, std::size_t hi) 
                       for (std::size_t k = 0; k < hi; ++k) {
                         for (std::size_t j = k < lo ? lo : 1; j < hi; ++j) {
                           for (std::size_t i = 0; i < j; ++i) {
-                            buf.emit({~succ(k, i), ~succ(k, j)});
+                            sink.emit({~succ(k, i), ~succ(k, j)});
                           }
                         }
                       }
@@ -537,18 +352,17 @@ void AutomatonCsp::encode_determinism_successor(std::size_t lo, std::size_t hi) 
     set_overflowed("successor at-most-one");
     return;
   }
-  // Phase 2: the transition links, chunked over the flattened transition
-  // order (by predicate, then group order).
-  if (!run_emission(solver_, options_.max_clauses, options_.threads, trans_order_.size(),
-                    options_.deadline,
-                    [&](std::size_t ti, ChunkBuf& buf) {
+  // Phase 2: the transition links, one item per transition in the flattened
+  // transition order (by predicate, then group order).
+  if (!run_emission(solver_, options_.max_clauses, trans_order_.size(), options_.deadline,
+                    [&](std::size_t ti, ClauseSink& sink) {
                       const std::size_t t = trans_order_[ti];
                       const sat::Var succ_base = succ_base_[preds_of_transition_[t]];
                       for (std::size_t k = 0; k < hi; ++k) {
                         for (std::size_t k2 = 0; k2 < hi; ++k2) {
                           if (k < lo && k2 < lo) continue;  // already emitted
                           // (src=k & dst=k2) -> succ(k, k2)
-                          buf.emit({~state_lit(src_var_[t], k), ~state_lit(dst_var_[t], k2),
+                          sink.emit({~state_lit(src_var_[t], k), ~state_lit(dst_var_[t], k2),
                                     sat::pos(succ_base +
                                              static_cast<sat::Var>(k * capacity_ + k2))});
                         }
@@ -577,7 +391,6 @@ sat::Var AutomatonCsp::equality_var(std::size_t sv_a, std::size_t sv_b) {
   const auto it = equality_cache_.find(key);
   if (it != equality_cache_.end()) return it->second;
   const sat::Var e = solver_.new_var();
-  solver_.freeze(e);  // re-mentioned by grow-time column extension
   encode_equality_columns(e, sv_a, sv_b, 0, num_states_);
   equality_cache_.emplace(key, e);
   equality_list_.emplace_back(key, e);
@@ -598,9 +411,6 @@ std::size_t AutomatonCsp::star_block(PredId pred, bool src_side) {
   std::sort(blk.svs.begin(), blk.svs.end());
   blk.svs.erase(std::unique(blk.svs.begin(), blk.svs.end()), blk.svs.end());
   blk.base = solver_.new_vars(capacity_);
-  for (std::size_t k = 0; k < capacity_; ++k) {
-    solver_.freeze(blk.base + static_cast<sat::Var>(k));
-  }
   // Membership binaries over the active columns: z_k is set whenever any
   // member state variable uses column k. One direction suffices — z is only
   // consumed negatively by the conflict binaries, so a spuriously-true z
@@ -693,14 +503,12 @@ void AutomatonCsp::encode_forbidden_pair(
     const std::vector<ForbiddenChainCache::Chain>& chains, std::size_t lo,
     std::size_t hi) {
   // No transition labelled word[0] may feed one labelled word[1]:
-  // for all pairs (a, b): dst(a) != src(b). Chunked by chain.
-  if (!run_emission(solver_, options_.max_clauses,
-                    chains.size() >= 4096 ? options_.threads : 1, chains.size(),
-                    options_.deadline,
-                    [&](std::size_t ci, ChunkBuf& buf) {
+  // for all pairs (a, b): dst(a) != src(b). One item per chain.
+  if (!run_emission(solver_, options_.max_clauses, chains.size(), options_.deadline,
+                    [&](std::size_t ci, ClauseSink& sink) {
                       const ForbiddenChainCache::Chain& adj = chains[ci];
                       for (std::size_t k = lo; k < hi; ++k) {
-                        buf.emit({~state_lit(adj[0].first, k), ~state_lit(adj[0].second, k)});
+                        sink.emit({~state_lit(adj[0].first, k), ~state_lit(adj[0].second, k)});
                       }
                     })) {
     set_overflowed("forbidden pair");
@@ -832,19 +640,6 @@ std::size_t AutomatonCsp::reseed_from(const AutomatonCsp& old) {
 
 sat::SolveResult AutomatonCsp::solve(const Deadline& deadline) {
   if (overflowed_) return sat::SolveResult::Unknown;
-  if (needs_preprocess_) {
-    needs_preprocess_ = false;
-    if (options_.preprocess) {
-      // The preprocessor shares this solve call's deadline: an expired (or
-      // near-expired) deadline degrades to a shorter, still-sound
-      // preprocessing pass instead of an unguarded stall before the search
-      // even starts.
-      sat::PreprocessOptions opts = options_.preprocess_opts;
-      opts.deadline = deadline;
-      T2M_SPAN("encode.preprocess", "clauses", solver_.num_clauses());
-      solver_.preprocess(opts);
-    }
-  }
   solver_.set_deadline(deadline);
   decoded_valid_ = false;
   if (!persistent()) return solver_.solve();

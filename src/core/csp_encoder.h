@@ -8,7 +8,6 @@
 
 #include "src/automaton/nfa.h"
 #include "src/core/segmentation.h"
-#include "src/sat/preprocessor.h"
 #include "src/sat/solver.h"
 #include "src/util/hash.h"
 #include "src/util/stopwatch.h"
@@ -81,23 +80,14 @@ struct CspOptions {
   /// (restart schedule, phase default, random polarity — the axes the
   /// portfolio driver diversifies per racing configuration).
   sat::SolverConfig solver;
-  /// Worker threads for clause emission. Chunk boundaries never change the
-  /// clause order (chunks are spliced into the solver in index order), so
-  /// the encoding is byte-identical at every thread count.
-  std::size_t threads = 1;
   /// Star-compress length-2 forbidden words: instead of one binary clause
   /// per (transition-of-p, transition-of-q) pair and column, introduce
   /// shared per-(predicate, side) flag variables z so each word costs one
   /// binary per column plus group-membership binaries amortised across
   /// words. Turns the |A|x|B| chain product into |A|+|B|+1.
   bool compress_forbidden = true;
-  /// Run SatELite-style preprocessing (subsumption, self-subsuming
-  /// resolution, bounded variable elimination) on the encoded CNF before
-  /// the first solve. Structural variables are frozen automatically.
-  bool preprocess = false;
-  sat::PreprocessOptions preprocess_opts;
   /// Cooperative wall-clock bound on clause emission (construction and
-  /// grow_to): workers and the splice poll it, and an expiry throws a
+  /// grow_to): the emission polls it, and an expiry throws a
   /// structured deadline_exceeded StatusError — the learner converts that
   /// into its timed-out verdict (salvaging the best model so far) instead of
   /// letting a huge encoding blow straight through the run's time budget.
@@ -317,7 +307,7 @@ private:
   /// the equality list; their chain clause itself is width-independent.)
   std::vector<std::vector<PredId>> forbidden_pairs_;
   /// Flattened transition order (by predicate, then group order): the item
-  /// space of the chunked determinism emission.
+  /// space of the successor-link emission.
   std::vector<std::uint32_t> trans_order_;
   /// Star-compression flag blocks: one capacity_-wide one-per-column var
   /// block per (predicate, side) that ever appeared in a compressed
@@ -338,8 +328,6 @@ private:
   /// grow-time extension is deterministic.
   std::unordered_map<std::uint64_t, sat::Var> equality_cache_;
   std::vector<std::pair<std::uint64_t, sat::Var>> equality_list_;
-  /// Preprocessing runs lazily at the next solve() after construction.
-  bool needs_preprocess_ = true;
   /// Shared cross-N chain cache (optional); falls back to a local one.
   ForbiddenChainCache* chain_cache_ = nullptr;
   ForbiddenChainCache local_chain_cache_;

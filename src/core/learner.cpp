@@ -151,7 +151,6 @@ LearnResult ModelLearner::learn_from_sequence(PredicateSequence preds,
     // The trace window set is invariant across all refinement iterations:
     // compute it once and let every compliance check stream against it.
     ComplianceChecker compliance_checker(preds.seq, config_.compliance_length);
-    compliance_checker.set_threads(config_.threads);
 
     // The timeout budgets the CEGIS search: the deadline starts after
     // segmentation and P_l construction, exactly as the streaming path starts
@@ -201,7 +200,6 @@ LearnResult ModelLearner::learn_from_stream(PredStream& stream) const {
     std::vector<Segment> segments =
         segmenter ? segmenter->take() : whole_sequence(preds.seq);
     ComplianceChecker compliance_checker = window_builder.finish();
-    compliance_checker.set_threads(config_.threads);
     const double pass_seconds = pass_watch.elapsed_seconds();
 
     // The timeout budgets the CEGIS search, starting after ingest — matching
@@ -263,7 +261,6 @@ LearnResult ModelLearner::learn_from_ftrace(const std::string& path,
                                         ? std::move(ingest.segments)
                                         : whole_sequence(ingest.preds.seq);
     ComplianceChecker compliance_checker = std::move(ingest.compliance);
-    compliance_checker.set_threads(config_.threads);
     const double pass_seconds = pass_watch.elapsed_seconds();
 
     const Deadline deadline = config_.timeout_seconds > 0
@@ -574,9 +571,7 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
     CspOptions options;
     options.encoding = config_.encoding;
     options.solver = config_.solver;
-    options.threads = config_.threads;
     options.compress_forbidden = config_.compress_forbidden;
-    options.preprocess = config_.preprocess;
     if (config_.max_clauses > 0) options.max_clauses = config_.max_clauses;
     options.state_capacity =
         config_.persistent_solver
@@ -610,7 +605,7 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
   };
 
   // Deadline expiry and allocation pressure anywhere inside the loop —
-  // clause emission, preprocessing, the compliance DFS, an arena grow —
+  // clause emission, the compliance DFS, an arena grow —
   // surface as structured errors; both become verdicts (with salvage)
   // rather than unwinding out of the learn. Other taxonomies (io, parse,
   // internal) are not this loop's to own and propagate to the entry points.

@@ -59,10 +59,10 @@ struct LearnerConfig {
   /// the instance is Unsat for every state count — stop instead of growing
   /// to max_states blindly.
   bool core_driven_stop = true;
-  /// Worker threads for the parallel paths: sharded ingest in
-  /// learn_from_ftrace and the partitioned compliance check. 1 = fully
-  /// sequential (byte-identical results either way; threading only changes
-  /// wall clock).
+  /// Sharded ingest width for learn_from_ftrace: > 1 scans the file in this
+  /// many shards concurrently (src/parallel/sharded_ingest.h), 1 runs the
+  /// streaming one-pass pipeline. Nothing else reads it: the search is
+  /// sequential and its result is identical at every value.
   std::size_t threads = 1;
   /// Portfolio CEGIS: race this many independently configured solvers
   /// (fresh vs persistent, phase/restart/polarity variations — see
@@ -77,10 +77,6 @@ struct LearnerConfig {
   /// per-transition-pair binaries. The lever that keeps unsegmented long
   /// traces inside the clause budget.
   bool compress_forbidden = true;
-  /// Run SatELite-style preprocessing (subsumption, self-subsuming
-  /// resolution, bounded variable elimination) on each CSP's CNF before its
-  /// first solve (CspOptions::preprocess).
-  bool preprocess = false;
   /// Clause budget per CSP; 0 keeps the CspOptions default. Overrunning it
   /// ends the learn with LearnResult::budget_exceeded.
   std::size_t max_clauses = 0;

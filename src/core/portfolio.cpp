@@ -13,7 +13,6 @@ std::vector<PortfolioVariant> portfolio_configs(const LearnerConfig& base,
     PortfolioVariant v;
     v.config = base;
     v.config.portfolio = 0;  // no recursion: a worker never races again
-    v.config.threads = 1;    // the race is the parallelism
     // A proof sink is a sequential text stream owned by one solver: racing
     // lanes would interleave it into garbage, so lanes never log.
     v.config.solver.proof_log = nullptr;

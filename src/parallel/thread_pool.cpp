@@ -157,9 +157,9 @@ void TaskGroup::run(std::function<void()> fn) {
   pool_.submit([this, fn = std::move(fn)]() mutable {
     try {
       // Fault-injection hook covering every TaskGroup task body (ingest
-      // shards, compliance chunks, emission chunks, portfolio lanes): an
-      // injected failure here must surface from wait() as a structured
-      // error, cancelling the parallel stage and nothing else.
+      // shards, portfolio lanes): an injected failure here must surface
+      // from wait() as a structured error, cancelling the parallel stage
+      // and nothing else.
       T2M_INJECT_STATUS("pool.task", ErrorCode::internal,
                         "injected task-body failure");
       fn();

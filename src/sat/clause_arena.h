@@ -32,7 +32,8 @@ inline constexpr ClauseRef kClauseRefUndef = 0xFFFFFFFFu;
 /// The `tainted` bit marks clauses whose derivation (transitively) used a
 /// width-dependent input clause — the persistent encoder's at-least-one
 /// clause is the only one — so the learned-clause re-seeding across capacity
-/// rebuilds can refuse to export them (see docs/preprocessing.md).
+/// rebuilds can refuse to export them (see AutomatonCsp::reseed_from in
+/// src/core/csp_encoder.h).
 ///
 /// Deleted clauses stay in place (their watchers are dropped lazily) until
 /// garbage_collect() copies the live clauses into a fresh arena. During that

@@ -47,10 +47,6 @@ SolverStats& SolverStats::operator+=(const SolverStats& other) {
   assumption_unsats += other.assumption_unsats;
   simplify_rounds += other.simplify_rounds;
   simplify_removed += other.simplify_removed;
-  preprocess_rounds += other.preprocess_rounds;
-  subsumed_clauses += other.subsumed_clauses;
-  strengthened_lits += other.strengthened_lits;
-  eliminated_vars += other.eliminated_vars;
   // Gauges, not counters: a summed snapshot would describe no real arena.
   arena_bytes = std::max(arena_bytes, other.arena_bytes);
   peak_arena_bytes = std::max(peak_arena_bytes, other.peak_arena_bytes);
@@ -105,10 +101,7 @@ Var Solver::new_vars(std::size_t count) {
     activity_.reserve(cap);
     heap_index_.reserve(cap);
     seen_.reserve(cap);
-    frozen_.reserve(cap);
-    eliminated_.reserve(cap);
     root_taint_.reserve(cap);
-    elim_model_.reserve(cap);
     watches_.reserve(2 * cap);
     heap_.reserve(cap);
   }
@@ -119,10 +112,7 @@ Var Solver::new_vars(std::size_t count) {
   activity_.resize(n, 0.0);
   heap_index_.resize(n, -1);
   seen_.resize(n, 0);
-  frozen_.resize(n, 0);
-  eliminated_.resize(n, 0);
   root_taint_.resize(n, 0);
-  elim_model_.resize(n, LBool::Undef);
   watches_.resize(2 * n);
   for (Var v = first; v < static_cast<Var>(n); ++v) {
     heap_index_[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(heap_.size());
@@ -157,9 +147,6 @@ bool Solver::add_clause(std::span<const Lit> lits, bool tainted) {
     if (l.is_undef() || static_cast<std::size_t>(l.var()) >= assign_.size()) {
       throw std::invalid_argument("Solver::add_clause: literal over unknown variable");
     }
-    if (is_eliminated(l.var())) {
-      throw std::logic_error("Solver::add_clause: literal over eliminated variable");
-    }
     if (l == prev) continue;
     if (!prev.is_undef() && l == ~prev) return true;  // tautology
     const LBool v = value(l);
@@ -181,9 +168,9 @@ bool Solver::add_clause_presorted(std::span<const Lit> lits, bool tainted) {
   if (!ok_) return false;
   record_axiom(lits);
   if (decision_level() > 0) backtrack(0);
-  // The caller guarantees sorted, duplicate-free, non-tautological input
-  // (the parallel emission workers construct clauses that way), so only the
-  // root-assignment filter from add_clause() remains.
+  // The caller guarantees sorted input (the CSP encoder's emission sorts
+  // every clause), so only the root-assignment filter from add_clause()
+  // remains.
   Clause& norm = add_norm_scratch_;
   norm.clear();
   for (const Lit l : lits) {
@@ -199,61 +186,6 @@ bool Solver::add_clause_presorted(std::span<const Lit> lits, bool tainted) {
     norm.push_back(l);
   }
   return finish_add_clause(norm, tainted);
-}
-
-bool Solver::add_clause_deferred(std::span<const Lit> lits, bool tainted,
-                                 std::vector<ClauseRef>& pending) {
-  if (!ok_) return true;  // nothing to do, nothing to flush
-  if (decision_level() > 0) return false;  // rare: immediate path backtracks
-  Clause& norm = add_norm_scratch_;
-  norm.clear();
-  for (const Lit l : lits) {
-    if (l.is_undef() || static_cast<std::size_t>(l.var()) >= assign_.size()) {
-      throw std::invalid_argument("Solver::add_clause_deferred: unknown variable");
-    }
-    const LBool v = value(l);
-    if (v == LBool::True) {
-      record_axiom(lits);
-      return true;
-    }
-    if (v == LBool::False) {
-      if (root_tainted(l.var())) tainted = true;
-      continue;
-    }
-    norm.push_back(l);
-  }
-  // A unit or empty remainder advances the root assignment, which would
-  // invalidate the deferred-attach invariant (every pending clause's
-  // literals are unassigned): make the caller flush and re-add immediately.
-  // No axiom is recorded on that path — the add_clause_presorted() retry
-  // records it exactly once.
-  if (norm.size() <= 1) return false;
-  record_axiom(lits);
-  const ClauseRef cref = alloc_clause(norm, /*learned=*/false, tainted);
-  problem_clauses_.push_back(cref);
-  ++num_problem_clauses_;
-  pending.push_back(cref);
-  return true;
-}
-
-void Solver::attach_shard(std::span<const ClauseRef> refs, std::size_t shard,
-                          std::size_t num_shards) {
-  // Contiguous block partition of the literal space (not code % num_shards):
-  // neighbouring WatcherLists share cache lines, so an interleaved partition
-  // would false-share on almost every concurrent push.
-  const std::size_t n = watches_.size();
-  const auto owner = [n, num_shards](std::size_t code) {
-    return code * num_shards / n;
-  };
-  for (const ClauseRef cref : refs) {
-    const Lit l0 = arena_.lit(cref, 0);
-    const Lit l1 = arena_.lit(cref, 1);
-    const ClauseRef ref = arena_.size(cref) == 2 ? (cref | kBinaryTag) : cref;
-    const auto c0 = static_cast<std::size_t>((~l0).code());
-    const auto c1 = static_cast<std::size_t>((~l1).code());
-    if (owner(c0) == shard) watches_[c0].push_back(Watcher{ref, l1});
-    if (owner(c1) == shard) watches_[c1].push_back(Watcher{ref, l0});
-  }
 }
 
 bool Solver::finish_add_clause(std::span<const Lit> lits, bool tainted) {
@@ -612,7 +544,6 @@ void Solver::backtrack(int target_level) {
 Lit Solver::pick_branch_literal() {
   while (!heap_.empty()) {
     const Var v = heap_pop();
-    if (is_eliminated(v)) continue;  // decided by reconstruct_model() instead
     if (value(v) == LBool::Undef) {
       // Portfolio diversification: occasionally take a coin-flip polarity
       // instead of the saved phase (deterministic per configured seed).
@@ -935,17 +866,14 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
 
     if (next.is_undef()) {
       // Every assigned variable sits on the trail exactly once, so a full
-      // trail means a total assignment (eliminated variables never get
-      // assigned by search) — skip draining the order heap.
-      if (trail_.size() == num_vars() - num_eliminated_) {
-        reconstruct_model();
+      // trail means a total assignment — skip draining the order heap.
+      if (trail_.size() == num_vars()) {
         if (plog_ != nullptr) plog_->conclude_sat();
         return SolveResult::Sat;
       }
       ++stats_.decisions;
       next = pick_branch_literal();
       if (next.is_undef()) {
-        reconstruct_model();
         if (plog_ != nullptr) plog_->conclude_sat();
         return SolveResult::Sat;  // all variables assigned
       }
@@ -959,24 +887,14 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
 bool Solver::model_value(Var v) const {
   const LBool val = assign_.at(static_cast<std::size_t>(v));
   if (val == LBool::Undef) {
-    if (is_eliminated(v)) {
-      const LBool rec = elim_model_.at(static_cast<std::size_t>(v));
-      if (rec != LBool::Undef) return rec == LBool::True;
-    }
     throw std::logic_error("Solver::model_value: unassigned var");
   }
   return val == LBool::True;
 }
 
 Status Solver::verify_model() const {
-  // Model lookup spanning both live assignments and the values
-  // reconstruct_model() derived for BVE-eliminated variables.
   const auto lit_true = [this](Lit l) {
-    const auto v = static_cast<std::size_t>(l.var());
-    if (v >= assign_.size()) return false;
-    const LBool b = assign_[v] != LBool::Undef ? assign_[v] : elim_model_[v];
-    if (b == LBool::Undef) return false;
-    return l.negated() ? b == LBool::False : b == LBool::True;
+    return static_cast<std::size_t>(l.var()) < assign_.size() && value(l) == LBool::True;
   };
   const auto audit = [&](std::span<const Lit> lits, const char* what) {
     for (const Lit l : lits) {
@@ -994,15 +912,14 @@ Status Solver::verify_model() const {
     return Status::Internal(std::move(msg));
   };
   if (config_.keep_originals) {
-    // Every clause as handed in, including those later subsumed,
-    // strengthened, or removed by variable elimination.
+    // Every clause as handed in, including those later removed as
+    // root-satisfied.
     for (const Clause& c : originals_) {
       if (Status s = audit(c, "original"); !s.ok()) return s;
     }
     return Status::Ok();
   }
-  // Fallback: the live database plus the elimination stash (the original
-  // clauses BVE removed — reconstruct_model() must have satisfied them).
+  // Fallback: the live database.
   std::vector<Lit> lits;
   for (const ClauseRef c : problem_clauses_) {
     if (arena_.deleted(c)) continue;
@@ -1010,11 +927,6 @@ Status Solver::verify_model() const {
     const std::size_t size = arena_.size(c);
     for (std::size_t i = 0; i < size; ++i) lits.push_back(arena_.lit(c, i));
     if (Status s = audit(lits, "problem"); !s.ok()) return s;
-  }
-  for (const ElimRecord& rec : elim_stash_) {
-    for (const Clause& c : rec.clauses) {
-      if (Status s = audit(c, "eliminated"); !s.ok()) return s;
-    }
   }
   return Status::Ok();
 }
@@ -1025,8 +937,7 @@ Status Solver::check_invariants() const {
   };
   const std::size_t n = assign_.size();
   if (level_.size() != n || reason_.size() != n || saved_phase_.size() != n ||
-      frozen_.size() != n || eliminated_.size() != n || root_taint_.size() != n ||
-      elim_model_.size() != n || seen_.size() != n || activity_.size() != n ||
+      root_taint_.size() != n || seen_.size() != n || activity_.size() != n ||
       heap_index_.size() != n || watches_.size() != 2 * n) {
     return fail("per-variable array sizes disagree");
   }
@@ -1117,38 +1028,11 @@ Status Solver::check_invariants() const {
       if (arena_.size(c) >= 2 && watch_count[c] != 2) {
         return fail(std::string(what) + " clause not watched exactly twice");
       }
-      const std::size_t size = arena_.size(c);
-      for (std::size_t i = 0; i < size; ++i) {
-        if (is_eliminated(arena_.lit(c, i).var())) {
-          return fail(std::string(what) + " clause mentions an eliminated "
-                                          "variable");
-        }
-      }
     }
     return Status::Ok();
   };
   if (Status s = check_list(problem_clauses_, false, "problem"); !s.ok()) return s;
   if (Status s = check_list(learnts_, true, "learned"); !s.ok()) return s;
-
-  // Variable contracts: frozen vars are never eliminated; eliminated vars
-  // never carry an assignment (reconstruct_model() keeps their values in a
-  // separate array precisely so they cannot propagate).
-  std::size_t eliminated_count = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (eliminated_[v] != 0) {
-      ++eliminated_count;
-      if (frozen_[v] != 0) {
-        return fail("frozen variable eliminated: " + std::to_string(v));
-      }
-      if (assign_[v] != LBool::Undef) {
-        return fail("eliminated variable assigned: " + std::to_string(v));
-      }
-    }
-  }
-  if (eliminated_count != num_eliminated_ ||
-      elim_stash_.size() != num_eliminated_) {
-    return fail("eliminated-variable count disagrees with flags/stash");
-  }
 
   // Branching heap: index array and heap agree; activity max-heap property.
   for (std::size_t i = 0; i < heap_.size(); ++i) {
@@ -1173,54 +1057,6 @@ Status Solver::check_invariants() const {
     }
   }
   return Status::Ok();
-}
-
-void Solver::freeze(Var v) {
-  if (v < 0 || static_cast<std::size_t>(v) >= assign_.size()) {
-    throw std::invalid_argument("Solver::freeze: unknown variable");
-  }
-  if (is_eliminated(v)) {
-    throw std::logic_error("Solver::freeze: variable already eliminated");
-  }
-  frozen_[static_cast<std::size_t>(v)] = 1;
-}
-
-void Solver::reconstruct_model() {
-  if (elim_stash_.empty()) return;
-  const auto lit_satisfied = [this](Lit l) {
-    const auto v = static_cast<std::size_t>(l.var());
-    const LBool b = assign_[v] != LBool::Undef ? assign_[v] : elim_model_[v];
-    return l.negated() ? b == LBool::False : b == LBool::True;
-  };
-  // Replay eliminations in reverse: each record's clauses mention only the
-  // eliminated variable itself, live variables, and variables eliminated
-  // later (already reconstructed by the time we get here). Setting v true
-  // exactly when some positive-occurrence clause is otherwise false cannot
-  // break a negative-occurrence clause: if both a positive and a negative
-  // clause were otherwise false, their resolvent (added at elimination time)
-  // would be false under the reduced model — contradiction.
-  for (auto it = elim_stash_.rbegin(); it != elim_stash_.rend(); ++it) {
-    const auto v = static_cast<std::size_t>(it->var);
-    elim_model_[v] = LBool::False;
-    for (const Clause& c : it->clauses) {
-      bool positive = false;
-      bool satisfied = false;
-      for (const Lit l : c) {
-        if (l.var() == it->var) {
-          positive = !l.negated();
-          continue;
-        }
-        if (lit_satisfied(l)) {
-          satisfied = true;
-          break;
-        }
-      }
-      if (!satisfied && positive) {
-        elim_model_[v] = LBool::True;
-        break;
-      }
-    }
-  }
 }
 
 std::vector<Clause> Solver::export_clauses(std::uint32_t max_lbd) const {

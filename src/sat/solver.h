@@ -15,9 +15,7 @@
 
 namespace t2m::sat {
 
-class Preprocessor;
 class ProofLog;
-struct PreprocessOptions;
 
 /// Outcome of a solve() call. Unknown is returned when the deadline or
 /// conflict budget ran out before a decision was reached.
@@ -37,10 +35,6 @@ struct SolverStats {
   std::uint64_t assumption_unsats = 0;  ///< Unsat verdicts from a failed assumption
   std::uint64_t simplify_rounds = 0;    ///< root-level simplification passes
   std::uint64_t simplify_removed = 0;   ///< clauses removed as root-satisfied
-  std::uint64_t preprocess_rounds = 0;  ///< Preprocessor passes run
-  std::uint64_t subsumed_clauses = 0;   ///< clauses removed by subsumption
-  std::uint64_t strengthened_lits = 0;  ///< literals removed by self-subsumption
-  std::uint64_t eliminated_vars = 0;    ///< variables removed by BVE
   std::size_t arena_bytes = 0;      ///< clause arena size after last solve
   std::size_t peak_arena_bytes = 0; ///< lifetime arena high-water mark
 
@@ -73,7 +67,7 @@ struct SolverConfig {
   ProofLog* proof_log = nullptr;
   /// Retain a copy of every problem clause exactly as handed to add_*().
   /// verify_model() then audits SAT verdicts against the original formula
-  /// (pre-normalisation, pre-preprocessing) instead of the live database.
+  /// (pre-normalisation) instead of the live database.
   bool keep_originals = false;
 };
 
@@ -114,35 +108,10 @@ public:
     return add_clause(std::span<const Lit>(lits.begin(), lits.size()));
   }
 
-  /// add_clause for callers that already sorted the literals and removed
-  /// duplicates/tautologies (the parallel emission workers): skips the sort
-  /// and dedup but still filters against the live root-level assignment, so
-  /// splicing stays correct when earlier spliced clauses produced units.
+  /// add_clause for callers that already sorted the literals (the CSP
+  /// encoder's clause emission): skips the sort, duplicate and tautology
+  /// handling but still filters against the live root-level assignment.
   bool add_clause_presorted(std::span<const Lit> lits, bool tainted = false);
-
-  /// Bulk-add path for the parallel emission splice: like
-  /// add_clause_presorted(), but a clause that keeps >= 2 literals after the
-  /// root-assignment filter is allocated WITHOUT attaching its watchers —
-  /// its ClauseRef is appended to `pending` instead. The caller must attach
-  /// everything in `pending` (attach_shard() over a full shard partition)
-  /// before the root assignment next advances and before solving. Returns
-  /// false — having done nothing — exactly when this clause needs the
-  /// ordinary immediate path (it filters down to a unit or empty clause, or
-  /// a backtrack to the root is required): the caller then flushes `pending`
-  /// and re-adds the clause via add_clause_presorted(). The solver state
-  /// after deferred adds + flush is identical to the same sequence of
-  /// immediate add_clause_presorted() calls.
-  bool add_clause_deferred(std::span<const Lit> lits, bool tainted,
-                           std::vector<ClauseRef>& pending);
-
-  /// Attaches the watchers of `refs` (clauses allocated by
-  /// add_clause_deferred) that fall into `shard`. A watcher list is owned by
-  /// shard `literal_code % num_shards`, so calls with distinct shards touch
-  /// disjoint lists and may run concurrently — the only solver mutation
-  /// permitted in parallel. Each list still receives its watchers in clause
-  /// order, reproducing the serial attach order exactly.
-  void attach_shard(std::span<const ClauseRef> refs, std::size_t shard,
-                    std::size_t num_shards);
 
   /// Convenience helpers for the encoders.
   bool add_unit(Lit a) { return add_clause({a}); }
@@ -193,33 +162,18 @@ public:
   /// Model access after SolveResult::Sat.
   bool model_value(Var v) const;
 
-  /// SAT-verdict audit: replays the model (including values reconstructed
-  /// for BVE-eliminated variables) against the formula. With
+  /// SAT-verdict audit: replays the model against the formula. With
   /// SolverConfig::keep_originals the audit runs over every clause exactly
-  /// as handed to add_*(); otherwise over the live database plus the
-  /// elimination stash. Returns internal error naming the first falsified
-  /// clause. Call only after solve() returned Sat.
+  /// as handed to add_*(); otherwise over the live database. Returns
+  /// internal error naming the first falsified clause. Call only after
+  /// solve() returned Sat.
   Status verify_model() const;
 
-  /// Debug auditor: cross-checks the watcher lists against the arena, the
-  /// trail/reason invariants, and the frozen/eliminated-variable contract.
+  /// Debug auditor: cross-checks the watcher lists against the arena and
+  /// the trail/reason invariants.
   /// O(database); intended for tests and the T2M_CHECK_INVARIANTS env
   /// toggle (checked at solve() boundaries), not for production loops.
   Status check_invariants() const;
-
-  /// Marks a variable untouchable by the preprocessor: it is never
-  /// eliminated and clauses are never resolved on it. The encoders freeze
-  /// every variable whose value they read back or assume.
-  void freeze(Var v);
-  bool is_frozen(Var v) const {
-    return static_cast<std::size_t>(v) < frozen_.size() &&
-           frozen_[static_cast<std::size_t>(v)] != 0;
-  }
-  bool is_eliminated(Var v) const {
-    return static_cast<std::size_t>(v) < eliminated_.size() &&
-           eliminated_[static_cast<std::size_t>(v)] != 0;
-  }
-  std::size_t num_eliminated() const { return num_eliminated_; }
 
   /// Exports problem + learned clauses suitable for re-seeding a rebuilt
   /// solver: learned clauses with LBD <= `max_lbd` and root-level facts,
@@ -228,7 +182,7 @@ public:
 
   /// A cheap structural fingerprint of the clause database (order-sensitive
   /// hash over every live clause's literals plus the root trail). Used by
-  /// tests to prove parallel emission is byte-identical to serial.
+  /// tests and bench_check to prove the encoding is unchanged.
   std::uint64_t clause_fingerprint() const;
 
   const SolverStats& stats() const { return stats_; }
@@ -240,14 +194,7 @@ public:
   /// at least `kGcWasteFraction` of it is dead). Exposed for tests.
   void garbage_collect();
 
-  /// Runs the SatELite-style preprocessor (subsumption, self-subsuming
-  /// resolution, bounded variable elimination) at the root level. Must be
-  /// called with no assumptions in force; frozen variables are untouched.
-  /// Returns false if preprocessing proved the instance unsatisfiable.
-  bool preprocess(const PreprocessOptions& opts);
-
 private:
-  friend class Preprocessor;
   static constexpr ClauseRef kNoReason = kClauseRefUndef;
   /// Watcher refs of binary clauses carry this tag: propagation then runs
   /// entirely on the watcher (blocker = the other literal) without touching
@@ -349,24 +296,6 @@ private:
   void set_unsat();
   std::vector<Lit> final_conflict_;    // assumption core of the last Unsat
   std::size_t simplified_up_to_ = 0;   // root trail size at the last simplify()
-
-  // --- preprocessing state ---
-  std::vector<char> frozen_;      // per-var: never eliminated
-  std::vector<char> eliminated_;  // per-var: removed by BVE
-  std::size_t num_eliminated_ = 0;
-  /// Clauses of each eliminated variable, stashed in elimination order so
-  /// reconstruct_model() can extend a model of the reduced formula to the
-  /// original one by replaying them in reverse.
-  struct ElimRecord {
-    Var var;
-    std::vector<Clause> clauses;  // every original clause mentioning var
-  };
-  std::vector<ElimRecord> elim_stash_;
-  /// Values reconstructed for eliminated variables after a Sat verdict.
-  /// Kept apart from assign_: they are model-specific, not entailed facts,
-  /// so they must not participate in propagation.
-  std::vector<LBool> elim_model_;
-  void reconstruct_model();
 
   // --- width-taint tracking ---
   /// Per-var: the root-level fact on this variable was derived (transitively)

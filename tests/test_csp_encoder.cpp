@@ -8,10 +8,13 @@
 #include <string>
 #include <vector>
 
+#include "src/abstraction/abstraction.h"
 #include "src/automaton/dot.h"
 #include "src/core/csp_encoder.h"
 #include "src/core/learner.h"
 #include "src/sat/proof_log.h"
+#include "src/sim/basic/counter.h"
+#include "src/sim/rtlinux/workloads.h"
 #include "src/trace/recorder.h"
 #include "src/util/rng.h"
 
@@ -360,9 +363,9 @@ TEST(UnsatForAllStates, FalseWhileSatisfiable) {
   EXPECT_FALSE(csp.unsat_for_all_states());
 }
 
-/// A segment system large enough that the chunked emission actually spans
-/// multiple chunks per phase, with predicates frequent enough to trigger the
-/// star-compression threshold for forbidden pairs.
+/// A segment system with many items per emission phase and predicates
+/// frequent enough to trigger the star-compression threshold for forbidden
+/// pairs.
 std::vector<Segment> bulky_segments() {
   std::vector<Segment> segments;
   std::uint64_t state = 12345;
@@ -379,13 +382,12 @@ std::vector<Segment> bulky_segments() {
 }
 
 /// Builds the CSP with every clause-emitting path exercised (construction,
-/// forbidden words of both shapes, star compression, growth) at the given
-/// thread count and returns the clause-database fingerprint.
-std::uint64_t fingerprint_at(std::size_t threads, DeterminismEncoding enc) {
+/// forbidden words of both shapes, star compression, growth) and returns the
+/// clause-database fingerprint.
+std::uint64_t bulky_fingerprint(DeterminismEncoding enc) {
   const std::vector<Segment> segments = bulky_segments();
   CspOptions options;
   options.encoding = enc;
-  options.threads = threads;
   options.state_capacity = 6;
   AutomatonCsp csp(segments, 4, 3, options);
   csp.add_forbidden_sequence({0, 1});     // star-compressed (frequent preds)
@@ -397,28 +399,45 @@ std::uint64_t fingerprint_at(std::size_t threads, DeterminismEncoding enc) {
   return csp.encoding_fingerprint();
 }
 
-TEST(ParallelEmission, ByteIdenticalAtEveryThreadCount) {
-  for (const DeterminismEncoding enc :
-       {DeterminismEncoding::Pairwise, DeterminismEncoding::Successor}) {
-    const std::uint64_t serial = fingerprint_at(1, enc);
-    for (const std::size_t threads : {2u, 4u, 8u}) {
-      EXPECT_EQ(fingerprint_at(threads, enc), serial)
-          << "threads=" << threads
-          << " enc=" << (enc == DeterminismEncoding::Pairwise ? "pairwise" : "successor");
-    }
-  }
+/// Fingerprint of the fixed-N encoding of a whole trace as one segment,
+/// built with the given proof log attached (null = none).
+std::uint64_t full_trace_fingerprint(const Trace& trace, std::size_t num_states,
+                                     DeterminismEncoding enc, sat::ProofLog* log) {
+  const PredicateSequence preds = abstract_trace(trace);
+  CspOptions options;
+  options.encoding = enc;
+  options.solver.proof_log = log;
+  AutomatonCsp csp(whole_sequence(preds.seq), preds.vocab.size(), num_states, options);
+  EXPECT_FALSE(csp.overflowed());
+  return csp.encoding_fingerprint();
 }
 
-TEST(ParallelEmission, SameVerdictAsSerial) {
-  const std::vector<Segment> segments = bulky_segments();
-  for (const std::size_t threads : {1u, 4u}) {
-    CspOptions options;
-    options.threads = threads;
-    AutomatonCsp csp(segments, 4, 4, options);
-    csp.add_forbidden_sequence({0, 1});
-    const sat::SolveResult r = csp.solve();
-    ASSERT_NE(r, sat::SolveResult::Unknown);
-    if (r == sat::SolveResult::Sat) validate_model(csp.extract_model(), segments);
+// The encoding is pinned clause for clause: any change to the emitted
+// clauses, their order or the root facts changes these fingerprints.
+// Attaching a proof log must not change the database either.
+TEST(EmissionFingerprint, PinnedAcrossEveryEmissionPath) {
+  EXPECT_EQ(bulky_fingerprint(DeterminismEncoding::Pairwise), 415432048013445638ULL);
+  EXPECT_EQ(bulky_fingerprint(DeterminismEncoding::Successor), 7140674501887821982ULL);
+}
+
+TEST(EmissionFingerprint, PinnedOnFullTraceEncodingsWithAndWithoutProofLog) {
+  struct Case {
+    Trace trace;
+    std::size_t num_states;
+    DeterminismEncoding encoding;
+    std::uint64_t want;
+  };
+  const Case cases[] = {
+      {sim::generate_counter_trace({}), 4, DeterminismEncoding::Pairwise,
+       17479926036897211424ULL},
+      {sim::generate_full_coverage_sched_trace(20165), 8, DeterminismEncoding::Successor,
+       14636807701303943517ULL},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(full_trace_fingerprint(c.trace, c.num_states, c.encoding, nullptr), c.want);
+    std::ostringstream proof;
+    sat::ProofLog log(proof);
+    EXPECT_EQ(full_trace_fingerprint(c.trace, c.num_states, c.encoding, &log), c.want);
   }
 }
 
@@ -480,13 +499,10 @@ TEST(ClauseBudget, OverflowIsDetectedDuringEmission) {
   const std::vector<Segment> segments = bulky_segments();
   CspOptions options;
   options.max_clauses = 64;
-  for (const std::size_t threads : {1u, 4u}) {
-    options.threads = threads;
-    AutomatonCsp csp(segments, 4, 4, options);
-    EXPECT_TRUE(csp.overflowed()) << "threads=" << threads;
-    EXPECT_EQ(csp.solve(), sat::SolveResult::Unknown);
-    EXPECT_LE(csp.num_clauses(), options.max_clauses + 1) << "overshot the budget";
-  }
+  AutomatonCsp csp(segments, 4, 4, options);
+  EXPECT_TRUE(csp.overflowed());
+  EXPECT_EQ(csp.solve(), sat::SolveResult::Unknown);
+  EXPECT_LE(csp.num_clauses(), options.max_clauses + 1) << "overshot the budget";
 }
 
 TEST(ClauseBudget, LearnerReportsBudgetExceeded) {
@@ -725,26 +741,6 @@ TEST(ValuePrecedence, FreshAndGrownVerdictsMatchExhaustiveSearch) {
         EXPECT_FALSE(expected) << what << ": early stop was unsound";
       }
     }
-  }
-}
-
-TEST(Preprocessing, PersistentGrowStaysSoundAfterPreprocess) {
-  // Preprocessing runs at the first solve; grow_to afterwards re-mentions
-  // frozen structural variables — the combination must keep matching the
-  // fresh reference (this is the frozen-variable contract end to end).
-  const std::vector<Segment> segments = bulky_segments();
-  CspOptions options;
-  options.state_capacity = 6;
-  options.preprocess = true;
-  AutomatonCsp csp(segments, 4, 2, options);
-  csp.add_forbidden_sequence({0, 1});
-  for (std::size_t n = 2; n <= 6; ++n) {
-    ASSERT_TRUE(n == 2 || csp.grow_to(n));
-    AutomatonCsp fresh(segments, 4, n);
-    fresh.add_forbidden_sequence({0, 1});
-    const sat::SolveResult got = csp.solve();
-    EXPECT_EQ(got, fresh.solve()) << "N=" << n;
-    if (got == sat::SolveResult::Sat) validate_model(csp.extract_model(), segments);
   }
 }
 

@@ -2,7 +2,8 @@
 // handcrafted proofs — the semantics of every line kind in the extended
 // format (lemma, deletion, "i" axiom, restart, solve/assume/conclude
 // markers) — plus solver round trips: every proof the solver emits must
-// verify, and verification must be meaningful (tampered proofs rejected).
+// verify, and verification must be meaningful (tampered proofs rejected) —
+// and end-to-end learn runs whose whole proof stream must verify.
 
 #include <gtest/gtest.h>
 
@@ -10,11 +11,14 @@
 #include <string>
 #include <vector>
 
+#include "src/core/learner.h"
 #include "src/sat/dimacs.h"
 #include "src/sat/drat_check.h"
-#include "src/sat/preprocessor.h"
 #include "src/sat/proof_log.h"
 #include "src/sat/solver.h"
+#include "src/sim/rtlinux/workloads.h"
+#include "src/sim/synthetic/random_dfa.h"
+#include "src/sim/xhci/ring_interface.h"
 #include "src/util/rng.h"
 
 namespace t2m::sat {
@@ -190,11 +194,11 @@ TEST(DratCheck, RejectsUnterminatedProofLine) {
 
 // ---------------------------------------------------------------------------
 // Solver round trips: randomized CNFs near the satisfiability threshold,
-// solved with proof logging and preprocessing on — every emitted proof must
-// verify, UNSAT runs must certify unconditionally, and SAT runs must pass
-// the model audit (including reconstruction over BVE-eliminated variables).
+// solved with proof logging on — every emitted proof must verify, UNSAT
+// runs must certify unconditionally, and SAT runs must pass the model audit
+// against the original clauses.
 
-TEST(DratCheckSolverRoundTrip, RandomCnfsWithPreprocessing) {
+TEST(DratCheckSolverRoundTrip, RandomCnfs) {
   std::size_t unsat_seen = 0;
   std::size_t sat_seen = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
@@ -222,8 +226,7 @@ TEST(DratCheckSolverRoundTrip, RandomCnfsWithPreprocessing) {
       }
       s.add_clause(c);
     }
-    const bool pre_ok = s.preprocess(PreprocessOptions{});
-    const SolveResult res = pre_ok ? s.solve() : SolveResult::Unsat;
+    const SolveResult res = s.solve();
     std::istringstream proof(trace.str());
     DratCheckOptions options;
     options.require_empty_clause = (res == SolveResult::Unsat);
@@ -288,6 +291,57 @@ TEST(DratCheckSolverRoundTrip, TamperedProofIsRejected) {
   // rejected — DRAT admits any RAT addition).
   const DratCheckResult r = check(trace.str() + "1 0\n");
   EXPECT_FALSE(r.ok);
+}
+
+// ---------------------------------------------------------------------------
+// End-to-end proof-carrying learn runs: every solver verdict the CEGIS loop
+// consumes is independently re-derived by the forward DRAT checker from the
+// emitted trace — "i" axioms for the encoding, checked lemmas for every
+// conflict, `c restart` across CSP rebuilds (capacity and prefix-refinement
+// rebuilds alike), and per-epoch conclusions for the guarded incremental
+// grow_to path.
+
+void expect_checked_learn_run(const Trace& trace, bool persistent, const char* what,
+                              std::size_t min_prefix_refinements = 0) {
+  std::ostringstream proof_stream;
+  ProofLog log(proof_stream);
+  LearnerConfig config;
+  config.persistent_solver = persistent;
+  config.solver.proof_log = &log;
+  const LearnResult result = ModelLearner(config).learn(trace);
+  ASSERT_TRUE(result.success) << what;
+  EXPECT_GE(result.stats.prefix_refinements, min_prefix_refinements) << what;
+  std::istringstream proof(proof_stream.str());
+  const DratCheckResult check = check_drat(CnfFormula{}, proof, {});
+  ASSERT_TRUE(check.ok) << what << ": line " << check.error_line << ": "
+                        << check.error;
+  // Every learn ends by accepting a model, so at least one epoch concluded
+  // SAT; growing past the initial state count concludes UNSAT epochs first.
+  EXPECT_GE(check.epochs_concluded_sat, 1u) << what;
+  if (result.states > config.initial_states) {
+    EXPECT_GE(check.epochs_concluded_unsat, 1u) << what;
+  }
+}
+
+TEST(ProofCarryingLearnRun, RtlinuxSchedulerPersistent) {
+  expect_checked_learn_run(sim::generate_full_coverage_sched_trace(4000), true,
+                           "rtlinux-persistent");
+}
+
+TEST(ProofCarryingLearnRun, UsbAttachFreshPerN) {
+  expect_checked_learn_run(sim::generate_usb_attach_trace(), false,
+                           "usb-attach-fresh");
+}
+
+TEST(ProofCarryingLearnRun, RandomDfaWalkPrefixRefinement) {
+  // On this 6-state random-DFA walk, compliant candidates that do not replay
+  // P make both paths rebuild their CSP over a longer leading prefix mid-run.
+  const Trace trace = sim::random_dfa_walk_trace(6, 600, 3);
+  for (const bool persistent : {true, false}) {
+    expect_checked_learn_run(trace, persistent,
+                             persistent ? "walk-persistent" : "walk-fresh",
+                             /*min_prefix_refinements=*/1);
+  }
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include "src/core/csp_encoder.h"
 #include "src/core/learner.h"
 #include "src/parallel/thread_pool.h"
-#include "src/sat/preprocessor.h"
 #include "src/sat/solver.h"
 #include "src/sim/basic/counter.h"
 #include "src/sim/rtlinux/workloads.h"
@@ -263,7 +262,7 @@ TEST(TraceIoFaults, MissingFileDiagnosticsNamePathAndErrno) {
   }
 }
 
-// --- thread pool, preprocessor and solver failpoints -----------------------
+// --- thread pool and solver failpoints ---------------------------------------
 
 TEST(ParallelFaults, TaskBodyFailureCancelsTheStageNotTheProcess) {
   const FailpointGuard guard;
@@ -281,22 +280,6 @@ TEST(ParallelFaults, TaskBodyFailureCancelsTheStageNotTheProcess) {
   par::for_chunks(4, 64, 8,
                   [&](std::size_t, std::size_t, std::size_t) { reran.fetch_add(1); });
   EXPECT_EQ(reran.load(), 8);
-}
-
-TEST(PreprocessorFaults, DerivationFailureSurfacesStructured) {
-  const FailpointGuard guard;
-  // The BVE chain from test_preprocessor: elimination must derive resolvents,
-  // so the armed failpoint is guaranteed to be reached.
-  sat::Solver s;
-  const sat::Var base = s.new_vars(16);
-  for (sat::Var v = 0; v + 1 < 16; ++v) {
-    s.add_clause(std::vector<sat::Lit>{sat::neg(base + v), sat::pos(base + v + 1)});
-  }
-  s.freeze(base);
-  s.freeze(base + 15);
-  failpoint::arm("preprocess.derive", "always");
-  EXPECT_EQ(thrown_code([&] { s.preprocess(sat::PreprocessOptions{}); }),
-            ErrorCode::internal);
 }
 
 TEST(SolverFaults, ArenaAllocationFailureIsResourceExhausted) {

@@ -1,7 +1,6 @@
 // Portfolio CEGIS driver: racing solver configurations must agree on the
 // learned state count, record per-configuration stats, cancel losers through
-// the stop flag, and leave the winner's artefacts intact. Plus the parallel
-// compliance check's differential against the sequential DFS and the solver
+// the stop flag, and leave the winner's artefacts intact. Plus the solver
 // knobs the portfolio diversifies.
 
 #include <gtest/gtest.h>
@@ -10,13 +9,11 @@
 #include <sstream>
 
 #include "src/abstraction/abstraction.h"
-#include "src/core/compliance.h"
 #include "src/core/learner.h"
 #include "src/core/portfolio.h"
 #include "src/sim/basic/counter.h"
 #include "src/sim/rtlinux/workloads.h"
 #include "src/sim/serial/serial_port.h"
-#include "src/util/rng.h"
 
 namespace t2m {
 namespace {
@@ -28,7 +25,6 @@ TEST(PortfolioConfigs, GeneratesDistinctNamedLanes) {
   for (const auto& v : variants) {
     EXPECT_FALSE(v.name.empty());
     EXPECT_EQ(v.config.portfolio, 0u) << "workers must not recurse";
-    EXPECT_EQ(v.config.threads, 1u);
   }
   // Lane 0 is the base configuration; lane 1 flips the solving mode.
   EXPECT_EQ(variants[0].config.persistent_solver, base.persistent_solver);
@@ -133,73 +129,6 @@ TEST(Portfolio, SolverKnobsKeepVerdictsIdentical) {
     ASSERT_TRUE(got.success) << variant.name;
     EXPECT_EQ(got.states, reference.states) << variant.name;
   }
-}
-
-// --- parallel compliance ---------------------------------------------------
-
-Nfa random_model(Rng& rng, std::size_t max_states, std::size_t alphabet) {
-  Nfa model(1 + rng.below(max_states));
-  const std::size_t edges = rng.below(3 * model.num_states() + 1);
-  for (std::size_t e = 0; e < edges; ++e) {
-    model.add_transition(rng.below(model.num_states()),
-                         static_cast<PredId>(rng.below(alphabet)),
-                         rng.below(model.num_states()));
-  }
-  return model;
-}
-
-TEST(ParallelCompliance, MatchesSequentialOnRandomisedCases) {
-  Rng rng(909);
-  for (int round = 0; round < 300; ++round) {
-    const std::size_t l = rng.below(4);  // includes l == 0
-    const std::size_t length = rng.below(60);
-    const std::size_t alphabet = 1 + rng.below(5);
-    std::vector<PredId> seq(length);
-    for (auto& p : seq) p = static_cast<PredId>(rng.below(alphabet));
-
-    ComplianceChecker sequential(seq, l);
-    ComplianceChecker parallel(seq, l);
-    parallel.set_threads(4);
-
-    const Nfa model = random_model(rng, 6, alphabet + 1);
-    const ComplianceResult a = sequential.check(model);
-    const ComplianceResult b = parallel.check(model);
-    ASSERT_EQ(a.compliant, b.compliant) << "round " << round;
-    ASSERT_EQ(a.invalid_sequences, b.invalid_sequences) << "round " << round;
-    ASSERT_EQ(a.model_sequences, b.model_sequences) << "round " << round;
-    ASSERT_EQ(a.trace_sequences, b.trace_sequences) << "round " << round;
-  }
-}
-
-TEST(ParallelCompliance, WidePredicatesUseVectorPathInParallelToo) {
-  const std::vector<PredId> seq = {1ull << 40, 2, 1ull << 40, 3, 2, 1ull << 40};
-  ComplianceChecker sequential(seq, 3);
-  ComplianceChecker parallel(seq, 3);
-  parallel.set_threads(3);
-  Nfa model(4);
-  model.add_transition(0, 1ull << 40, 1);
-  model.add_transition(1, 2, 2);
-  model.add_transition(2, 1ull << 40, 3);
-  model.add_transition(3, 3, 0);
-  const ComplianceResult a = sequential.check(model);
-  const ComplianceResult b = parallel.check(model);
-  EXPECT_EQ(a.compliant, b.compliant);
-  EXPECT_EQ(a.invalid_sequences, b.invalid_sequences);
-  EXPECT_EQ(a.model_sequences, b.model_sequences);
-}
-
-TEST(ParallelCompliance, LearnerWithThreadsMatchesSequentialLearn) {
-  const Trace trace = sim::generate_full_coverage_sched_trace(20165);
-  LearnerConfig config;
-  const LearnResult reference = ModelLearner(config).learn(trace);
-  LearnerConfig threaded = config;
-  threaded.threads = 4;
-  const LearnResult got = ModelLearner(threaded).learn(trace);
-  ASSERT_TRUE(reference.success);
-  ASSERT_TRUE(got.success);
-  EXPECT_EQ(got.states, reference.states);
-  EXPECT_EQ(got.model.transitions(), reference.model.transitions());
-  EXPECT_EQ(got.stats.sat_calls, reference.stats.sat_calls);
 }
 
 // --- learner-level early stop ---------------------------------------------

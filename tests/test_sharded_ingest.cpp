@@ -235,6 +235,12 @@ TEST(ShardedIngest, LearnFromFtraceMatchesStreamingOnRtlinux) {
   EXPECT_EQ(sharded.states, reference.states);
   EXPECT_EQ(sharded.model.transitions(), reference.model.transitions());
   EXPECT_EQ(sharded.preds.seq, reference.preds.seq);
+  // --threads widens only the ingest: the search runs the same solves.
+  const auto search_work = [](const LearnStats& s) {
+    return std::vector<std::uint64_t>{s.sat_calls, s.sat_conflicts, s.csp_builds,
+                                      s.csp_grows, s.forbidden_words};
+  };
+  EXPECT_EQ(search_work(sharded.stats), search_work(reference.stats));
 }
 
 TEST(MappedFileView, ServesWholeFile) {

@@ -22,7 +22,6 @@
 
 #include "src/sat/dimacs.h"
 #include "src/sat/drat_check.h"
-#include "src/sat/preprocessor.h"
 #include "src/sat/proof_log.h"
 #include "src/sat/solver.h"
 #include "src/util/cli.h"
@@ -70,8 +69,8 @@ int self_test() {
     }
   };
 
-  // 1. UNSAT instance (PHP-2-into-1 flavoured), preprocessing on: the proof
-  //    must verify and carry the unconditional empty clause.
+  // 1. UNSAT instance (PHP-2-into-1 flavoured): the proof must verify and
+  //    carry the unconditional empty clause.
   std::ostringstream trace;
   {
     Solver solver;
@@ -87,11 +86,7 @@ int self_test() {
     solver.add_clause({x(0, true), x(3, true)});
     solver.add_clause({x(1, true), x(2, true)});
     solver.add_clause({x(1, true), x(3, true)});
-    PreprocessOptions opts;
-    const bool pre_ok = solver.preprocess(opts);
-    const SolveResult res =
-        pre_ok ? solver.solve() : SolveResult::Unsat;
-    expect(res == SolveResult::Unsat, "embedded instance must be UNSAT");
+    expect(solver.solve() == SolveResult::Unsat, "embedded instance must be UNSAT");
   }
   {
     std::istringstream proof(trace.str());

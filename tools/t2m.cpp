@@ -6,7 +6,7 @@
 //
 // `t2m learn` accepts --window, --compliance, --input <var> (repeatable via
 // comma list), --no-segment, --encoding pairwise|successor, --timeout <sec>,
-// --threads <n> (sharded ingest for --ftrace inputs + parallel compliance),
+// --threads <n> (sharded ingest width for --ftrace inputs),
 // --portfolio <k> (race k solver configurations, first verdict wins), and
 // --ftrace FILE as an alternative to --trace for event logs (learned through
 // the streaming pipeline; with --threads > 1, the sharded parallel one).
@@ -50,10 +50,9 @@ int usage() {
       "            [--progress [SEC]] [--log-level LEVEL]\n"
       "  t2m info  --trace FILE\n"
       "\n"
-      "  --threads N    parallel runtime width: N-way sharded ingest for\n"
-      "                 --ftrace inputs plus a compliance check partitioned\n"
-      "                 by start state; results are byte-identical to the\n"
-      "                 sequential paths (docs/parallel.md)\n"
+      "  --threads N    N-way sharded ingest for --ftrace inputs; the search\n"
+      "                 stays sequential and the result is byte-identical to\n"
+      "                 the streaming ingest (docs/parallel.md)\n"
       "  --portfolio K  race K solver configurations over the same encoding\n"
       "                 and keep the first verdict, cancelling the rest\n"
       "  --max-memory M cap accounted memory at M MiB; overrunning it ends\n"
