@@ -2,34 +2,26 @@
 
 #include <stdexcept>
 
+#include "src/abstraction/event_stream.h"
+
 namespace t2m {
 
 PredicateSequence abstract_event_trace(const Trace& trace, const AbstractionConfig& config) {
   (void)config;  // windowing applies at segmentation time, not here
-  const Schema& schema = trace.schema();
-  if (!schema.all_categorical()) {
+  if (!trace.schema().all_categorical()) {
     throw std::invalid_argument("event abstraction requires all-categorical schema");
   }
   if (trace.size() < 2) {
     throw std::invalid_argument("event abstraction: trace needs at least two observations");
   }
-
-  PredicateSequence out;
-  for (std::size_t step = 0; step < trace.num_steps(); ++step) {
-    const Valuation& next = trace.step_next(step);
-    std::vector<ExprPtr> atoms;
-    std::string display;
-    for (VarIndex v = 0; v < schema.size(); ++v) {
-      atoms.push_back(
-          Expr::eq(Expr::var_ref(v, /*primed=*/true), Expr::constant(next[v])));
-      if (!display.empty()) display += " & ";
-      display += schema.format_value(v, next[v]);
-    }
-    const PredId id = out.vocab.intern(Expr::conj(std::move(atoms)));
-    if (out.display_names.size() <= id) out.display_names.resize(id + 1);
-    out.display_names[id] = display;
-    out.seq.push_back(id);
+  EventStreamAbstractor abstractor;
+  std::vector<PredId> seq;
+  seq.reserve(trace.num_steps());
+  for (std::size_t t = 0; t < trace.size(); ++t) {
+    if (const auto id = abstractor.push(trace.schema(), trace.obs(t))) seq.push_back(*id);
   }
+  PredicateSequence out = abstractor.take();
+  out.seq = std::move(seq);
   return out;
 }
 

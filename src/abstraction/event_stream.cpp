@@ -5,21 +5,17 @@
 
 #include "src/trace/ftrace_io.h"
 #include "src/trace/text_io.h"
-#include "src/util/string_utils.h"
 
 namespace t2m {
 
-std::optional<PredId> EventStreamAbstractor::push(const Schema& schema,
-                                                  const Valuation& obs) {
+bool EventStreamAbstractor::starts_step(const Schema& schema) {
   if (observations_ == 0 && !schema.all_categorical()) {
     throw std::invalid_argument("event abstraction requires all-categorical schema");
   }
-  ++observations_;
-  if (observations_ == 1) return std::nullopt;  // first observation: no step yet
+  return ++observations_ > 1;  // the first observation ends no step
+}
 
-  const auto hit = memo_.find(obs);
-  if (hit != memo_.end()) return hit->second;
-
+PredId EventStreamAbstractor::intern_destination(const Schema& schema, const Valuation& obs) {
   std::vector<ExprPtr> atoms;
   std::string display;
   for (VarIndex v = 0; v < schema.size(); ++v) {
@@ -31,7 +27,36 @@ std::optional<PredId> EventStreamAbstractor::push(const Schema& schema,
   const PredId id = preds_.vocab.intern(Expr::conj(std::move(atoms)));
   if (preds_.display_names.size() <= id) preds_.display_names.resize(id + 1);
   preds_.display_names[id] = std::move(display);
-  memo_.emplace(obs, id);
+  return id;
+}
+
+std::optional<PredId> EventStreamAbstractor::push_symbol(const Schema& schema,
+                                                         std::int64_t sym) {
+  if (schema.size() != 1) {
+    throw std::invalid_argument("EventStreamAbstractor::push_symbol needs a one-variable schema");
+  }
+  if (!starts_step(schema)) return std::nullopt;
+  if (sym < 0 || static_cast<std::size_t>(sym) >= schema.var(0).symbols.size()) {
+    // Not a symbol of the variable: format_value reports it.
+    return intern_destination(schema, {Value::of_sym(sym)});
+  }
+  const auto slot = static_cast<std::size_t>(sym);
+  if (slot >= by_symbol_.size()) by_symbol_.resize(slot + 1, kUnseen);
+  if (by_symbol_[slot] == kUnseen) {
+    by_symbol_[slot] = intern_destination(schema, {Value::of_sym(sym)});
+  }
+  return by_symbol_[slot];
+}
+
+std::optional<PredId> EventStreamAbstractor::push(const Schema& schema, const Valuation& obs) {
+  if (schema.size() == 1 && obs.size() == 1 && obs[0].is_sym()) {
+    return push_symbol(schema, obs[0].raw());
+  }
+  if (!starts_step(schema)) return std::nullopt;
+  const auto hit = by_valuation_.find(obs);
+  if (hit != by_valuation_.end()) return hit->second;
+  const PredId id = intern_destination(schema, obs);
+  by_valuation_.emplace(obs, id);
   return id;
 }
 
@@ -48,8 +73,7 @@ std::optional<PredId> FtracePredStream::next() {
   while (lines_.next(line)) {
     if (!parse_ftrace_line(line, task_, event_)) continue;
     if (!task_filter_.empty() && task_ != task_filter_) continue;
-    const auto sym = schema_.sym_id_intern(ev_, event_);
-    const auto id = abstractor_.push(schema_, {Value::of_sym(sym)});
+    const auto id = abstractor_.push_symbol(schema_, schema_.sym_id_intern(ev_, event_));
     if (id) return id;
   }
   done_ = true;
@@ -63,36 +87,10 @@ TextTracePredStream::TextTracePredStream(LineReader& lines) : lines_(lines) {}
 
 std::optional<PredId> TextTracePredStream::next() {
   if (done_) return std::nullopt;
-  std::string_view raw;
-  while (lines_.next(raw)) {
-    const std::string_view trimmed = trim(raw);
-    if (trimmed.empty()) continue;
-    if (trimmed[0] == '#') {
-      const auto fields = split_ws(trimmed.substr(1));
-      if (!fields.empty() && fields[0] == "var") {
-        if (header_done_) {
-          throw std::invalid_argument("trace: '# var' after first data row");
-        }
-        parse_trace_var_decl(schema_, fields);
-      }
-      continue;
-    }
-    header_done_ = true;
-    const auto fields = split_ws(trimmed);
-    if (fields.size() != schema_.size()) {
-      throw std::invalid_argument("trace: row width " + std::to_string(fields.size()) +
-                                  " does not match schema width " +
-                                  std::to_string(schema_.size()));
-    }
-    Valuation v(schema_.size());
-    for (VarIndex i = 0; i < schema_.size(); ++i) {
-      if (schema_.var(i).type == VarType::Cat) {
-        v[i] = Value::of_sym(schema_.sym_id_intern(i, fields[i]));
-      } else {
-        v[i] = schema_.parse_value(i, fields[i]);
-      }
-    }
-    const auto id = abstractor_.push(schema_, v);
+  std::string_view line;
+  while (lines_.next(line)) {
+    if (!parse_trace_line(schema_, line, header_done_, row_)) continue;
+    const auto id = abstractor_.push(schema_, row_);
     if (id) return id;
   }
   done_ = true;

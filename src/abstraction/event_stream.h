@@ -4,6 +4,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "src/abstraction/pred_stream.h"
 #include "src/trace/mmap_io.h"
@@ -11,17 +12,23 @@
 
 namespace t2m {
 
-/// Push-based streaming counterpart of abstract_event_trace: feed one
-/// observation at a time; each observation after the first yields the PredId
-/// of the step ending there. The predicate expression, interning order and
-/// display names are byte-identical to running abstract_event_trace over the
-/// materialised trace (both depend only on the destination observation), so
-/// the two paths are interchangeable and differential-testable.
+/// Push-based event abstraction (mode E): feed one observation at a time;
+/// each observation after the first yields the PredId of the step ending
+/// there. The step predicate is the conjunction of destination atoms
+/// `v' = value` and its display name the destination's spellings, so both
+/// depend only on the destination observation. abstract_event_trace is a
+/// loop over this class, and the streaming readers and the sharded-ingest
+/// merge drive it directly, so every path interns the same Exprs in the
+/// same first-occurrence order with the same display names.
 class EventStreamAbstractor {
 public:
   /// `schema` is read per call (not stored) because streaming readers intern
   /// new symbols into their schema as lines are consumed.
   std::optional<PredId> push(const Schema& schema, const Valuation& obs);
+
+  /// push() for single-variable schemas, taking the observation's symbol id
+  /// directly so the per-line caller builds no Valuation.
+  std::optional<PredId> push_symbol(const Schema& schema, std::int64_t sym);
 
   /// Marks the stream as a continuation of an earlier one: the next push is
   /// treated as a step destination (yielding a PredId) instead of the
@@ -50,13 +57,21 @@ private:
       return static_cast<std::size_t>(h);
     }
   };
+  static constexpr PredId kUnseen = static_cast<PredId>(-1);
+
+  /// Counts the observation; false for the trace's first one (no step).
+  bool starts_step(const Schema& schema);
+  /// Builds, interns and names the predicate of a destination not seen yet.
+  PredId intern_destination(const Schema& schema, const Valuation& obs);
 
   PredicateSequence preds_;
   /// The step predicate depends only on the destination valuation, so
   /// repeated observations (the whole point of a long trace) skip the Expr
-  /// construction, interning and display formatting entirely — the memo
-  /// yields the same ids in the same first-occurrence order.
-  std::unordered_map<Valuation, PredId, ValuationHash> memo_;
+  /// construction, interning and display formatting entirely — the memos
+  /// yield the same ids in the same first-occurrence order. Single-variable
+  /// schemas index a dense table by symbol id; wider ones hash the valuation.
+  std::vector<PredId> by_symbol_;
+  std::unordered_map<Valuation, PredId, ValuationHash> by_valuation_;
   std::size_t observations_ = 0;
 };
 
@@ -101,6 +116,7 @@ private:
   LineReader& lines_;
   Schema schema_;
   EventStreamAbstractor abstractor_;
+  Valuation row_;  ///< parse buffer reused across rows
   bool header_done_ = false;
   bool done_ = false;
 };

@@ -11,7 +11,12 @@ VarIndex Schema::add(VarInfo info) {
   if (find(info.name)) {
     throw std::invalid_argument("Schema: duplicate variable name '" + info.name + "'");
   }
+  SymbolIndex index;
+  for (std::size_t i = 0; i < info.symbols.size(); ++i) {
+    index.emplace(info.symbols[i], static_cast<std::int64_t>(i));  // first spelling wins
+  }
   vars_.push_back(std::move(info));
+  sym_index_.push_back(std::move(index));
   return vars_.size() - 1;
 }
 
@@ -58,28 +63,33 @@ std::optional<VarIndex> Schema::find(std::string_view name) const {
   return std::nullopt;
 }
 
-std::int64_t Schema::sym_id(VarIndex v, std::string_view spelling) const {
+void Schema::require_cat(VarIndex v, const char* caller) const {
   const VarInfo& info = var(v);
   if (info.type != VarType::Cat) {
-    throw std::logic_error("Schema::sym_id on non-categorical variable " + info.name);
+    throw std::logic_error(std::string("Schema::") + caller + " on non-categorical variable " +
+                           info.name);
   }
-  for (std::size_t i = 0; i < info.symbols.size(); ++i) {
-    if (info.symbols[i] == spelling) return static_cast<std::int64_t>(i);
-  }
+}
+
+std::int64_t Schema::sym_id(VarIndex v, std::string_view spelling) const {
+  require_cat(v, "sym_id");
+  const SymbolIndex& index = sym_index_[v];
+  const auto it = index.find(spelling);
+  if (it != index.end()) return it->second;
   throw std::invalid_argument("Schema: unknown symbol '" + std::string(spelling) +
-                              "' for variable " + info.name);
+                              "' for variable " + vars_[v].name);
 }
 
 std::int64_t Schema::sym_id_intern(VarIndex v, std::string_view spelling) {
-  VarInfo& info = vars_.at(v);
-  if (info.type != VarType::Cat) {
-    throw std::logic_error("Schema::sym_id_intern on non-categorical variable " + info.name);
-  }
-  for (std::size_t i = 0; i < info.symbols.size(); ++i) {
-    if (info.symbols[i] == spelling) return static_cast<std::int64_t>(i);
-  }
-  info.symbols.emplace_back(spelling);
-  return static_cast<std::int64_t>(info.symbols.size()) - 1;
+  require_cat(v, "sym_id_intern");
+  SymbolIndex& index = sym_index_[v];
+  const auto it = index.find(spelling);
+  if (it != index.end()) return it->second;
+  std::vector<std::string>& symbols = vars_[v].symbols;
+  const auto id = static_cast<std::int64_t>(symbols.size());
+  symbols.emplace_back(spelling);
+  index.emplace(symbols.back(), id);
+  return id;
 }
 
 const std::string& Schema::sym_name(VarIndex v, std::int64_t id) const {

@@ -5,6 +5,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/value.h"
@@ -73,9 +74,28 @@ public:
   bool all_numeric() const;
 
 private:
+  /// Transparent FNV-1a hash, so the symbol index is probed with a
+  /// string_view (no std::string per lookup) and short event names hash
+  /// inline.
+  struct SymbolHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      std::uint64_t h = 0xcbf29ce484222325ULL;
+      for (const char c : s) h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+      return static_cast<std::size_t>(h);
+    }
+  };
+  /// Spelling -> first symbol id with that spelling, for one categorical
+  /// variable. It owns its keys, so it stays valid when the symbol table
+  /// reallocates and when the Schema is copied or moved.
+  using SymbolIndex = std::unordered_map<std::string, std::int64_t, SymbolHash, std::equal_to<>>;
+
   VarIndex add(VarInfo info);
+  /// Throws std::logic_error unless `v` is categorical.
+  void require_cat(VarIndex v, const char* caller) const;
 
   std::vector<VarInfo> vars_;
+  std::vector<SymbolIndex> sym_index_;  ///< parallel to vars_; empty for non-Cat
 };
 
 }  // namespace t2m

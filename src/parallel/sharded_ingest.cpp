@@ -292,8 +292,7 @@ ShardedIngestResult sharded_ftrace_ingest(std::string_view content,
   for (const ShardScan& scan : scans) {
     for (const std::string& name : scan.dest_order) {
       if (global_of.count(name) != 0) continue;
-      const auto sym = result.schema.sym_id_intern(ev, name);
-      const auto id = abstractor.push(result.schema, {Value::of_sym(sym)});
+      const auto id = abstractor.push_symbol(result.schema, result.schema.sym_id_intern(ev, name));
       global_of.emplace(name, *id);
     }
   }

@@ -1,6 +1,5 @@
 #include "src/trace/ftrace_io.h"
 
-#include <cctype>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -15,24 +14,32 @@ namespace {
 bool is_cpu_field(std::string_view field) {
   if (field.size() < 3 || field.front() != '[' || field.back() != ']') return false;
   for (std::size_t i = 1; i + 1 < field.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(field[i]))) return false;
+    if (!is_ascii_digit(field[i])) return false;
   }
   return true;
 }
 
-/// "12", "0.5", "100.000001": at least one digit, nothing but digits and
-/// dots. Shared by the simplified-shape timestamp check and the full-shape
-/// anchor (where the timestamp is the last field before the first ": ").
-bool is_timestamp_field(std::string_view field) {
+/// Length of the leading whitespace-delimited token of `text` when it is a
+/// timestamp — "12", "0.5", "100.000001": at least one digit, nothing but
+/// digits and dots — else 0. Checks the token while scanning it, so the
+/// simplified shape reads its first field in one pass.
+std::size_t timestamp_token_length(std::string_view text) {
   bool has_digit = false;
-  for (const char c : field) {
-    if (std::isdigit(static_cast<unsigned char>(c))) {
+  std::size_t i = 0;
+  for (; i < text.size() && !is_ascii_space(text[i]); ++i) {
+    if (is_ascii_digit(text[i])) {
       has_digit = true;
-    } else if (c != '.') {
-      return false;
+    } else if (text[i] != '.') {
+      return 0;
     }
   }
-  return has_digit;
+  return has_digit ? i : 0;
+}
+
+/// A whole field that is a timestamp: the full-shape anchor's last field
+/// before the first ": ".
+bool is_timestamp_field(std::string_view field) {
+  return !field.empty() && timestamp_token_length(field) == field.size();
 }
 
 /// "comm-123", "<idle>-0": the full shape's head always carries a -pid
@@ -42,22 +49,37 @@ bool has_pid_suffix(std::string_view head) {
   const auto dash = head.rfind('-');
   if (dash == std::string_view::npos || dash + 1 >= head.size()) return false;
   for (std::size_t i = dash + 1; i < head.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(head[i]))) return false;
+    if (!is_ascii_digit(head[i])) return false;
   }
   return true;
 }
 
-/// Skips leading whitespace and splits off the next token; `text` is left
-/// pointing past it. Allocation-free (the simplified parse runs once per
-/// line of a million-event stream).
-std::string_view take_ws_token(std::string_view& text) {
-  std::size_t i = 0;
-  while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) ++i;
-  std::size_t j = i;
-  while (j < text.size() && !std::isspace(static_cast<unsigned char>(text[j]))) ++j;
+/// Mirror of take_ws_token from the back: splits off the last token of
+/// `text` and leaves `text` holding everything before it.
+std::string_view take_last_ws_token(std::string_view& text) {
+  std::size_t j = text.size();
+  while (j > 0 && is_ascii_space(text[j - 1])) --j;
+  std::size_t i = j;
+  while (i > 0 && !is_ascii_space(text[i - 1])) --i;
   const std::string_view token = text.substr(i, j - i);
-  text.remove_prefix(j);
+  text.remove_suffix(text.size() - i);
   return token;
+}
+
+/// Assigns `text` to `out` with every whitespace run collapsed to one
+/// space: the comm as split-on-whitespace-and-join-with-' ' spells it.
+void assign_ws_collapsed(std::string& out, std::string_view text) {
+  out.clear();
+  bool in_space = false;
+  for (const char c : text) {
+    if (is_ascii_space(c)) {
+      if (!in_space) out.push_back(' ');
+      in_space = true;
+    } else {
+      out.push_back(c);
+      in_space = false;
+    }
+  }
 }
 
 int hex_digit(char c) {
@@ -86,28 +108,32 @@ bool parse_ftrace_line(std::string_view line, std::string& task, std::string& ev
   // full shape; the grammars overlap there and the full shape wins.
   const auto first_colon = trimmed.find(": ");
   if (first_colon != std::string_view::npos) {
-    const auto fields = split_ws(trimmed.substr(0, first_colon));
-    const std::size_t n = fields.size();
-    std::size_t cpu_idx = 0;  // 0 = no anchor; the comm occupies index 0
-    if (n >= 3 && is_timestamp_field(fields[n - 1])) {
-      if (n >= 4 && is_cpu_field(fields[n - 3])) {
-        cpu_idx = n - 3;  // [cpu] flags timestamp
-      } else if (is_cpu_field(fields[n - 2])) {
-        cpu_idx = n - 2;  // [cpu] timestamp
+    // The three pre-colon fields the anchor looks at, taken from the back.
+    std::string_view before = trimmed.substr(0, first_colon);
+    const std::string_view ts = take_last_ws_token(before);
+    const std::string_view f2 = take_last_ws_token(before);
+    const std::string_view f3 = take_last_ws_token(before);
+    std::string_view cpu;  // empty = no anchor; a comm must precede the cpu field
+    if (!f3.empty() && is_timestamp_field(ts)) {
+      if (!trim(before).empty() && is_cpu_field(f3)) {
+        cpu = f3;  // [cpu] flags timestamp
+      } else if (is_cpu_field(f2)) {
+        cpu = f2;  // [cpu] timestamp
       }
     }
-    if (cpu_idx > 0) {
-      // The comm-pid head is everything before the cpu field (spaces inside
-      // the comm are joined back with single spaces).
-      std::string head = fields.front();
-      for (std::size_t i = 1; i < cpu_idx; ++i) head += ' ' + fields[i];
+    if (!cpu.empty()) {
+      // The comm-pid head is everything before the cpu field; `trimmed`
+      // starts on it, so only trailing whitespace needs dropping.
+      const std::string_view head =
+          trim(trimmed.substr(0, static_cast<std::size_t>(cpu.data() - trimmed.data())));
       if (has_pid_suffix(head)) {
-        task = head.substr(0, head.rfind('-'));
+        // Spaces inside the comm read back as single spaces.
+        assign_ws_collapsed(task, head.substr(0, head.rfind('-')));
         std::string_view rest = trimmed.substr(first_colon + 2);
         const auto second_colon = rest.find(':');
-        event = std::string(second_colon == std::string_view::npos
-                                ? trim(rest)
-                                : trim(rest.substr(0, second_colon)));
+        const std::string_view ev = trim(
+            second_colon == std::string_view::npos ? rest : rest.substr(0, second_colon));
+        event.assign(ev.data(), ev.size());
         return !event.empty();
       }
     }
@@ -117,19 +143,18 @@ bool parse_ftrace_line(std::string_view line, std::string& task, std::string& ev
   // look like a number ("." or "..." are data, not timestamps). Only the
   // two leading tokens are extracted — no per-detail-field allocations on
   // the streaming hot path.
-  std::string_view rest = trimmed;
-  const std::string_view ts = take_ws_token(rest);
+  const std::size_t ts_length = timestamp_token_length(trimmed);
+  if (ts_length == 0) return false;
+  std::string_view rest = trimmed.substr(ts_length);
   const std::string_view ev = take_ws_token(rest);
-  if (!ev.empty() && is_timestamp_field(ts)) {
-    task.clear();
-    if (ev.find('%') == std::string_view::npos) {
-      event.assign(ev.data(), ev.size());  // reuse the caller's buffer
-    } else {
-      event = unescape_ftrace_symbol(ev);
-    }
-    return true;
+  if (ev.empty()) return false;
+  task.clear();
+  if (ev.find('%') == std::string_view::npos) {
+    event.assign(ev.data(), ev.size());  // reuse the caller's buffer
+  } else {
+    event = unescape_ftrace_symbol(ev);
   }
-  return false;
+  return true;
 }
 
 std::string escape_ftrace_symbol(std::string_view symbol) {

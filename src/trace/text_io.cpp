@@ -5,12 +5,18 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "src/base/status.h"
 #include "src/util/string_utils.h"
 
 namespace t2m {
 
+namespace {
+
+/// Applies one `# var <name> <type> [extra...]` declaration, already split
+/// into fields with `fields[0] == "var"`.
 void parse_trace_var_decl(Schema& schema, const std::vector<std::string>& fields) {
   // fields: ["var", name, type, extra...]
   if (fields.size() < 3) throw std::invalid_argument("trace: malformed '# var' line");
@@ -36,43 +42,54 @@ void parse_trace_var_decl(Schema& schema, const std::vector<std::string>& fields
   }
 }
 
+}  // namespace
+
+bool parse_trace_line(Schema& schema, std::string_view line, bool& header_done,
+                      Valuation& row) {
+  const std::string_view trimmed = trim(line);
+  if (trimmed.empty()) return false;
+  if (trimmed[0] == '#') {
+    const auto fields = split_ws(trimmed.substr(1));
+    if (!fields.empty() && fields[0] == "var") {
+      if (header_done) {
+        throw std::invalid_argument("trace: '# var' after first data row");
+      }
+      parse_trace_var_decl(schema, fields);
+    }
+    return false;
+  }
+  header_done = true;
+  std::size_t width = 0;
+  for (std::string_view rest = trimmed; !take_ws_token(rest).empty();) ++width;
+  if (width != schema.size()) {
+    throw std::invalid_argument("trace: row width " + std::to_string(width) +
+                                " does not match schema width " +
+                                std::to_string(schema.size()));
+  }
+  row.resize(width);
+  std::string_view rest = trimmed;
+  for (VarIndex i = 0; i < width; ++i) {
+    const std::string_view field = take_ws_token(rest);
+    if (schema.var(i).type == VarType::Cat) {
+      row[i] = Value::of_sym(schema.sym_id_intern(i, field));
+    } else {
+      row[i] = schema.parse_value(i, field);
+    }
+  }
+  return true;
+}
+
 Trace read_trace_text(std::istream& is) {
   Schema schema;
   std::vector<Valuation> rows;
   std::string line;
+  Valuation row;
   bool header_done = false;
   while (std::getline(is, line)) {
-    const std::string_view trimmed = trim(line);
-    if (trimmed.empty()) continue;
-    if (trimmed[0] == '#') {
-      const auto fields = split_ws(trimmed.substr(1));
-      if (!fields.empty() && fields[0] == "var") {
-        if (header_done) {
-          throw std::invalid_argument("trace: '# var' after first data row");
-        }
-        parse_trace_var_decl(schema, fields);
-      }
-      continue;
-    }
-    header_done = true;
-    const auto fields = split_ws(trimmed);
-    if (fields.size() != schema.size()) {
-      throw std::invalid_argument("trace: row width " + std::to_string(fields.size()) +
-                                  " does not match schema width " +
-                                  std::to_string(schema.size()));
-    }
-    Valuation v(schema.size());
-    for (VarIndex i = 0; i < schema.size(); ++i) {
-      if (schema.var(i).type == VarType::Cat) {
-        v[i] = Value::of_sym(schema.sym_id_intern(i, fields[i]));
-      } else {
-        v[i] = schema.parse_value(i, fields[i]);
-      }
-    }
-    rows.push_back(std::move(v));
+    if (parse_trace_line(schema, line, header_done, row)) rows.push_back(row);
   }
   Trace trace(std::move(schema));
-  for (auto& row : rows) trace.append(std::move(row));
+  for (auto& r : rows) trace.append(std::move(r));
   return trace;
 }
 

@@ -3,16 +3,21 @@
 
 #include <iosfwd>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "src/trace/trace.h"
 
 namespace t2m {
 
-/// Applies one `# var <name> <type> [extra...]` declaration (already split
-/// into fields, `fields[0] == "var"`) to `schema`. Shared by the batch
-/// reader below and the streaming TextTracePredStream.
-void parse_trace_var_decl(Schema& schema, const std::vector<std::string>& fields);
+/// Applies one line of the text format below. A `# var` declaration extends
+/// `schema`; blank lines and other comments are skipped; a data row is
+/// parsed into `row` (resized to the schema width, categorical symbols
+/// interned on first use) and the call returns true. `header_done` records
+/// that a data row was seen, after which a declaration is an error. Shared
+/// by read_trace_text and the streaming TextTracePredStream; a data row
+/// allocates nothing once `row` has its width.
+bool parse_trace_line(Schema& schema, std::string_view line, bool& header_done,
+                      Valuation& row);
 
 /// Self-describing text trace format:
 ///

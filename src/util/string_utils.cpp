@@ -1,6 +1,5 @@
 #include "src/util/string_utils.h"
 
-#include <cctype>
 #include <cerrno>
 #include <charconv>
 #include <cstdio>
@@ -16,7 +15,7 @@ namespace {
 /// parsing while "+" alone and "+-3" stay invalid.
 std::string_view strip_explicit_plus(std::string_view text, bool allow_dot) {
   if (text.size() >= 2 && text[0] == '+' &&
-      (std::isdigit(static_cast<unsigned char>(text[1])) || (allow_dot && text[1] == '.'))) {
+      (is_ascii_digit(text[1]) || (allow_dot && text[1] == '.'))) {
     text.remove_prefix(1);
   }
   return text;
@@ -44,7 +43,7 @@ bool parse_double(std::string_view text, double& value) {
   // it skips leading whitespace and accepts hex literals — so reject those
   // shapes up front to keep the strict contract identical across platforms.
   const std::string owned(text);
-  if (owned.empty() || std::isspace(static_cast<unsigned char>(owned.front())) ||
+  if (owned.empty() || is_ascii_space(owned.front()) ||
       owned.find_first_of("xX") != std::string::npos) {
     return false;
   }
@@ -71,22 +70,28 @@ std::vector<std::string> split(std::string_view text, char sep) {
 
 std::vector<std::string> split_ws(std::string_view text) {
   std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) ++i;
-    std::size_t j = i;
-    while (j < text.size() && !std::isspace(static_cast<unsigned char>(text[j]))) ++j;
-    if (j > i) out.emplace_back(text.substr(i, j - i));
-    i = j;
+  for (std::string_view token = take_ws_token(text); !token.empty();
+       token = take_ws_token(text)) {
+    out.emplace_back(token);
   }
   return out;
+}
+
+std::string_view take_ws_token(std::string_view& text) {
+  std::size_t i = 0;
+  while (i < text.size() && is_ascii_space(text[i])) ++i;
+  std::size_t j = i;
+  while (j < text.size() && !is_ascii_space(text[j])) ++j;
+  const std::string_view token = text.substr(i, j - i);
+  text.remove_prefix(j);
+  return token;
 }
 
 std::string_view trim(std::string_view text) {
   std::size_t begin = 0;
   std::size_t end = text.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) ++begin;
-  while (end > begin && std::isspace(static_cast<unsigned char>(text[end - 1]))) --end;
+  while (begin < end && is_ascii_space(text[begin])) ++begin;
+  while (end > begin && is_ascii_space(text[end - 1])) --end;
   return text.substr(begin, end - begin);
 }
 

@@ -8,6 +8,14 @@
 
 namespace t2m {
 
+/// ASCII byte classes, equal to std::isspace / std::isdigit under the "C"
+/// locale for every byte value but without the locale lookup: the trace
+/// readers call them on every byte of a multi-million-line log.
+constexpr bool is_ascii_space(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');  // \t \n \v \f \r
+}
+constexpr bool is_ascii_digit(char c) { return c >= '0' && c <= '9'; }
+
 /// Splits `text` on `sep`, keeping empty fields. The result always has
 /// (number of separators + 1) entries; in particular split("") returns {""}
 /// — one empty field, never an empty vector. Callers that want "no fields"
@@ -17,6 +25,12 @@ std::vector<std::string> split(std::string_view text, char sep);
 
 /// Splits on any run of whitespace, dropping empty fields.
 std::vector<std::string> split_ws(std::string_view text);
+
+/// Skips leading whitespace and splits off the next whitespace-delimited
+/// token; `text` is left pointing past it. Returns an empty view when no
+/// token is left. The allocation-free counterpart of split_ws for per-line
+/// parsing loops.
+std::string_view take_ws_token(std::string_view& text);
 
 /// Removes leading and trailing ASCII whitespace.
 std::string_view trim(std::string_view text);

@@ -1,8 +1,8 @@
 #ifndef T2M_UTIL_WINDOW_DEDUP_H
 #define T2M_UTIL_WINDOW_DEDUP_H
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/memory_accountant.h"
@@ -16,46 +16,51 @@ namespace t2m {
 /// mechanism shared by StreamingSegmenter (w = segmentation window) and
 /// ComplianceWindowBuilder (w = compliance length l):
 ///
-/// - a w-slot ring buffer holds the current window, so nothing of the
-///   stream's past is retained beyond the distinct-window list;
+/// - a mirrored ring holds the current window: element k of the stream is
+///   written to slots k mod w and k mod w + w, so the last w elements always
+///   sit contiguously at [head, head + w) and no push divides by w;
 /// - a polynomial rolling hash (kPolyHashBase, mod 2^64) is updated in O(1)
 ///   per element — the expiring element's contribution base^(w-1) is
 ///   subtracted before the new one is shifted in;
-/// - per-hash bucket chains index into the distinct-window list, and a
-///   candidate window is compared element-wise straight out of the ring, so
-///   the common duplicate case costs one O(w) compare and zero allocations.
+/// - an open-addressing table (linear probing, power-of-two capacity, load
+///   at most 1/2) maps the mixed hash to indices into the distinct-window
+///   list; windows whose hashes collide each keep their own slot, and a
+///   candidate is compared element-wise straight out of the ring, so the
+///   common duplicate case costs one O(w) compare and zero allocations.
 ///
-/// Memory: the ring + the distinct windows + one bucket entry per distinct
-/// window — O(w + dedup set), independent of stream length.
+/// Memory: the ring + the distinct windows + at most two table slots per
+/// distinct window — O(w + dedup set), independent of stream length.
 template <typename T>
 class StreamingWindowDedup {
 public:
   /// `w` must be positive; callers own that validation.
-  explicit StreamingWindowDedup(std::size_t w) : w_(w) {
-    ring_.resize(w);
+  explicit StreamingWindowDedup(std::size_t w) : w_(w), ring_(2 * w), table_(kMinSlots) {
     for (std::size_t i = 1; i < w; ++i) drop_coeff_ *= kPolyHashBase;
   }
 
   void push(T value) {
-    const std::size_t slot = count_ % w_;
     if (count_ >= w_) {
       // Expire the element leaving the window before it is overwritten.
-      rolling_ -= drop_coeff_ * static_cast<std::uint64_t>(ring_[slot]);
+      rolling_ -= drop_coeff_ * static_cast<std::uint64_t>(ring_[head_]);
     }
     rolling_ = rolling_ * kPolyHashBase + static_cast<std::uint64_t>(value);
-    ring_[slot] = value;
+    ring_[head_] = value;
+    ring_[head_ + w_] = value;
+    if (++head_ == w_) head_ = 0;
     ++count_;
     if (count_ < w_) return;
-    // A full window ends here: dedup against the distinct windows sharing
-    // its hash, materialise only when new.
-    auto& bucket = buckets_[hash_mix(rolling_)];
-    for (const std::uint32_t idx : bucket) {
-      if (window_equals(windows_[idx])) return;
+    // A full window ends here, at ring_[head_, head_ + w): dedup against the
+    // distinct windows sharing its hash, materialise only when new.
+    const T* current = ring_.data() + head_;
+    const std::uint64_t hash = hash_mix(rolling_);
+    std::size_t slot = hash & (table_.size() - 1);
+    for (; table_[slot].index != kEmpty; slot = (slot + 1) & (table_.size() - 1)) {
+      const Slot& s = table_[slot];
+      if (s.hash == hash && std::equal(current, current + w_, windows_[s.index].begin())) return;
     }
-    bucket.push_back(static_cast<std::uint32_t>(windows_.size()));
-    std::vector<T> window(w_);
-    for (std::size_t i = 0; i < w_; ++i) window[i] = ring_[(count_ + i) % w_];
-    windows_.push_back(std::move(window));
+    table_[slot] = Slot{hash, static_cast<std::uint32_t>(windows_.size())};
+    windows_.emplace_back(current, current + w_);
+    if (2 * windows_.size() > table_.size()) grow_table();
     // Charge the dedup set's growth in batches: per-window accountant calls
     // would put two atomics on the ingest hot path; pending bytes are flushed
     // every 256 KiB, so a configured cap is enforced with at most that much
@@ -79,17 +84,28 @@ public:
   }
 
 private:
-  bool window_equals(const std::vector<T>& window) const {
-    // The current window spans pushes count_-w .. count_-1; its oldest
-    // element sits at ring index count_ % w (the next write position).
-    for (std::size_t i = 0; i < w_; ++i) {
-      if (ring_[(count_ + i) % w_] != window[i]) return false;
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::uint32_t index = kEmpty;  ///< into windows_
+  };
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+  static constexpr std::size_t kMinSlots = 16;
+
+  /// Doubles the table and re-places every slot by its stored hash.
+  void grow_table() {
+    std::vector<Slot> old(table_.size() * 2);
+    old.swap(table_);
+    const std::size_t mask = table_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.index == kEmpty) continue;
+      std::size_t slot = s.hash & mask;
+      while (table_[slot].index != kEmpty) slot = (slot + 1) & mask;
+      table_[slot] = s;
     }
-    return true;
   }
 
   /// Rough per-distinct-window footprint beyond the elements themselves:
-  /// the vector header in windows_ plus a bucket-chain entry.
+  /// the vector header in windows_ plus its share of the hash table.
   static constexpr std::size_t kPerWindowOverhead = 32;
   static constexpr std::size_t kChargeBatchBytes = 256u << 10;
 
@@ -99,12 +115,13 @@ private:
   }
 
   std::size_t w_;
-  std::vector<T> ring_;
+  std::vector<T> ring_;  ///< 2w slots, each element written to both halves
+  std::size_t head_ = 0;  ///< next write position in [0, w)
   std::size_t count_ = 0;
   std::uint64_t rolling_ = 0;
   std::uint64_t drop_coeff_ = 1;  ///< kPolyHashBase^(w-1)
   std::vector<std::vector<T>> windows_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets_;
+  std::vector<Slot> table_;
   std::size_t pending_bytes_ = 0;
   ChargeTracker charge_;  ///< released when the dedup is destroyed
 };

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/segmentation.h"
+#include "src/util/rng.h"
 
 namespace t2m {
 namespace {
@@ -60,6 +61,24 @@ TEST(Segmentation, WindowOneListsAlphabet) {
   const auto segments = segment_sequence(seq, 1);
   EXPECT_EQ(segments.size(), 3u);  // unique symbols, order of first occurrence
   EXPECT_EQ(segments[0], (Segment{2}));
+}
+
+TEST(Segmentation, StreamingMatchesBatchWhileDedupTableGrows) {
+  // Thousands of distinct windows force the streaming dedup's hash table
+  // through many doublings; repeats interleaved with them must still be
+  // recognised after every rehash, for short and long windows alike.
+  Rng rng(77);
+  for (const std::size_t w : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+    std::vector<PredId> seq;
+    for (int i = 0; i < 20000; ++i) {
+      seq.push_back(static_cast<PredId>(rng.below(i % 3 == 0 ? 4 : 60)));
+    }
+    StreamingSegmenter segmenter(w);
+    for (const PredId p : seq) segmenter.push(p);
+    const auto streamed = segmenter.take();
+    EXPECT_GT(streamed.size(), w == 1 ? 50u : 1000u) << "w=" << w;
+    EXPECT_EQ(streamed, segment_sequence(seq, w)) << "w=" << w;
+  }
 }
 
 }  // namespace

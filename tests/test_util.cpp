@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <clocale>
+#include <cstring>
 #include <sstream>
+#include <string>
 
+#include "src/trace/ftrace_io.h"
 #include "src/util/cli.h"
 #include "src/util/csv.h"
 #include "src/util/rng.h"
@@ -25,6 +30,85 @@ TEST(StringUtils, TrimAndAffixes) {
   EXPECT_FALSE(starts_with("ab", "abc"));
   EXPECT_TRUE(ends_with("abcdef", "def"));
   EXPECT_FALSE(ends_with("ef", "def"));
+}
+
+TEST(StringUtils, AsciiClassesMatchCLocaleForEveryByte) {
+  // A C++ program starts in the "C" locale; the helpers must reproduce the
+  // <cctype> classes they replaced on the trace readers' hot paths.
+  ASSERT_STREQ(std::setlocale(LC_CTYPE, nullptr), "C");
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    EXPECT_EQ(is_ascii_space(c), std::isspace(b) != 0) << "byte " << b;
+    EXPECT_EQ(is_ascii_digit(c), std::isdigit(b) != 0) << "byte " << b;
+  }
+}
+
+TEST(StringUtils, TakeWsTokenWalksTokens) {
+  std::string_view rest = " \tab  c\v\fd \r";
+  EXPECT_EQ(take_ws_token(rest), "ab");
+  EXPECT_EQ(take_ws_token(rest), "c");
+  EXPECT_EQ(take_ws_token(rest), "d");
+  EXPECT_EQ(take_ws_token(rest), "");
+  EXPECT_TRUE(take_ws_token(rest).empty());
+}
+
+struct FtraceLineCase {
+  const char* line;
+  bool ok;
+  const char* task;
+  const char* event;
+};
+
+TEST(FtraceLineParse, KeepsResultsOnEveryShape) {
+  // The lines of the FtraceIo.* cases in test_trace.cpp, plus full-shape
+  // lines whose comm holds spaces (read back single-spaced) and whose
+  // details hold further ':' fields.
+  const FtraceLineCase cases[] = {
+      {"# tracer: nop", false, "", ""},
+      {"", false, "", ""},
+      {"   \t ", false, "", ""},
+      {"pi_stress-1234 [000] d..2 100.000001: sched_waking: comm=x pid=9", true,
+       "pi_stress", "sched_waking"},
+      {"pi_stress-1234 [000] d..2 100.000002: sched_switch_in: prev=y", true, "pi_stress",
+       "sched_switch_in"},
+      {"other-77 [000] d..2 100.000003: sched_entry: cpu=0", true, "other", "sched_entry"},
+      {"0.1 sched_waking", true, "", "sched_waking"},
+      {"0.2 sched_switch_in extra detail", true, "", "sched_switch_in"},
+      {". foo", false, "", ""},
+      {"... foo", false, "", ""},
+      {".. sched_waking detail", false, "", ""},
+      {"0.5 sched_waking", true, "", "sched_waking"},
+      {"12 sched_waking", true, "", "sched_waking"},
+      {"12", false, "", ""},
+      {"1.5 myevent [note: retry]", true, "", "myevent"},
+      {"2.0 evt [k=v] more: detail", true, "", "evt"},
+      {"3.0 evt [12] note: detail", true, "", "evt"},
+      {"1.5 myevent [0] 2.0: detail", true, "", "myevent"},
+      {"1.5 ev [0] d..2 2.0: note", true, "", "ev"},
+      {"pi_stress-1325 [001] 123.456789: sched_switch: x", true, "pi_stress", "sched_switch"},
+      {"Web Content-1234 [000] d..2 1.000000: sched_waking: comm=x", true, "Web Content",
+       "sched_waking"},
+      {"not a trace line at all", false, "", ""},
+      {"0.1 a%20b%3Ac", true, "", "a b:c"},
+      {"  Web \t Content  Proc-42  [003]  d.h1  7.5:  irq_handler_entry : irq=5: name=eth0:rx",
+       true, "Web Content Proc", "irq_handler_entry"},
+      {"kworker/0:1 x-9 [002] 8.25: workqueue:queue: work=a:b:c", true, "kworker/0:1 x",
+       "workqueue"},
+      {"a-b-17 [1] 3: ev::", true, "a-b", "ev"},
+      {"x-1 [0] 1.0: : detail", false, "x", ""},
+      {"[0] 1.0: ev: detail", false, "", ""},
+      {"name-12x [0] 1.0: ev: d", false, "", ""},
+  };
+  for (const FtraceLineCase& c : cases) {
+    std::string task = "stale";
+    std::string event = "stale";
+    const bool ok = parse_ftrace_line(c.line, task, event);
+    EXPECT_EQ(ok, c.ok) << c.line;
+    if (ok && c.ok) {
+      EXPECT_EQ(task, c.task) << c.line;
+      EXPECT_EQ(event, c.event) << c.line;
+    }
+  }
 }
 
 TEST(StringUtils, JoinAndFormat) {

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/base/schema.h"
 #include "src/base/value.h"
+#include "src/util/rng.h"
 
 namespace t2m {
 namespace {
@@ -73,6 +78,64 @@ TEST(Schema, InternGrowsSymbolTable) {
   EXPECT_EQ(schema.sym_id_intern(ev, "y"), 1);
   EXPECT_EQ(schema.sym_id_intern(ev, "x"), 0);
   EXPECT_EQ(schema.var(ev).symbols.size(), 2u);
+}
+
+TEST(Schema, InternIndexKeepsFirstOccurrenceIdsAcrossCopies) {
+  // 1000 distinct spellings, each seen several times in a shuffled stream:
+  // the hashed index must hand out ids in first-occurrence order, exactly
+  // as the linear scan it replaced.
+  Rng rng(99);
+  std::vector<std::string> stream;
+  for (int rep = 0; rep < 3; ++rep) {
+    for (int i = 0; i < 1000; ++i) stream.push_back("sym_" + std::to_string(i));
+  }
+  for (std::size_t i = stream.size() - 1; i > 0; --i) {
+    std::swap(stream[i], stream[rng.below(i + 1)]);
+  }
+  Schema schema;
+  const VarIndex ev = schema.add_cat("ev", {}, std::nullopt);
+  std::vector<std::string> first_order;
+  for (const std::string& name : stream) {
+    const auto id = schema.sym_id_intern(ev, name);
+    if (static_cast<std::size_t>(id) == first_order.size()) first_order.push_back(name);
+    ASSERT_LT(static_cast<std::size_t>(id), first_order.size());
+    EXPECT_EQ(first_order[static_cast<std::size_t>(id)], name);
+  }
+  ASSERT_EQ(first_order.size(), 1000u);
+  EXPECT_EQ(schema.var(ev).symbols, first_order);
+
+  // A copy answers with the same ids, and the two index their own growth.
+  Schema copy = schema;
+  for (std::size_t i = 0; i < first_order.size(); ++i) {
+    EXPECT_EQ(copy.sym_id_intern(ev, first_order[i]), static_cast<std::int64_t>(i));
+    EXPECT_EQ(copy.sym_id(ev, first_order[i]), static_cast<std::int64_t>(i));
+  }
+  EXPECT_EQ(copy.sym_id_intern(ev, "only_in_copy"), 1000);
+  EXPECT_EQ(schema.sym_id_intern(ev, "only_in_original"), 1000);
+  EXPECT_EQ(copy.sym_id_intern(ev, "only_in_original"), 1001);
+  EXPECT_THROW(schema.sym_id(ev, "only_in_copy"), std::invalid_argument);
+  // A moved-to schema keeps the index; the original is unaffected.
+  const Schema moved = std::move(copy);
+  EXPECT_EQ(moved.sym_id(ev, "only_in_copy"), 1000);
+  const auto pos = std::find(first_order.begin(), first_order.end(), "sym_7");
+  EXPECT_EQ(schema.sym_id(ev, "sym_7"), pos - first_order.begin());
+}
+
+TEST(Schema, InternAgreesWithDeclaredSymbols) {
+  // Symbols declared by add_cat (as a `# var ... cat` header does) are in
+  // the index from the start; a repeated spelling keeps its first id.
+  Schema schema;
+  schema.add_int("x");
+  const VarIndex ev = schema.add_cat("ev", {"IDLE", "READ", "WRITE", "READ"}, "IDLE");
+  EXPECT_EQ(schema.sym_id_intern(ev, "WRITE"), 2);
+  EXPECT_EQ(schema.sym_id_intern(ev, "READ"), 1);
+  EXPECT_EQ(schema.sym_id(ev, "READ"), 1);
+  EXPECT_EQ(schema.sym_id_intern(ev, "IDLE"), 0);
+  EXPECT_EQ(schema.sym_id_intern(ev, "FLUSH"), 4);
+  EXPECT_EQ(schema.sym_name(ev, 4), "FLUSH");
+  EXPECT_EQ(schema.parse_value(ev, "FLUSH"), Value::of_sym(4));
+  EXPECT_THROW(schema.sym_id_intern(0, "x"), std::logic_error);
+  EXPECT_THROW(schema.sym_id(0, "x"), std::logic_error);
 }
 
 TEST(Schema, DefaultSymbolMustExist) {
