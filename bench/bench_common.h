@@ -127,14 +127,6 @@ struct BenchRecord {
   /// report.h's write_bench_stats_fields / to_json, so the bench emitters
   /// cannot drift from the stats serialization everything else uses.
   LearnStats stats;
-  /// Structural fingerprint of the produced clause database
-  /// (Solver::clause_fingerprint), machine-independent: bench_check fails on
-  /// any drift against the baseline, which pins the encoding byte-identical
-  /// across PRs — in particular, proof-logging-disabled builds must keep
-  /// producing the exact database recorded before the proof plumbing
-  /// existed. 0 = not recorded (the gate only fires when both sides carry
-  /// one).
-  std::uint64_t fingerprint = 0;
 };
 
 /// Collects per-benchmark results and emits them as JSON (default:
@@ -174,8 +166,9 @@ public:
       // The full-stats snapshot stays the LAST field on the line:
       // bench_check reads flat fields by their first occurrence, so every
       // key the gates consume must appear before the nested object repeats
-      // any of them.
-      os << ", \"fingerprint\": " << r.fingerprint
+      // any of them. "fingerprint" pins the verdict's clause database:
+      // bench_check fails on any drift from a nonzero baseline value.
+      os << ", \"fingerprint\": " << r.stats.encoding_fingerprint
          << ", \"metrics\": " << to_json(r.stats) << "}"
          << (i + 1 < records_.size() ? "," : "") << "\n";
     }

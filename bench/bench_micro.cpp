@@ -9,6 +9,7 @@
 #include "src/abstraction/abstraction.h"
 #include "src/automaton/ops.h"
 #include "src/core/compliance.h"
+#include "src/core/csp_encoder.h"
 #include "src/core/learner.h"
 #include "src/core/segmentation.h"
 #include "src/sat/solver.h"
@@ -218,6 +219,32 @@ void BM_LearnSchedTracePersistent(benchmark::State& state) {
   learn_bench::run_learn(state, f.sched_preds, f.sched_schema, /*persistent=*/true);
 }
 BENCHMARK(BM_LearnSchedTracePersistent);
+
+// Clause emission on the paper's longest unsegmented chain (the rtlinux
+// trace as one segment, capacity 8 as the learner allocates it at N = 2):
+// build at N = range(0), then grow to N = 7. Arg 2 is the learner's
+// build-and-grow path, Arg 7 the direct build of the same final encoding;
+// both emit the same clause shapes, so they should cost about the same per
+// clause.
+void BM_EncodeGrowLongChain(benchmark::State& state) {
+  const auto& preds = learn_bench::fixture().sched_preds;
+  const std::vector<Segment> chain = whole_sequence(preds.seq);
+  const auto start = static_cast<std::size_t>(state.range(0));
+  CspOptions options;
+  options.state_capacity = 8;
+  std::size_t clauses = 0;
+  for (auto _ : state) {
+    AutomatonCsp csp(chain, preds.vocab.size(), start, options);
+    for (std::size_t n = start + 1; n <= 7; ++n) csp.grow_to(n);
+    clauses = csp.num_clauses();
+    benchmark::DoNotOptimize(clauses);
+  }
+  state.counters["clauses"] = static_cast<double>(clauses);
+  state.counters["per_clause"] = benchmark::Counter(
+      static_cast<double>(clauses),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EncodeGrowLongChain)->Arg(2)->Arg(7)->Unit(benchmark::kMillisecond);
 
 void BM_SynthIncrement(benchmark::State& state) {
   Schema schema;

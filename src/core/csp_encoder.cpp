@@ -18,11 +18,17 @@ namespace {
 
 constexpr std::uint32_t kNoDecodedState = std::numeric_limits<std::uint32_t>::max();
 
-/// Clause output of one emission pass, written straight into the solver.
-/// Each clause is sorted first (Solver::add_clause_presorted skips the sort
-/// but keeps the root-assignment filter). Once the solver holds
-/// `max_clauses` problem clauses, further clauses are dropped and the pass
-/// reports overflow.
+}  // namespace
+
+/// Clause output of one emission pass (run_emission), written straight into
+/// the solver's open clause batch:
+/// - emit() sorts the clause and hands it to Solver::add_clause_presorted,
+///   which keeps the root-assignment filter but neither deduplicates nor
+///   drops tautologies;
+/// - emit_normalised() hands the clause to Solver::add_clause as given, for
+///   shapes that may repeat a literal or be a tautology.
+/// Once the solver holds `max_clauses` problem clauses, further clauses are
+/// dropped and the pass reports overflow.
 class ClauseSink {
 public:
   ClauseSink(sat::Solver& solver, std::size_t max_clauses)
@@ -32,36 +38,49 @@ public:
     emit_span({lits.begin(), lits.size()}, tainted);
   }
   void emit_span(std::span<const sat::Lit> lits, bool tainted = false) {
-    if (overflowed_) return;
-    if (solver_.num_clauses() >= max_clauses_) {
-      overflowed_ = true;
-      return;
-    }
+    if (!within_budget()) return;
     sorted_.assign(lits.begin(), lits.end());
     std::sort(sorted_.begin(), sorted_.end());
     solver_.add_clause_presorted(sorted_, tainted);
   }
+  void emit_normalised(std::initializer_list<sat::Lit> lits) {
+    if (!within_budget()) return;
+    solver_.add_clause({lits.begin(), lits.size()});
+  }
   bool overflowed() const { return overflowed_; }
 
 private:
+  bool within_budget() {
+    if (overflowed_) return false;
+    if (solver_.num_clauses() >= max_clauses_) {
+      overflowed_ = true;
+      return false;
+    }
+    return true;
+  }
+
   sat::Solver& solver_;
   std::size_t max_clauses_;
   bool overflowed_ = false;
   std::vector<sat::Lit> sorted_;
 };
 
-/// Runs `build(item, sink)` for every item in [0, n_items), in order.
-/// Returns false when the clause budget was hit; the caller marks the CSP
-/// overflowed.
+namespace {
+
+/// Runs `build(item, sink)` for every item in [0, n_items), in order, inside
+/// one clause batch (sat::ClauseBatch). Returns false when the clause budget
+/// was hit; the caller marks the CSP overflowed.
 ///
 /// The deadline is polled once per 64 items. An expiry throws
-/// deadline_exceeded; the learner discards the half-built CSP and converts
-/// the escape into its timed-out verdict.
+/// deadline_exceeded; the batch still closes, attaching the clauses emitted
+/// so far, and the learner discards the half-built CSP and converts the
+/// escape into its timed-out verdict.
 template <typename BuildFn>
 bool run_emission(sat::Solver& solver, std::size_t max_clauses, std::size_t n_items,
                   const Deadline& deadline, const BuildFn& build) {
   if (n_items == 0) return true;
   T2M_SPAN("encode.emit_serial", "items", n_items);
+  sat::ClauseBatch batch(solver);
   ClauseSink sink(solver, max_clauses);
   for (std::size_t i = 0; i < n_items && !sink.overflowed(); ++i) {
     if (deadline.is_finite() && (i & 63u) == 0 && deadline.expired()) {
@@ -70,6 +89,7 @@ bool run_emission(sat::Solver& solver, std::size_t max_clauses, std::size_t n_it
     }
     build(i, sink);
   }
+  batch.close();
   return !sink.overflowed();
 }
 
@@ -185,6 +205,7 @@ sat::Lit AutomatonCsp::chain_lit(std::size_t g, std::size_t c) const {
 }
 
 void AutomatonCsp::set_overflowed(const char* where) {
+  if (overflowed_) return;
   overflowed_ = true;
   log_warn() << "AutomatonCsp: clause budget exceeded (" << where << "); giving up";
 }
@@ -242,13 +263,7 @@ void AutomatonCsp::activate_columns(std::size_t lo, std::size_t hi) {
     encode_forbidden_pair(chains_for(word), lo, hi);
     if (overflowed_) return;
   }
-  for (const auto& [key, e] : equality_list_) {
-    if (solver_.num_clauses() >= options_.max_clauses) {
-      set_overflowed("equality extension");
-      return;
-    }
-    encode_equality_columns(e, key / num_state_vars_, key % num_state_vars_, lo, hi);
-  }
+  encode_equality_columns(equality_list_, lo, hi);
 }
 
 void AutomatonCsp::encode_precedence_columns(std::size_t lo, std::size_t hi) {
@@ -372,16 +387,28 @@ void AutomatonCsp::encode_determinism_successor(std::size_t lo, std::size_t hi) 
   }
 }
 
-void AutomatonCsp::encode_equality_columns(sat::Var e, std::size_t sv_a,
-                                           std::size_t sv_b, std::size_t lo,
-                                           std::size_t hi) {
+void AutomatonCsp::encode_equality_columns(
+    std::span<const std::pair<std::uint64_t, sat::Var>> vars, std::size_t lo,
+    std::size_t hi) {
   // Vacuous for inactive columns: both clause shapes contain ~x_{a,k}, and
   // the guard assumptions hold those literals true until column k activates.
-  for (std::size_t k = lo; k < hi; ++k) {
-    // (a=k & b=k) -> e
-    solver_.add_ternary(~state_lit(sv_a, k), ~state_lit(sv_b, k), sat::pos(e));
-    // (e & a=k) -> b=k
-    solver_.add_ternary(~sat::pos(e), ~state_lit(sv_a, k), state_lit(sv_b, k));
+  // add_clause normalises: an equality of a state variable with itself
+  // repeats a literal in one shape and is a tautology in the other.
+  if (!run_emission(solver_, options_.max_clauses, vars.size(), options_.deadline,
+                    [&](std::size_t i, ClauseSink& sink) {
+                      const auto [key, e] = vars[i];
+                      const std::size_t sv_a = key / num_state_vars_;
+                      const std::size_t sv_b = key % num_state_vars_;
+                      for (std::size_t k = lo; k < hi; ++k) {
+                        // (a=k & b=k) -> e
+                        sink.emit_normalised(
+                            {~state_lit(sv_a, k), ~state_lit(sv_b, k), sat::pos(e)});
+                        // (e & a=k) -> b=k
+                        sink.emit_normalised(
+                            {~sat::pos(e), ~state_lit(sv_a, k), state_lit(sv_b, k)});
+                      }
+                    })) {
+    set_overflowed("equality extension");
   }
 }
 
@@ -391,9 +418,9 @@ sat::Var AutomatonCsp::equality_var(std::size_t sv_a, std::size_t sv_b) {
   const auto it = equality_cache_.find(key);
   if (it != equality_cache_.end()) return it->second;
   const sat::Var e = solver_.new_var();
-  encode_equality_columns(e, sv_a, sv_b, 0, num_states_);
   equality_cache_.emplace(key, e);
   equality_list_.emplace_back(key, e);
+  encode_equality_columns({&equality_list_.back(), 1}, 0, num_states_);
   return e;
 }
 
@@ -411,45 +438,55 @@ std::size_t AutomatonCsp::star_block(PredId pred, bool src_side) {
   std::sort(blk.svs.begin(), blk.svs.end());
   blk.svs.erase(std::unique(blk.svs.begin(), blk.svs.end()), blk.svs.end());
   blk.base = solver_.new_vars(capacity_);
+  const std::size_t idx = star_blocks_.size();
+  star_blocks_.push_back(std::move(blk));
+  star_index_.emplace(key, idx);
   // Membership binaries over the active columns: z_k is set whenever any
   // member state variable uses column k. One direction suffices — z is only
   // consumed negatively by the conflict binaries, so a spuriously-true z
   // can always be avoided by the solver; setting z exactly to the
   // disjunction witnesses satisfiability both ways.
-  for (const std::uint32_t sv : blk.svs) {
-    for (std::size_t k = 0; k < num_states_; ++k) {
-      solver_.add_binary(~state_lit(sv, k), sat::pos(blk.base + static_cast<sat::Var>(k)));
-    }
+  if (!run_emission(solver_, options_.max_clauses, 1, options_.deadline,
+                    [&](std::size_t, ClauseSink& sink) {
+                      emit_star_membership(star_blocks_[idx], 0, num_states_, sink);
+                    })) {
+    set_overflowed("star membership");
   }
-  const std::size_t idx = star_blocks_.size();
-  star_blocks_.push_back(std::move(blk));
-  star_index_.emplace(key, idx);
   return idx;
 }
 
-void AutomatonCsp::encode_star_columns(std::size_t lo, std::size_t hi) {
-  for (const StarBlock& blk : star_blocks_) {
-    if (solver_.num_clauses() >= options_.max_clauses) {
-      set_overflowed("star membership extension");
-      return;
-    }
-    for (const std::uint32_t sv : blk.svs) {
-      for (std::size_t k = lo; k < hi; ++k) {
-        solver_.add_binary(~state_lit(sv, k), sat::pos(blk.base + static_cast<sat::Var>(k)));
-      }
+void AutomatonCsp::emit_star_membership(const StarBlock& blk, std::size_t lo,
+                                        std::size_t hi, ClauseSink& sink) const {
+  for (const std::uint32_t sv : blk.svs) {
+    for (std::size_t k = lo; k < hi; ++k) {
+      sink.emit_normalised({~state_lit(sv, k), sat::pos(blk.base + static_cast<sat::Var>(k))});
     }
   }
-  for (const auto& [a, b] : star_words_) {
-    if (solver_.num_clauses() >= options_.max_clauses) {
-      set_overflowed("star conflict extension");
-      return;
-    }
-    const sat::Var za = star_blocks_[a].base;
-    const sat::Var zb = star_blocks_[b].base;
-    for (std::size_t k = lo; k < hi; ++k) {
-      solver_.add_binary(sat::neg(za + static_cast<sat::Var>(k)),
-                         sat::neg(zb + static_cast<sat::Var>(k)));
-    }
+}
+
+void AutomatonCsp::emit_star_conflicts(std::size_t word, std::size_t lo, std::size_t hi,
+                                       ClauseSink& sink) const {
+  const sat::Var za = star_blocks_[star_words_[word].first].base;
+  const sat::Var zb = star_blocks_[star_words_[word].second].base;
+  for (std::size_t k = lo; k < hi; ++k) {
+    sink.emit_normalised({sat::neg(za + static_cast<sat::Var>(k)),
+                          sat::neg(zb + static_cast<sat::Var>(k))});
+  }
+}
+
+void AutomatonCsp::encode_star_columns(std::size_t lo, std::size_t hi) {
+  // Items: every block's membership binaries, then every compressed word's
+  // conflict binaries.
+  const std::size_t blocks = star_blocks_.size();
+  if (!run_emission(solver_, options_.max_clauses, blocks + star_words_.size(),
+                    options_.deadline, [&](std::size_t i, ClauseSink& sink) {
+                      if (i < blocks) {
+                        emit_star_membership(star_blocks_[i], lo, hi, sink);
+                      } else {
+                        emit_star_conflicts(i - blocks, lo, hi, sink);
+                      }
+                    })) {
+    set_overflowed("star extension");
   }
 }
 
@@ -540,13 +577,14 @@ void AutomatonCsp::add_forbidden_sequence(const std::vector<PredId>& word) {
     if (options_.compress_forbidden && na * nb >= na + nb + 2) {
       const std::size_t a = star_block(word[0], /*src_side=*/false);
       const std::size_t b = star_block(word[1], /*src_side=*/true);
-      const sat::Var za = star_blocks_[a].base;
-      const sat::Var zb = star_blocks_[b].base;
-      for (std::size_t k = 0; k < num_states_; ++k) {
-        solver_.add_binary(sat::neg(za + static_cast<sat::Var>(k)),
-                           sat::neg(zb + static_cast<sat::Var>(k)));
-      }
+      if (overflowed_) return;
       star_words_.emplace_back(static_cast<std::uint32_t>(a), static_cast<std::uint32_t>(b));
+      if (!run_emission(solver_, options_.max_clauses, 1, options_.deadline,
+                        [&](std::size_t, ClauseSink& sink) {
+                          emit_star_conflicts(star_words_.size() - 1, 0, num_states_, sink);
+                        })) {
+        set_overflowed("star conflict");
+      }
       return;
     }
     const std::vector<ForbiddenChainCache::Chain>& chains = chains_for(word);
@@ -577,6 +615,7 @@ void AutomatonCsp::add_forbidden_sequence(const std::vector<PredId>& word) {
     for (const auto& [dst_sv, src_sv] : adj) {
       clause.push_back(~sat::pos(equality_var(dst_sv, src_sv)));
     }
+    if (overflowed_) return;  // an equality variable's clauses hit the budget
     solver_.add_clause(clause);
   }
 }

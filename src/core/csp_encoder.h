@@ -2,6 +2,7 @@
 #define T2M_CORE_CSP_ENCODER_H
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -95,6 +96,9 @@ struct CspOptions {
   /// which bounds the search itself.
   Deadline deadline;
 };
+
+/// Clause output of one emission pass (csp_encoder.cpp).
+class ClauseSink;
 
 /// The automaton-existence hypothesis of Algorithm 1 (lines 18-33), encoded
 /// directly to CNF over our CDCL solver instead of a C program over CBMC.
@@ -261,10 +265,19 @@ private:
   /// predicate/side (creating it, with its membership binaries over the
   /// active columns, on first use).
   std::size_t star_block(PredId pred, bool src_side);
+  struct StarBlock;
+  /// Membership binaries of `blk` over columns [lo, hi).
+  void emit_star_membership(const StarBlock& blk, std::size_t lo, std::size_t hi,
+                            ClauseSink& sink) const;
+  /// Conflict binaries of compressed word `word` (index into star_words_).
+  void emit_star_conflicts(std::size_t word, std::size_t lo, std::size_t hi,
+                           ClauseSink& sink) const;
+  /// Extends every star block and compressed word to columns [lo, hi).
   void encode_star_columns(std::size_t lo, std::size_t hi);
   void set_overflowed(const char* where);
-  /// Emits the equality semantics of `e` over columns [lo, hi).
-  void encode_equality_columns(sat::Var e, std::size_t sv_a, std::size_t sv_b,
+  /// Emits the equality semantics of each (key, e) in `vars` over columns
+  /// [lo, hi), in order.
+  void encode_equality_columns(std::span<const std::pair<std::uint64_t, sat::Var>> vars,
                                std::size_t lo, std::size_t hi);
   /// Variable forced to track `state_var_a == state_var_b`; memoised per
   /// (sv_a, sv_b) so repeated adjacencies across forbidden chains reuse one

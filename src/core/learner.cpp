@@ -659,6 +659,7 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
           log_info() << "learner: Unsat core independent of the state count at N = "
                      << n << "; stopping the search";
           absorb_solver_stats(*csp);
+          result.stats.encoding_fingerprint = csp->encoding_fingerprint();
           result.preds = std::move(preds);
           result.stats.construction_seconds = construction_watch.elapsed_seconds();
           result.stats.total_seconds = total.elapsed_seconds();
@@ -710,6 +711,7 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
       }
       if (compliance.compliant) {
         absorb_solver_stats(*csp);
+        result.stats.encoding_fingerprint = csp->encoding_fingerprint();
         candidate.set_pred_names(preds.names_for(schema));
         result.success = true;
         result.model = std::move(candidate);
@@ -760,7 +762,10 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
   }
 
   // Exhausted the state budget.
-  if (csp) absorb_solver_stats(*csp);
+  if (csp) {
+    absorb_solver_stats(*csp);
+    result.stats.encoding_fingerprint = csp->encoding_fingerprint();
+  }
   result.preds = std::move(preds);
   result.stats.construction_seconds = construction_watch.elapsed_seconds();
   result.stats.total_seconds = total.elapsed_seconds();

@@ -142,6 +142,11 @@ struct LearnStats {
   /// Times the assumption-core early stop fired (0 or 1 per run): the
   /// persistent solver proved the instance Unsat for every state count.
   std::size_t core_stops = 0;
+  /// Solver::clause_fingerprint() of the CSP that produced the verdict (the
+  /// model's, or the Unsat proof's that ended the search); 0 when the run
+  /// ended without one (timeout, clause budget, memory). Pins the emitted
+  /// encoding: bench_check compares it with the baseline.
+  std::uint64_t encoding_fingerprint = 0;
   /// Always false: prefix refinement never abandons trace acceptance. Kept
   /// so stats readers that consult it still compile and read "not relaxed".
   bool acceptance_relaxed = false;
@@ -155,7 +160,8 @@ struct LearnStats {
   /// and portfolio drivers report instead of one arbitrary worker's numbers:
   /// work counters add up, sizes describing the (shared) input and the
   /// wall-clock phases take the maximum (parallel runs overlap), flags OR.
-  /// The per-configuration `portfolio` breakdown is left untouched.
+  /// The per-configuration `portfolio` breakdown and the verdict's
+  /// `encoding_fingerprint` are left untouched.
   LearnStats& operator+=(const LearnStats& other);
 };
 

@@ -144,6 +144,7 @@ std::string to_json(const LearnStats& stats) {
      << ", \"sat_learned_clauses\": " << stats.sat_learned_clauses
      << ", \"sat_peak_arena_bytes\": " << stats.sat_peak_arena_bytes
      << ", \"core_stops\": " << stats.core_stops
+     << ", \"encoding_fingerprint\": " << stats.encoding_fingerprint
      << ", \"acceptance_relaxed\": " << json_bool(stats.acceptance_relaxed)
      << ", \"abstraction_seconds\": " << format_double(stats.abstraction_seconds, 6)
      << ", \"construction_seconds\": " << format_double(stats.construction_seconds, 6)

@@ -194,6 +194,8 @@ bool Solver::finish_add_clause(std::span<const Lit> lits, bool tainted) {
     return false;
   }
   if (lits.size() == 1) {
+    // Propagation must see every clause added before the unit.
+    if (batch_open_) attach_pending();
     if (tainted) root_taint_[static_cast<std::size_t>(lits[0].var())] = 1;
     enqueue(lits[0], kNoReason);
     if (propagate() != kNoReason) set_unsat();
@@ -202,8 +204,39 @@ bool Solver::finish_add_clause(std::span<const Lit> lits, bool tainted) {
   const ClauseRef cref = alloc_clause(lits, /*learned=*/false, tainted);
   problem_clauses_.push_back(cref);
   ++num_problem_clauses_;
-  attach_clause(cref);
+  if (!batch_open_) attach_clause(cref);
   return true;
+}
+
+void Solver::begin_batch() {
+  assert(!batch_open_);
+  batch_open_ = true;
+  batch_begin_ = problem_clauses_.size();
+}
+
+void Solver::end_batch() {
+  assert(batch_open_);
+  try {
+    attach_pending();
+  } catch (...) {
+    // Keep the database consistent with its watch lists: drop the clauses
+    // attach_pending() did not reach.
+    for (std::size_t i = batch_begin_; i < problem_clauses_.size(); ++i) {
+      log_remove(problem_clauses_[i]);
+      arena_.mark_deleted(problem_clauses_[i]);
+    }
+    num_problem_clauses_ -= problem_clauses_.size() - batch_begin_;
+    problem_clauses_.resize(batch_begin_);
+    batch_open_ = false;
+    throw;
+  }
+  batch_open_ = false;
+}
+
+void Solver::attach_pending() {
+  for (; batch_begin_ < problem_clauses_.size(); ++batch_begin_) {
+    attach_clause(problem_clauses_[batch_begin_]);
+  }
 }
 
 bool Solver::add_exactly_one(std::span<const Lit> lits) {
@@ -228,8 +261,14 @@ void Solver::attach_clause(ClauseRef cref) {
   const Lit l0 = arena_.lit(cref, 0);
   const Lit l1 = arena_.lit(cref, 1);
   const ClauseRef ref = arena_.size(cref) == 2 ? (cref | kBinaryTag) : cref;
-  watches_[static_cast<std::size_t>((~l0).code())].push_back(Watcher{ref, l1});
-  watches_[static_cast<std::size_t>((~l1).code())].push_back(Watcher{ref, l0});
+  WatcherList& first = watches_[static_cast<std::size_t>((~l0).code())];
+  first.push_back(Watcher{ref, l1});
+  try {
+    watches_[static_cast<std::size_t>((~l1).code())].push_back(Watcher{ref, l0});
+  } catch (...) {
+    first.resize(first.size() - 1);  // all or nothing
+    throw;
+  }
 }
 
 void Solver::enqueue(Lit l, ClauseRef reason) {
@@ -612,6 +651,7 @@ void Solver::reset_branching_heuristics() {
 
 void Solver::simplify() {
   assert(decision_level() == 0);
+  assert(!batch_open_);
   if (trail_.size() == simplified_up_to_) return;  // no new root facts
   simplified_up_to_ = trail_.size();
   ++stats_.simplify_rounds;
@@ -655,6 +695,7 @@ void Solver::maybe_garbage_collect() {
 }
 
 void Solver::garbage_collect() {
+  assert(!batch_open_);
   T2M_SPAN("solver.gc", "wasted_words", arena_.wasted_words());
   ClauseArena to;
   to.reserve_words(arena_.size_words() - arena_.wasted_words());
@@ -706,6 +747,7 @@ std::uint64_t Solver::luby(std::uint64_t i) {
 }
 
 SolveResult Solver::solve(std::span<const Lit> assumptions) {
+  assert(!batch_open_);
   ++stats_.solves;
   T2M_SPAN_SCOPE(solve_span, "solver.solve", "epoch", stats_.solves, "clauses",
                  num_problem_clauses_);
@@ -935,6 +977,7 @@ Status Solver::check_invariants() const {
   const auto fail = [](std::string msg) {
     return Status::Internal("check_invariants: " + std::move(msg));
   };
+  if (batch_open_) return fail("clause batch still open");
   const std::size_t n = assign_.size();
   if (level_.size() != n || reason_.size() != n || saved_phase_.size() != n ||
       root_taint_.size() != n || seen_.size() != n || activity_.size() != n ||

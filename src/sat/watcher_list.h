@@ -72,6 +72,7 @@ public:
   }
 
   std::size_t size() const { return size_; }
+  std::size_t capacity() const { return cap_; }
   bool empty() const { return size_ == 0; }
 
   Watcher& operator[](std::size_t i) {

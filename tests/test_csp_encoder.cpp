@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/abstraction/abstraction.h"
@@ -503,6 +505,45 @@ TEST(ClauseBudget, OverflowIsDetectedDuringEmission) {
   EXPECT_TRUE(csp.overflowed());
   EXPECT_EQ(csp.solve(), sat::SolveResult::Unknown);
   EXPECT_LE(csp.num_clauses(), options.max_clauses + 1) << "overshot the budget";
+}
+
+TEST(ClauseBudget, StarAndEqualityEmissionStopAtTheBudget) {
+  // The star membership and conflict binaries and the equality-variable
+  // clauses go through the same per-clause budget check as every other
+  // emission path: a budget a few clauses past construction is hit exactly.
+  struct Case {
+    std::vector<Segment> segments;
+    std::vector<PredId> word;
+  };
+  const Case cases[] = {
+      {bulky_segments(), {0, 1}},                     // star-compressed pair
+      {{{0, 1, 2, 3}, {1, 2, 3, 0}}, {1, 2, 3}},  // equality variables
+  };
+  for (const Case& c : cases) {
+    const std::size_t built = AutomatonCsp(c.segments, 4, 3, CspOptions{}).num_clauses();
+    CspOptions options;
+    options.max_clauses = built + 5;
+    AutomatonCsp csp(c.segments, 4, 3, options);
+    ASSERT_FALSE(csp.overflowed());
+    csp.add_forbidden_sequence(c.word);
+    EXPECT_TRUE(csp.overflowed()) << c.word.size();
+    EXPECT_EQ(csp.num_clauses(), options.max_clauses) << c.word.size();
+  }
+}
+
+TEST(ClauseBudget, StarEmissionPollsTheDeadline) {
+  CspOptions options;
+  options.deadline = Deadline::after_seconds(0.2);
+  AutomatonCsp csp(bulky_segments(), 4, 3, options);
+  while (!options.deadline.expired()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  try {
+    csp.add_forbidden_sequence({0, 1});  // star-compressed
+    ADD_FAILURE() << "star emission ignored the expired deadline";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::deadline_exceeded);
+  }
 }
 
 TEST(ClauseBudget, LearnerReportsBudgetExceeded) {

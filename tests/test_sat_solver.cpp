@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 #include "src/sat/dimacs.h"
 #include "src/sat/solver.h"
@@ -259,6 +260,145 @@ TEST(SatSolver, ConflictBudgetReturnsUnknown) {
   add_pigeonhole(s, 8);
   s.set_conflict_budget(5);
   EXPECT_EQ(s.solve(), SolveResult::Unknown);
+}
+
+// --- batched clause emission ------------------------------------------------
+
+/// Random clauses over `vars` variables, each satisfied by one hidden
+/// assignment (so root propagation never conflicts): mostly ternaries and
+/// quaternaries, a few units so that root propagation runs between
+/// additions, and a hub literal whose watch list spills to the heap and
+/// doubles several times within one batch.
+std::vector<Clause> random_clause_list(Rng& rng, std::size_t vars) {
+  std::vector<bool> hidden(vars);
+  for (std::size_t v = 1; v < vars; ++v) hidden[v] = rng.chance(0.5);
+  std::vector<Clause> clauses;
+  while (clauses.size() < 1500) {
+    Clause clause;
+    if (clauses.size() % 2 == 0) clause.push_back(neg(0));  // the hub; hidden[0] is false
+    const std::size_t width = rng.chance(0.004) ? 1 : rng.chance(0.1) ? 2 : 3 + rng.below(2);
+    bool satisfied = !clause.empty();
+    while (clause.size() < width) {
+      const auto v = static_cast<Var>(1 + rng.below(vars - 1));
+      const bool negated = rng.chance(0.5);
+      satisfied = satisfied || hidden[static_cast<std::size_t>(v)] != negated;
+      clause.push_back(Lit(v, negated));
+    }
+    if (satisfied) clauses.push_back(std::move(clause));
+  }
+  return clauses;
+}
+
+/// Adds `clauses` to a fresh solver. With `batched`, random runs of clauses
+/// go through a ClauseBatch; the rest are added one by one.
+void fill_solver(Solver& s, std::size_t vars, const std::vector<Clause>& clauses,
+                 bool batched, std::uint64_t seed) {
+  s.new_vars(vars);
+  Rng rng(seed);
+  std::size_t i = 0;
+  while (i < clauses.size()) {
+    const std::size_t run = std::min(clauses.size() - i, 1 + rng.below(800));
+    const bool in_batch = batched && rng.chance(0.8);
+    if (in_batch) {
+      ClauseBatch batch(s);
+      for (std::size_t end = i + run; i < end; ++i) s.add_clause(clauses[i]);
+      batch.close();
+    } else {
+      for (std::size_t end = i + run; i < end; ++i) s.add_clause(clauses[i]);
+    }
+  }
+}
+
+TEST(ClauseBatch, MatchesOneByOneAdding) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const std::size_t vars = 60 + rng.below(60);
+    const std::vector<Clause> clauses = random_clause_list(rng, vars);
+    Solver one_by_one;
+    Solver batched;
+    fill_solver(one_by_one, vars, clauses, /*batched=*/false, seed);
+    fill_solver(batched, vars, clauses, /*batched=*/true, seed);
+    ASSERT_TRUE(batched.check_invariants().ok()) << batched.check_invariants().to_string();
+    EXPECT_EQ(batched.clause_fingerprint(), one_by_one.clause_fingerprint()) << "seed " << seed;
+    ASSERT_FALSE(one_by_one.in_unsat_state()) << "seed " << seed;
+    EXPECT_FALSE(batched.in_unsat_state()) << "seed " << seed;
+    // Before any solve the export is exactly the root trail, in order.
+    EXPECT_EQ(batched.export_clauses(0), one_by_one.export_clauses(0)) << "seed " << seed;
+    for (Var v = 0; v < static_cast<Var>(vars); ++v) {
+      for (const Lit p : {pos(v), neg(v)}) {
+        const WatcherList& want = one_by_one.watchers(p);
+        const WatcherList& got = batched.watchers(p);
+        ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " lit " << p.debug_string();
+        // Same pushes, same doubling: deferring adds no memory.
+        EXPECT_EQ(got.capacity(), want.capacity()) << "seed " << seed;
+        for (std::size_t w = 0; w < want.size(); ++w) {
+          EXPECT_EQ(got[w].clause, want[w].clause);
+          EXPECT_EQ(got[w].blocker, want[w].blocker);
+        }
+      }
+    }
+    EXPECT_EQ(one_by_one.solve(), SolveResult::Sat) << "seed " << seed;
+    EXPECT_EQ(batched.solve(), SolveResult::Sat) << "seed " << seed;
+    EXPECT_EQ(batched.stats().conflicts, one_by_one.stats().conflicts) << "seed " << seed;
+  }
+}
+
+TEST(ClauseBatch, UnitPropagatesThroughClausesOfItsOwnBatch) {
+  Solver s;
+  const Var a = s.new_var();
+  const Var b = s.new_var();
+  const Var c = s.new_var();
+  const Var d = s.new_var();
+  ClauseBatch batch(s);
+  ASSERT_TRUE(s.add_binary(neg(a), pos(b)));
+  ASSERT_TRUE(s.add_binary(neg(b), pos(c)));
+  ASSERT_TRUE(s.add_unit(pos(a)));  // propagates a -> b -> c
+  // Root filtering sees c true, so this clause is satisfied and dropped, and
+  // the next one reduces to the unit d.
+  const std::size_t clauses = s.num_clauses();
+  ASSERT_TRUE(s.add_binary(pos(c), pos(d)));
+  EXPECT_EQ(s.num_clauses(), clauses);
+  ASSERT_TRUE(s.add_binary(neg(c), pos(d)));
+  EXPECT_FALSE(s.add_unit(neg(d)));  // contradicts the propagated d
+  batch.close();
+  EXPECT_TRUE(s.in_unsat_state());
+  EXPECT_TRUE(s.check_invariants().ok());
+  EXPECT_EQ(s.solve(), SolveResult::Unsat);
+}
+
+TEST(ClauseBatch, ClosesWhenAnExceptionUnwindsThroughIt) {
+  // (a | b), (~a | b), (a | ~b) leave only a = b = true; the clause added
+  // after the throw never arrives.
+  Solver s;
+  const Var a = s.new_var();
+  const Var b = s.new_var();
+  try {
+    ClauseBatch batch(s);
+    s.add_binary(pos(a), pos(b));
+    s.add_binary(neg(a), pos(b));
+    s.add_binary(pos(a), neg(b));
+    throw std::runtime_error("emission cut short");
+  } catch (const std::runtime_error&) {
+  }
+  const Status audit = s.check_invariants();
+  EXPECT_TRUE(audit.ok()) << audit.to_string();
+  ASSERT_EQ(s.solve(), SolveResult::Sat);
+  EXPECT_TRUE(s.model_value(a));
+  EXPECT_TRUE(s.model_value(b));
+  // The solver stays usable: a later clause makes it Unsat.
+  s.add_binary(neg(a), neg(b));
+  EXPECT_EQ(s.solve(), SolveResult::Unsat);
+}
+
+TEST(ClauseBatch, InvariantAuditReportsAnOpenBatch) {
+  Solver s;
+  const Var a = s.new_var();
+  const Var b = s.new_var();
+  ClauseBatch batch(s);
+  s.add_binary(pos(a), pos(b));
+  EXPECT_FALSE(s.check_invariants().ok());
+  batch.close();
+  EXPECT_TRUE(s.check_invariants().ok());
 }
 
 // --- randomised cross-check against brute force ---------------------------

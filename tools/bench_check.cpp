@@ -12,11 +12,10 @@
 // timeout gates still apply.
 //
 // When both the baseline entry and the result carry a nonzero "fingerprint"
-// (the structural clause-database hash the encode benches record), they must
-// match exactly: the fingerprint is machine-independent, so any drift means
-// the encoder changed the emitted clauses — in particular it pins the
-// proof-logging zero-cost claim, since the baseline values were produced by
-// a proof-logging-disabled encode (docs/proof_checking.md).
+// (the clause-database hash of the CSP behind the run's verdict,
+// LearnStats::encoding_fingerprint), they must match exactly: the
+// fingerprint is machine-independent, so any drift means the encoder
+// changed the emitted clauses or the search ended on a different database.
 //
 // A baseline entry carrying a nested "metrics" snapshot (the full-stats
 // object BenchResultsJson appends as the last field of each line) requires
