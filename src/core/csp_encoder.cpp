@@ -115,12 +115,22 @@ AutomatonCsp::AutomatonCsp(const std::vector<Segment>& segments, std::size_t num
     if (segment.empty()) continue;
     const std::size_t first_var = num_state_vars_;
     num_state_vars_ += segment.size() + 1;
+    if (lead_end_sv_ == kNoStateVar) {
+      lead_end_sv_ = first_var + segment.size();
+      base_lead_length_ = segment.size();
+    } else {
+      others_.emplace_back(static_cast<std::uint32_t>(preds_of_transition_.size()),
+                           static_cast<std::uint32_t>(segment.size()));
+    }
     for (std::size_t j = 0; j < segment.size(); ++j) {
       preds_of_transition_.push_back(segment[j]);
       src_var_.push_back(first_var + j);
       dst_var_.push_back(first_var + j + 1);
     }
   }
+
+  base_state_vars_ = num_state_vars_;
+  base_transitions_ = preds_of_transition_.size();
 
   // One-hot blocks of capacity_ columns, then the precedence chains of
   // columns [1, capacity_-2), in one contiguous batch. The chain of column
@@ -167,33 +177,180 @@ AutomatonCsp::AutomatonCsp(const std::vector<Segment>& segments, std::size_t num
     }
   }
 
+  encode_at_least_one(0, num_states_);
+  activate_columns(0, num_states_);
+}
+
+void AutomatonCsp::encode_at_least_one(std::size_t sv_lo, std::size_t guard_lo) {
   // At-least-one over the full block width (tainted: it is the one clause
   // of the encoding whose literal set depends on the capacity, so nothing
   // derived from it may be re-seeded into a differently-sized rebuild). In
   // persistent mode the guard binaries (act_k | ~x) restrict it to the
   // active columns under the per-solve assumptions; in fixed mode the width
-  // IS the state count.
+  // IS the state count. Guard binaries only for columns that can ever be
+  // inactive: N only grows, so columns below guard_lo never need
+  // deactivating.
   const std::size_t cap = capacity_;
-  const std::size_t n0 = num_states_;
   std::vector<sat::Lit> alo(cap);
-  if (!run_emission(solver_, options_.max_clauses, num_state_vars_, options_.deadline,
-                    [&](std::size_t sv, ClauseSink& sink) {
+  if (!run_emission(solver_, options_.max_clauses, num_state_vars_ - sv_lo, options_.deadline,
+                    [&](std::size_t i, ClauseSink& sink) {
+                      const std::size_t sv = sv_lo + i;
                       for (std::size_t k = 0; k < cap; ++k) alo[k] = state_lit(sv, k);
                       sink.emit_span(alo, /*tainted=*/true);
                       if (!act_.empty()) {
-                        // Guard binaries only for columns that can ever be
-                        // inactive: N only grows, so the first n0 columns
-                        // never need deactivating.
-                        for (std::size_t k = n0; k < cap; ++k) {
+                        for (std::size_t k = guard_lo; k < cap; ++k) {
                           sink.emit({sat::pos(act_[k]), ~state_lit(sv, k)});
                         }
                       }
                     })) {
     set_overflowed("one-hot at-least-one");
-    return;
+  }
+}
+
+void AutomatonCsp::encode_at_most_one(std::size_t sv_lo, std::size_t lo, std::size_t hi) {
+  if (!run_emission(solver_, options_.max_clauses, num_state_vars_ - sv_lo, options_.deadline,
+                    [&](std::size_t i, ClauseSink& sink) {
+                      const std::size_t sv = sv_lo + i;
+                      for (std::size_t j = std::max<std::size_t>(lo, 1); j < hi; ++j) {
+                        for (std::size_t k = 0; k < j; ++k) {
+                          sink.emit({~state_lit(sv, k), ~state_lit(sv, j)});
+                        }
+                      }
+                    })) {
+    set_overflowed("one-hot at-most-one");
+  }
+}
+
+void AutomatonCsp::extend_prefix(std::span<const PredId> tail) {
+  if (lead_end_sv_ == kNoStateVar) {
+    throw std::logic_error("AutomatonCsp::extend_prefix: no leading segment");
+  }
+  if (tail.empty() || overflowed_) return;
+  T2M_SPAN("encode.extend", "steps", tail.size(), "states", num_states_);
+  decoded_valid_ = false;
+  const std::size_t sv_lo = num_state_vars_;
+  const std::size_t t_lo = preds_of_transition_.size();
+
+  // Layout: the tail chains on from the leading segment's last state
+  // variable through one new state variable per step.
+  std::vector<std::uint32_t> new_preds;  // predicates the tail uses first
+  for (const PredId pred : tail) {
+    if (transitions_with_pred_.at(pred).empty()) {
+      new_preds.push_back(static_cast<std::uint32_t>(pred));
+    }
+    transitions_with_pred_[pred].push_back(preds_of_transition_.size());
+    preds_of_transition_.push_back(pred);
+    src_var_.push_back(lead_end_sv_);
+    dst_var_.push_back(num_state_vars_);
+    lead_end_sv_ = num_state_vars_++;
+  }
+  trans_order_.clear();
+  for (const auto& group : transitions_with_pred_) {
+    for (const std::size_t t : group) trans_order_.push_back(static_cast<std::uint32_t>(t));
   }
 
-  activate_columns(0, num_states_);
+  // Variables: the new one-hot blocks, the new precedence groups' chains
+  // (every column at once), then the successor blocks of new predicates.
+  const sat::Var blocks = solver_.new_vars(tail.size() * capacity_);
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    block_base_.push_back(blocks + static_cast<sat::Var>(i * capacity_));
+  }
+  for (std::size_t first = sv_lo; first < num_state_vars_; first += kChainStride) {
+    ext_groups_.push_back(
+        {first, capacity_ >= 3 ? solver_.new_vars(capacity_ - 2) : kVarUndef});
+  }
+  if (options_.encoding == DeterminismEncoding::Successor) {
+    for (const std::uint32_t p : new_preds) succ_base_[p] = solver_.new_vars(capacity_ * capacity_);
+  }
+
+  // Clauses, every one naming a new state variable or transition.
+  const std::size_t n = num_states_;
+  encode_at_least_one(sv_lo, n);
+  if (overflowed_) return;
+  encode_at_most_one(sv_lo, 0, n);
+  if (overflowed_) return;
+  encode_precedence_columns(0, n, sv_lo);
+  if (overflowed_) return;
+  if (options_.encoding == DeterminismEncoding::Successor) {
+    if (!encode_successor_blocks(new_preds, 0, n)) return;
+    std::vector<std::uint32_t> new_transitions(tail.size());
+    for (std::size_t i = 0; i < tail.size(); ++i) {
+      new_transitions[i] = static_cast<std::uint32_t>(t_lo + i);
+    }
+    encode_successor_links(new_transitions, 0, n);
+  } else {
+    encode_pairwise_new_transitions(t_lo);
+  }
+  if (overflowed_) return;
+  tie_covered_segments(t_lo);
+  if (overflowed_) return;
+  encode_star_members(t_lo);
+  for (std::size_t w = 0; w < words_.size() && !overflowed_; ++w) encode_word(w, t_lo);
+}
+
+std::size_t AutomatonCsp::chain_transition(std::size_t p) const {
+  return p < base_lead_length_ ? p : base_transitions_ + (p - base_lead_length_);
+}
+
+void AutomatonCsp::tie_covered_segments(std::size_t t_lo) {
+  if (!others_.empty()) {  // first extension: index the other segments
+    for (const auto& [first, length] : others_) {
+      untied_.emplace(Segment(preds_of_transition_.begin() + first,
+                              preds_of_transition_.begin() + first + length),
+                      first);
+      untied_lengths_.push_back(length);
+    }
+    others_ = {};
+    std::sort(untied_lengths_.begin(), untied_lengths_.end());
+    untied_lengths_.erase(std::unique(untied_lengths_.begin(), untied_lengths_.end()),
+                          untied_lengths_.end());
+  }
+  if (untied_.empty()) return;
+  // Every window of the leading chain that ends in the tail, in chain order:
+  // a segment equal to one is tied at its first occurrence.
+  const std::size_t old_length = base_lead_length_ + t_lo - base_transitions_;
+  const std::size_t new_length =
+      base_lead_length_ + preds_of_transition_.size() - base_transitions_;
+  const std::size_t longest = untied_lengths_.back();
+  const std::size_t first_tie = ties_.size();
+  Segment window;
+  for (std::size_t p = old_length >= longest ? old_length + 1 - longest : 0;
+       p < new_length && !untied_.empty(); ++p) {
+    for (const std::size_t length : untied_lengths_) {
+      if (p + length > new_length || p + length <= old_length) continue;
+      window.clear();
+      for (std::size_t i = p; i < p + length; ++i) {
+        window.push_back(preds_of_transition_[chain_transition(i)]);
+      }
+      const auto it = untied_.find(window);
+      if (it == untied_.end()) continue;
+      // Every state variable, not only the first one with determinism tying
+      // the rest: the direct binaries keep the Sat solves as fast as without
+      // ties (the first-only variant cost the corpus 36% in Sat time).
+      const std::size_t first = it->second;
+      ties_.emplace_back(static_cast<std::uint32_t>(src_var_[first]),
+                         static_cast<std::uint32_t>(src_var_[chain_transition(p)]));
+      for (std::size_t j = 0; j < length; ++j) {
+        ties_.emplace_back(static_cast<std::uint32_t>(dst_var_[first + j]),
+                           static_cast<std::uint32_t>(dst_var_[chain_transition(p + j)]));
+      }
+      untied_.erase(it);
+    }
+  }
+  encode_ties(first_tie, 0, num_states_);
+}
+
+void AutomatonCsp::encode_ties(std::size_t from, std::size_t lo, std::size_t hi) {
+  // x(s, k) -> x(c, k): with both one-hot, s takes c's state.
+  if (!run_emission(solver_, options_.max_clauses, ties_.size() - from, options_.deadline,
+                    [&](std::size_t i, ClauseSink& sink) {
+                      const auto [s, c] = ties_[from + i];
+                      for (std::size_t k = lo; k < hi; ++k) {
+                        sink.emit({~state_lit(s, k), state_lit(c, k)});
+                      }
+                    })) {
+    set_overflowed("segment tie");
+  }
 }
 
 sat::Lit AutomatonCsp::state_lit(std::size_t sv, std::size_t k) const {
@@ -201,7 +358,31 @@ sat::Lit AutomatonCsp::state_lit(std::size_t sv, std::size_t k) const {
 }
 
 sat::Lit AutomatonCsp::chain_lit(std::size_t g, std::size_t c) const {
-  return sat::pos(chain_base_.at(c) + static_cast<sat::Var>(g));
+  if (g < base_groups()) return sat::pos(chain_base_.at(c) + static_cast<sat::Var>(g));
+  return sat::pos(ext_groups_[g - base_groups()].chain_base + static_cast<sat::Var>(c - 1));
+}
+
+sat::Var AutomatonCsp::chain_var(std::size_t g, std::size_t c) const {
+  if (g < base_groups()) {
+    return chain_base_.at(c) == kVarUndef ? kVarUndef
+                                          : chain_base_[c] + static_cast<sat::Var>(g);
+  }
+  if (c == 0 || c + 2 > capacity_) return kVarUndef;
+  return ext_groups_.at(g - base_groups()).chain_base + static_cast<sat::Var>(c - 1);
+}
+
+AutomatonCsp::GroupSpan AutomatonCsp::group_of(std::size_t sv) const {
+  if (sv < base_state_vars_) {
+    const std::size_t g = sv / kChainStride;
+    const std::size_t first = g * kChainStride;
+    return {g, first, std::min(base_state_vars_, first + kChainStride)};
+  }
+  const auto next = std::upper_bound(
+      ext_groups_.begin(), ext_groups_.end(), sv,
+      [](std::size_t v, const ExtGroup& group) { return v < group.first; });
+  const std::size_t i = static_cast<std::size_t>(next - ext_groups_.begin()) - 1;
+  return {base_groups() + i, ext_groups_[i].first,
+          next == ext_groups_.end() ? num_state_vars_ : next->first};
 }
 
 void AutomatonCsp::set_overflowed(const char* where) {
@@ -229,17 +410,8 @@ bool AutomatonCsp::grow_to(std::size_t n) {
 void AutomatonCsp::activate_columns(std::size_t lo, std::size_t hi) {
   if (overflowed_) return;
   // At-most-one pairs whose larger column is new, one item per state variable.
-  if (!run_emission(solver_, options_.max_clauses, num_state_vars_, options_.deadline,
-                    [&](std::size_t sv, ClauseSink& sink) {
-                      for (std::size_t j = std::max<std::size_t>(lo, 1); j < hi; ++j) {
-                        for (std::size_t i = 0; i < j; ++i) {
-                          sink.emit({~state_lit(sv, i), ~state_lit(sv, j)});
-                        }
-                      }
-                    })) {
-    set_overflowed("one-hot at-most-one");
-    return;
-  }
+  encode_at_most_one(0, lo, hi);
+  if (overflowed_) return;
   encode_precedence_columns(lo, hi);
   if (overflowed_) return;
 
@@ -259,27 +431,33 @@ void AutomatonCsp::activate_columns(std::size_t lo, std::size_t hi) {
   // then equality variables in insertion order.
   encode_star_columns(lo, hi);
   if (overflowed_) return;
-  for (const auto& word : forbidden_pairs_) {
-    encode_forbidden_pair(chains_for(word), lo, hi);
+  for (const ForbiddenWord& fw : words_) {
+    if (fw.form != WordForm::Direct) continue;
+    encode_forbidden_pair(chains_for(fw.word), lo, hi);
     if (overflowed_) return;
   }
   encode_equality_columns(equality_list_, lo, hi);
+  if (overflowed_) return;
+  encode_ties(0, lo, hi);
 }
 
-void AutomatonCsp::encode_precedence_columns(std::size_t lo, std::size_t hi) {
+void AutomatonCsp::encode_precedence_columns(std::size_t lo, std::size_t hi,
+                                             std::size_t sv_lo) {
   if (num_state_vars_ == 0) return;
-  // Column k >= 2 reads the chain of column k-1; only the chain of column
-  // capacity_-2 is still unallocated here.
+  // Column k >= 2 reads the chain of column k-1; only the base groups'
+  // chain of column capacity_-2 is still unallocated here.
   for (std::size_t c = std::max<std::size_t>(lo, 2) - 1; c + 1 < hi; ++c) {
     if (chain_base_[c] != kVarUndef) continue;
-    chain_base_[c] = solver_.new_vars(num_chain_groups());
+    chain_base_[c] = solver_.new_vars(base_groups());
   }
   if (!run_emission(
-          solver_, options_.max_clauses, num_state_vars_, options_.deadline,
-          [&](std::size_t sv, ClauseSink& sink) {
-            const std::size_t g = sv / kChainStride;
-            const std::size_t first = g * kChainStride;
-            const bool group_end = sv + 1 == std::min(num_state_vars_, first + kChainStride);
+          solver_, options_.max_clauses, num_state_vars_ - sv_lo, options_.deadline,
+          [&](std::size_t i, ClauseSink& sink) {
+            const std::size_t sv = sv_lo + i;
+            const GroupSpan group = group_of(sv);
+            const std::size_t g = group.g;
+            const std::size_t first = group.first;
+            const bool group_end = sv + 1 == group.end;
             std::array<sat::Lit, kChainStride + 2> lits;
             // (lead | m(g-1,c) | x(first..end-1, c)) into `lits`.
             const auto emit = [&](sat::Lit lead, std::size_t c, std::size_t end) {
@@ -319,23 +497,41 @@ void AutomatonCsp::encode_determinism_pairwise(std::size_t lo, std::size_t hi) {
           [&](std::size_t idx, ClauseSink& sink) {
             const auto& group = transitions_with_pred_[items[idx].first];
             const std::size_t a_i = items[idx].second;
-            const std::size_t a = group[a_i];
             for (std::size_t b_i = a_i + 1; b_i < group.size(); ++b_i) {
-              const std::size_t b = group[b_i];
-              if (src_var_[a] == src_var_[b] && dst_var_[a] == dst_var_[b]) continue;
-              for (std::size_t k = 0; k < hi; ++k) {
-                for (std::size_t k1 = 0; k1 < hi; ++k1) {
-                  for (std::size_t k2 = 0; k2 < hi; ++k2) {
-                    if (k1 == k2) continue;
-                    if (k < lo && k1 < lo && k2 < lo) continue;  // already emitted
-                    sink.emit({~state_lit(src_var_[a], k), ~state_lit(src_var_[b], k),
-                              ~state_lit(dst_var_[a], k1), ~state_lit(dst_var_[b], k2)});
-                  }
-                }
-              }
+              emit_pairwise(group[a_i], group[b_i], lo, hi, sink);
             }
           })) {
     set_overflowed("pairwise encoding");
+  }
+}
+
+void AutomatonCsp::encode_pairwise_new_transitions(std::size_t t_lo) {
+  // One item per new transition b, paired with every earlier transition of
+  // its predicate (old ones and earlier new ones) over the active columns.
+  if (!run_emission(solver_, options_.max_clauses, preds_of_transition_.size() - t_lo,
+                    options_.deadline, [&](std::size_t i, ClauseSink& sink) {
+                      const std::size_t b = t_lo + i;
+                      for (const std::size_t a : transitions_with_pred_[preds_of_transition_[b]]) {
+                        if (a == b) break;
+                        emit_pairwise(a, b, 0, num_states_, sink);
+                      }
+                    })) {
+    set_overflowed("pairwise encoding");
+  }
+}
+
+void AutomatonCsp::emit_pairwise(std::size_t a, std::size_t b, std::size_t lo,
+                                 std::size_t hi, ClauseSink& sink) const {
+  if (src_var_[a] == src_var_[b] && dst_var_[a] == dst_var_[b]) return;
+  for (std::size_t k = 0; k < hi; ++k) {
+    for (std::size_t k1 = 0; k1 < hi; ++k1) {
+      for (std::size_t k2 = 0; k2 < hi; ++k2) {
+        if (k1 == k2) continue;
+        if (k < lo && k1 < lo && k2 < lo) continue;  // already emitted
+        sink.emit({~state_lit(src_var_[a], k), ~state_lit(src_var_[b], k),
+                   ~state_lit(dst_var_[a], k1), ~state_lit(dst_var_[b], k2)});
+      }
+    }
   }
 }
 
@@ -347,12 +543,18 @@ void AutomatonCsp::encode_determinism_successor(std::size_t lo, std::size_t hi) 
   for (std::size_t p = 0; p < num_preds_; ++p) {
     if (!transitions_with_pred_[p].empty()) used_preds.push_back(static_cast<std::uint32_t>(p));
   }
+  if (!encode_successor_blocks(used_preds, lo, hi)) return;
+  encode_successor_links(trans_order_, lo, hi);
+}
+
+bool AutomatonCsp::encode_successor_blocks(std::span<const std::uint32_t> preds,
+                                           std::size_t lo, std::size_t hi) {
   // Phase 1: at-most-one per (source state, predicate) successor block; for
   // sources already active only the pairs reaching into the new columns are
   // missing.
-  if (!run_emission(solver_, options_.max_clauses, used_preds.size(), options_.deadline,
+  if (!run_emission(solver_, options_.max_clauses, preds.size(), options_.deadline,
                     [&](std::size_t pi, ClauseSink& sink) {
-                      const sat::Var succ_base = succ_base_[used_preds[pi]];
+                      const sat::Var succ_base = succ_base_[preds[pi]];
                       const auto succ = [&](std::size_t k, std::size_t k2) {
                         return sat::pos(succ_base + static_cast<sat::Var>(k * capacity_ + k2));
                       };
@@ -365,13 +567,18 @@ void AutomatonCsp::encode_determinism_successor(std::size_t lo, std::size_t hi) 
                       }
                     })) {
     set_overflowed("successor at-most-one");
-    return;
+    return false;
   }
-  // Phase 2: the transition links, one item per transition in the flattened
-  // transition order (by predicate, then group order).
-  if (!run_emission(solver_, options_.max_clauses, trans_order_.size(), options_.deadline,
+  return true;
+}
+
+void AutomatonCsp::encode_successor_links(std::span<const std::uint32_t> transitions,
+                                          std::size_t lo, std::size_t hi) {
+  // Phase 2: the transition links, one item per transition (grow time: the
+  // flattened order, by predicate, then group order).
+  if (!run_emission(solver_, options_.max_clauses, transitions.size(), options_.deadline,
                     [&](std::size_t ti, ClauseSink& sink) {
-                      const std::size_t t = trans_order_[ti];
+                      const std::size_t t = transitions[ti];
                       const sat::Var succ_base = succ_base_[preds_of_transition_[t]];
                       for (std::size_t k = 0; k < hi; ++k) {
                         for (std::size_t k2 = 0; k2 < hi; ++k2) {
@@ -397,8 +604,8 @@ void AutomatonCsp::encode_equality_columns(
   if (!run_emission(solver_, options_.max_clauses, vars.size(), options_.deadline,
                     [&](std::size_t i, ClauseSink& sink) {
                       const auto [key, e] = vars[i];
-                      const std::size_t sv_a = key / num_state_vars_;
-                      const std::size_t sv_b = key % num_state_vars_;
+                      const std::size_t sv_a = key >> 32;
+                      const std::size_t sv_b = key & 0xffffffffu;
                       for (std::size_t k = lo; k < hi; ++k) {
                         // (a=k & b=k) -> e
                         sink.emit_normalised(
@@ -413,8 +620,7 @@ void AutomatonCsp::encode_equality_columns(
 }
 
 sat::Var AutomatonCsp::equality_var(std::size_t sv_a, std::size_t sv_b) {
-  const std::uint64_t key =
-      static_cast<std::uint64_t>(sv_a) * num_state_vars_ + sv_b;
+  const std::uint64_t key = static_cast<std::uint64_t>(sv_a) << 32 | sv_b;
   const auto it = equality_cache_.find(key);
   if (it != equality_cache_.end()) return it->second;
   const sat::Var e = solver_.new_var();
@@ -448,18 +654,20 @@ std::size_t AutomatonCsp::star_block(PredId pred, bool src_side) {
   // disjunction witnesses satisfiability both ways.
   if (!run_emission(solver_, options_.max_clauses, 1, options_.deadline,
                     [&](std::size_t, ClauseSink& sink) {
-                      emit_star_membership(star_blocks_[idx], 0, num_states_, sink);
+                      emit_star_membership(star_blocks_[idx], 0, 0, num_states_, sink);
                     })) {
     set_overflowed("star membership");
   }
   return idx;
 }
 
-void AutomatonCsp::emit_star_membership(const StarBlock& blk, std::size_t lo,
-                                        std::size_t hi, ClauseSink& sink) const {
-  for (const std::uint32_t sv : blk.svs) {
+void AutomatonCsp::emit_star_membership(const StarBlock& blk, std::size_t from,
+                                        std::size_t lo, std::size_t hi,
+                                        ClauseSink& sink) const {
+  for (std::size_t m = from; m < blk.svs.size(); ++m) {
     for (std::size_t k = lo; k < hi; ++k) {
-      sink.emit_normalised({~state_lit(sv, k), sat::pos(blk.base + static_cast<sat::Var>(k))});
+      sink.emit_normalised(
+          {~state_lit(blk.svs[m], k), sat::pos(blk.base + static_cast<sat::Var>(k))});
     }
   }
 }
@@ -481,7 +689,7 @@ void AutomatonCsp::encode_star_columns(std::size_t lo, std::size_t hi) {
   if (!run_emission(solver_, options_.max_clauses, blocks + star_words_.size(),
                     options_.deadline, [&](std::size_t i, ClauseSink& sink) {
                       if (i < blocks) {
-                        emit_star_membership(star_blocks_[i], lo, hi, sink);
+                        emit_star_membership(star_blocks_[i], 0, lo, hi, sink);
                       } else {
                         emit_star_conflicts(i - blocks, lo, hi, sink);
                       }
@@ -490,25 +698,54 @@ void AutomatonCsp::encode_star_columns(std::size_t lo, std::size_t hi) {
   }
 }
 
-const std::vector<ForbiddenChainCache::Chain>& AutomatonCsp::chains_for(
-    const std::vector<PredId>& word) {
-  ForbiddenChainCache& cache = chain_cache_ ? *chain_cache_ : local_chain_cache_;
-  if (const auto* hit = cache.find(word)) return *hit;
-  // Enumerate every chain of transitions labelled by `word`, recording the
-  // consecutive dst/src state-variable adjacencies. This is the exponential
-  // part of the encoding; everything emitted from it is N-independent, so
-  // the result is cached across state-count increments. The enumeration is
-  // budget-capped: every chain emits at least one clause, so a chain count
-  // beyond max_clauses can only end in overflow anyway — give up before the
+void AutomatonCsp::encode_star_members(std::size_t t_lo) {
+  // The new transitions' state variables are new members: each is either a
+  // new state variable or the old leading-segment end, which had no
+  // outgoing transition before.
+  if (!run_emission(solver_, options_.max_clauses, star_blocks_.size(), options_.deadline,
+                    [&](std::size_t i, ClauseSink& sink) {
+                      StarBlock& blk = star_blocks_[i];
+                      const std::size_t from = blk.svs.size();
+                      for (std::size_t t = t_lo; t < preds_of_transition_.size(); ++t) {
+                        if (preds_of_transition_[t] != blk.pred) continue;
+                        blk.svs.push_back(static_cast<std::uint32_t>(
+                            blk.src_side ? src_var_[t] : dst_var_[t]));
+                      }
+                      emit_star_membership(blk, from, 0, num_states_, sink);
+                    })) {
+    set_overflowed("star membership");
+  }
+}
+
+bool AutomatonCsp::enumerate_chains(const std::vector<PredId>& word, std::size_t from,
+                                    std::vector<ForbiddenChainCache::Chain>& out) const {
+  // Enumerate every chain of transitions labelled by `word` that uses a
+  // transition of [from, end), recording the consecutive dst/src
+  // state-variable adjacencies. This is the exponential part of the
+  // encoding; everything emitted from it is N-independent, so the result is
+  // cached across state-count increments. The enumeration is budget-capped:
+  // every chain emits at least one clause, so a chain count beyond
+  // max_clauses can only end in overflow anyway — give up before the
   // product materialises (unsegmented input makes even a length-2 word
   // quadratic in its occurrence counts).
-  std::vector<ForbiddenChainCache::Chain>& chains = cache.emplace(word);
+  //
+  // Each group lists its transitions in index order, so the transitions of
+  // [from, end) are a suffix of it. A chain that has used none of them by
+  // the last position offering one takes one there; from = 0 is therefore
+  // the plain product.
+  std::size_t last_new = word.size();
+  for (std::size_t d = 0; d < word.size(); ++d) {
+    const auto& group = transitions_with_pred_.at(word[d]);
+    if (!group.empty() && group.back() >= from) last_new = d;
+  }
+  if (last_new == word.size()) return true;
   std::vector<std::size_t> chain(word.size());
   bool truncated = false;
-  const std::function<void(std::size_t)> recurse = [&](std::size_t depth) {
+  const std::function<void(std::size_t, bool)> recurse = [&](std::size_t depth,
+                                                             bool has_new) {
     if (truncated) return;
     if (depth == word.size()) {
-      if (chains.size() >= options_.max_clauses) {
+      if (out.size() >= options_.max_clauses) {
         truncated = true;
         return;
       }
@@ -518,27 +755,46 @@ const std::vector<ForbiddenChainCache::Chain>& AutomatonCsp::chains_for(
         adj.emplace_back(static_cast<std::uint32_t>(dst_var_[chain[i]]),
                          static_cast<std::uint32_t>(src_var_[chain[i + 1]]));
       }
-      chains.push_back(std::move(adj));
+      out.push_back(std::move(adj));
       return;
     }
-    for (const std::size_t t : transitions_with_pred_.at(word[depth])) {
-      chain[depth] = t;
-      recurse(depth + 1);
+    const auto& group = transitions_with_pred_[word[depth]];
+    auto it = group.begin();
+    if (!has_new && depth == last_new) it = std::lower_bound(group.begin(), group.end(), from);
+    for (; it != group.end(); ++it) {
+      chain[depth] = *it;
+      recurse(depth + 1, has_new || *it >= from);
     }
   };
-  recurse(0);
-  if (truncated) {
-    cache.erase(word);  // a partial chain set must not be shared
-    set_overflowed("forbidden-word chain enumeration");
-    static const std::vector<ForbiddenChainCache::Chain> kNoChains;
-    return kNoChains;
-  }
-  return chains;
+  recurse(0, false);
+  return !truncated;
 }
 
-void AutomatonCsp::encode_forbidden_pair(
-    const std::vector<ForbiddenChainCache::Chain>& chains, std::size_t lo,
-    std::size_t hi) {
+std::span<const ForbiddenChainCache::Chain> AutomatonCsp::chains_for(
+    const std::vector<PredId>& word, std::size_t t_lo) {
+  ForbiddenChainCache& cache = chain_cache_ != nullptr ? *chain_cache_ : local_chain_cache_;
+  ForbiddenChainCache::Entry* entry = cache.find(word);
+  if (entry == nullptr) entry = &cache.emplace(word);
+  // After an extension the entry this CSP encoded the word from covers
+  // exactly the transitions before it, so the new chains are its tail.
+  if (entry->transitions > preds_of_transition_.size() ||
+      (t_lo > 0 && entry->transitions != t_lo)) {
+    throw std::logic_error("AutomatonCsp: chain cache entry of another layout");
+  }
+  const std::size_t from = t_lo > 0 ? entry->chains.size() : 0;
+  if (entry->transitions < preds_of_transition_.size()) {
+    if (!enumerate_chains(word, entry->transitions, entry->chains)) {
+      cache.erase(word);  // a partial chain set must not be shared
+      set_overflowed("forbidden-word chain enumeration");
+      return {};
+    }
+    entry->transitions = preds_of_transition_.size();
+  }
+  return std::span<const ForbiddenChainCache::Chain>(entry->chains).subspan(from);
+}
+
+void AutomatonCsp::encode_forbidden_pair(std::span<const ForbiddenChainCache::Chain> chains,
+                                         std::size_t lo, std::size_t hi) {
   // No transition labelled word[0] may feed one labelled word[1]:
   // for all pairs (a, b): dst(a) != src(b). One item per chain.
   if (!run_emission(solver_, options_.max_clauses, chains.size(), options_.deadline,
@@ -554,18 +810,38 @@ void AutomatonCsp::encode_forbidden_pair(
 
 void AutomatonCsp::add_forbidden_sequence(const std::vector<PredId>& word) {
   if (word.empty() || overflowed_) return;
+  // A repeated word is already forbidden, and extensions encode each word
+  // once.
+  if (std::any_of(words_.begin(), words_.end(),
+                  [&word](const ForbiddenWord& fw) { return fw.word == word; })) {
+    return;
+  }
+  words_.push_back({word, word.size() <= 2 ? WordForm::Absent : WordForm::Chain});
+  encode_word(words_.size() - 1, 0);
+}
+
+void AutomatonCsp::encode_word(std::size_t w, std::size_t t_lo) {
+  const std::vector<PredId>& word = words_[w].word;
+  WordForm& form = words_[w].form;
   if (word.size() == 1) {
     // A single forbidden predicate cannot occur at all; with segments fixed
     // this is only satisfiable if no transition uses it.
-    if (!transitions_with_pred_.at(word[0]).empty()) {
+    if (form == WordForm::Absent && !transitions_with_pred_.at(word[0]).empty()) {
       // Force root-level conflict: the instance has no such automaton.
       const sat::Var v = solver_.new_var();
       solver_.add_unit(sat::pos(v));
       solver_.add_unit(sat::neg(v));
+      form = WordForm::Unit;
     }
     return;
   }
   if (word.size() == 2) {
+    if (form == WordForm::Star) return;  // new members joined the blocks
+    if (form == WordForm::Direct) {
+      encode_forbidden_pair(chains_for(word, t_lo), 0, num_states_);
+      return;
+    }
+    // Absent so far: every chain is new.
     const std::size_t na = transitions_with_pred_.at(word[0]).size();
     const std::size_t nb = transitions_with_pred_.at(word[1]).size();
     if (na == 0 || nb == 0) return;  // no such path exists, nothing to forbid
@@ -578,6 +854,7 @@ void AutomatonCsp::add_forbidden_sequence(const std::vector<PredId>& word) {
       const std::size_t a = star_block(word[0], /*src_side=*/false);
       const std::size_t b = star_block(word[1], /*src_side=*/true);
       if (overflowed_) return;
+      form = WordForm::Star;
       star_words_.emplace_back(static_cast<std::uint32_t>(a), static_cast<std::uint32_t>(b));
       if (!run_emission(solver_, options_.max_clauses, 1, options_.deadline,
                         [&](std::size_t, ClauseSink& sink) {
@@ -587,14 +864,11 @@ void AutomatonCsp::add_forbidden_sequence(const std::vector<PredId>& word) {
       }
       return;
     }
-    const std::vector<ForbiddenChainCache::Chain>& chains = chains_for(word);
-    encode_forbidden_pair(chains, 0, num_states_);
-    // Overflowed words are not recorded: grow_to would only re-run a chain
-    // enumeration already known to be too large.
-    if (!overflowed_) forbidden_pairs_.push_back(word);
+    form = WordForm::Direct;
+    encode_forbidden_pair(chains_for(word), 0, num_states_);
     return;
   }
-  const std::vector<ForbiddenChainCache::Chain>& chains = chains_for(word);
+  const std::span<const ForbiddenChainCache::Chain> chains = chains_for(word, t_lo);
   // General case: for every chain of transitions labelled by `word`, at
   // least one consecutive dst/src pair must differ. Auxiliary equality
   // variables keep this polynomial per chain. The clause itself is
@@ -621,9 +895,20 @@ void AutomatonCsp::add_forbidden_sequence(const std::vector<PredId>& word) {
 }
 
 std::size_t AutomatonCsp::reseed_from(const AutomatonCsp& old) {
-  // Only meaningful across a capacity rebuild over the same segment layout.
+  // Only meaningful across a capacity rebuild over the same layout: the
+  // same transitions between the same state variables, cut into the same
+  // precedence groups. Equal sizes alone would rename learned clauses onto
+  // the wrong state variables.
+  const auto same_groups = [&] {
+    return old.base_state_vars_ == base_state_vars_ &&
+           std::equal(old.ext_groups_.begin(), old.ext_groups_.end(), ext_groups_.begin(),
+                      ext_groups_.end(), [](const ExtGroup& a, const ExtGroup& b) {
+                        return a.first == b.first;
+                      });
+  };
   if (old.num_state_vars_ != num_state_vars_ || old.num_preds_ != num_preds_ ||
-      old.preds_of_transition_.size() != preds_of_transition_.size()) {
+      old.preds_of_transition_ != preds_of_transition_ || old.src_var_ != src_var_ ||
+      old.dst_var_ != dst_var_ || !same_groups()) {
     return 0;
   }
   sat::VarRemap remap;
@@ -635,10 +920,10 @@ std::size_t AutomatonCsp::reseed_from(const AutomatonCsp& old) {
     }
   }
   for (std::size_t c = 1; c < kmin; ++c) {
-    if (old.chain_base_[c] == kVarUndef || chain_base_[c] == kVarUndef) continue;
     for (std::size_t g = 0; g < num_chain_groups(); ++g) {
-      remap.map(old.chain_base_[c] + static_cast<sat::Var>(g),
-                chain_base_[c] + static_cast<sat::Var>(g));
+      const sat::Var from = old.chain_var(g, c);
+      const sat::Var to = chain_var(g, c);
+      if (from != kVarUndef && to != kVarUndef) remap.map(from, to);
     }
   }
   for (std::size_t k = 0; k < std::min({old.act_.size(), act_.size()}); ++k) {

@@ -22,33 +22,42 @@ namespace t2m {
 /// groups that is exponential in |w|. The enumeration depends only on the
 /// segment layout (which transition reads which predicate between which
 /// state variables), NOT on the state count N, so the learner shares one
-/// cache across its N-increment loop: re-encoding the accumulated forbidden
-/// words into a fresh N+1 CSP reuses the cached chains and only emits the
-/// (cheap, N-dependent) clauses. Sound only while the segment layout is
-/// fixed: the learner clears it whenever an acceptance refinement replaces
-/// the layout's leading segment.
+/// cache across its whole run: re-encoding the accumulated forbidden words
+/// into a fresh CSP reuses the cached chains and only emits the (cheap,
+/// N-dependent) clauses.
+///
+/// Each entry records the number of transitions it was enumerated over. A
+/// cache may be shared between CSPs whose layouts extend one another, which
+/// is what the learner builds: the original segments plus the tail chunks
+/// its prefix refinements appended (AutomatonCsp::extend_prefix), in order.
+/// A CSP with more transitions than an entry extends the entry in place with
+/// the chains through its newer transitions; one with fewer throws
+/// std::logic_error rather than read chains it does not have.
 class ForbiddenChainCache {
 public:
   /// One dst/src state-variable adjacency along a chain.
   using SvPair = std::pair<std::uint32_t, std::uint32_t>;
   /// One chain of transitions labelled by the word: |word|-1 adjacencies.
   using Chain = std::vector<SvPair>;
+  struct Entry {
+    /// The chains are every chain over transitions [0, transitions).
+    std::size_t transitions = 0;
+    std::vector<Chain> chains;
+  };
 
-  /// Returns the cached chains for `word`, or null when absent.
-  const std::vector<Chain>* find(const std::vector<PredId>& word) const {
+  /// Returns the cached entry for `word`, or null when absent.
+  Entry* find(const std::vector<PredId>& word) {
     const auto it = entries_.find(word);
     return it == entries_.end() ? nullptr : &it->second;
   }
-  std::vector<Chain>& emplace(const std::vector<PredId>& word) {
-    return entries_[word];
-  }
+  Entry& emplace(const std::vector<PredId>& word) { return entries_[word]; }
   /// Drops a partially enumerated entry (budget overflow): a truncated chain
   /// set must never be shared, it would silently under-constrain other CSPs.
   void erase(const std::vector<PredId>& word) { entries_.erase(word); }
   std::size_t size() const { return entries_.size(); }
 
 private:
-  std::unordered_map<std::vector<PredId>, std::vector<Chain>, VectorHash> entries_;
+  std::unordered_map<std::vector<PredId>, Entry, VectorHash> entries_;
 };
 
 /// How the "at most one transition per (state, predicate)" condition
@@ -149,6 +158,37 @@ class ClauseSink;
 ///    ~act_N..~act_{C-1}} force the inactive columns false, restricting it
 ///    to exactly the active width. Clauses learned under those assumptions
 ///    carry ~act_k antecedents and become vacuous once column k activates.
+///
+/// Prefix extension (extend_prefix) appends the state variables of a tail of
+/// the leading segment to the live CSP, the acceptance refinement of the
+/// learner. Soundness of extending in place:
+///  - The extended CSP holds the old clauses plus the clauses a build over
+///    the extended layout emits for the new state variables and transitions:
+///    their one-hot, guard, precedence and determinism clauses, their
+///    star-block memberships, and every forbidden-word chain through a new
+///    transition. Nothing is withdrawn, so every learned clause stays implied
+///    and the solver keeps them, with its activities and phases.
+///  - The appended state variables come last in the precedence order and
+///    start groups of their own. The renumber-by-first-occurrence argument
+///    above holds for any fixed order of the state variables and any cut of
+///    that order into runs of consecutive ones, so Unsat at N still means no
+///    N-state automaton. State variable 0 stays first, so it is still q0, and
+///    the tail hangs off the leading segment's last state variable: every
+///    model embeds the extended prefix from q0.
+///  - Apart from the full-width at-least-one and the guard binaries, the new
+///    clauses span only the active columns, so the persistent-mode argument
+///    above carries over, and grow_to() later extends them like any others.
+///  - A non-leading segment equal to a window of the extended chain is tied
+///    to the window's first occurrence: (~x(s,k) | x(c,k)) for each of its
+///    state variables s and the chain's c at the same offset. Sound: set any
+///    model's segment to the chain's states at that window (it still
+///    satisfies every constraint) and renumber. The ties make the covered
+///    segments aliases of chain positions, so precedence numbers states much
+///    as it would with the prefix first in the order; without them the
+///    N = 9 proof of a 12-state random-DFA walk took 16 times the conflicts.
+///  - Building over the same segments and replaying the same tails in order
+///    gives the same state variables, transitions, precedence groups and
+///    ties.
 class AutomatonCsp {
 public:
   AutomatonCsp(const std::vector<Segment>& segments, std::size_t num_preds,
@@ -157,12 +197,21 @@ public:
   /// Forbids any path labelled `word` (compliance refinement, line 44).
   /// Length-2 words use direct binary clauses; longer words introduce
   /// auxiliary state-equality variables (memoised per state-variable pair).
+  /// A word added before is ignored.
   void add_forbidden_sequence(const std::vector<PredId>& word);
 
   /// Shares a chain cache across CSP instances (non-owning; the learner
-  /// keeps one per learn_from_sequence run). Must only be shared between
-  /// CSPs built from the same segment layout.
+  /// keeps one per learn run). Must only be shared between CSPs whose
+  /// layouts extend one another (ForbiddenChainCache).
   void set_chain_cache(ForbiddenChainCache* cache) { chain_cache_ = cache; }
+
+  /// Prefix refinement in place: appends one state variable per step of
+  /// `tail`, chained from the last state variable of the leading segment
+  /// (the first non-empty one, as extended by earlier calls), and emits only
+  /// the clauses that name a new state variable or transition (class doc).
+  /// The solver keeps its learned clauses, activities and phases. Throws
+  /// std::logic_error when the layout has no leading segment.
+  void extend_prefix(std::span<const PredId> tail);
 
   /// Persistent mode: raises the active state count to `n` in place, keeping
   /// the solver (learned clauses, activities, phases) intact. Only the
@@ -206,13 +255,14 @@ public:
   bool overflowed() const { return overflowed_; }
 
   /// Imports the re-usable learned clauses of a previous (smaller-capacity)
-  /// CSP over the same segment layout: width-independent (untainted) learned
+  /// CSP over the same layout: width-independent (untainted) learned
   /// clauses and root facts are renamed through a VarRemap built from the
   /// structural correspondence (state bits, guards, successor slots,
   /// precedence chains, equality and star variables); clauses mentioning
   /// anything without a counterpart are dropped. Call after re-adding the
   /// forbidden words, so the equality/star layouts exist. Returns the
-  /// number imported.
+  /// number imported: 0 when the layouts differ in any transition (predicate,
+  /// source or destination state variable) or precedence group boundary.
   std::size_t reseed_from(const AutomatonCsp& old);
 
   /// Structural hash of the emitted problem clauses + root facts (see
@@ -227,13 +277,10 @@ public:
   std::size_t num_equality_vars() const { return equality_cache_.size(); }
   /// Precedence chain variable m(g, c), or -1 while column c's chain is
   /// unallocated (for tests).
-  sat::Var chain_var(std::size_t g, std::size_t c) const {
-    return chain_base_.at(c) == kVarUndef ? kVarUndef
-                                          : chain_base_[c] + static_cast<sat::Var>(g);
-  }
-  std::size_t num_chain_groups() const {
-    return (num_state_vars_ + kChainStride - 1) / kChainStride;
-  }
+  sat::Var chain_var(std::size_t g, std::size_t c) const;
+  std::size_t num_chain_groups() const { return base_groups() + ext_groups_.size(); }
+  /// State variables of the layout, tails included.
+  std::size_t num_state_vars() const { return num_state_vars_; }
 
   /// State variables per precedence-chain group (class doc).
   static constexpr std::size_t kChainStride = 4;
@@ -248,6 +295,23 @@ private:
   /// pass over the model, so repeated decode_state() lookups during model
   /// extraction are O(1) instead of an O(N) scan each.
   void decode_model() const;
+  /// Precedence groups over the constructor's state variables.
+  std::size_t base_groups() const {
+    return (base_state_vars_ + kChainStride - 1) / kChainStride;
+  }
+  /// The precedence group holding state variable `sv`: its index and the
+  /// state variables [first, end) it spans.
+  struct GroupSpan {
+    std::size_t g, first, end;
+  };
+  GroupSpan group_of(std::size_t sv) const;
+  /// One-hot at-least-one of state variables [sv_lo, end) over the full
+  /// capacity, and in persistent mode their guard binaries for columns
+  /// [guard_lo, capacity).
+  void encode_at_least_one(std::size_t sv_lo, std::size_t guard_lo);
+  /// At-most-one pairs of state variables [sv_lo, end) whose larger column
+  /// is in [lo, hi).
+  void encode_at_most_one(std::size_t sv_lo, std::size_t lo, std::size_t hi);
   /// Emits every N-dependent clause of columns [lo, hi): one-hot at-most-one
   /// pairs, determinism, and the column extensions of accumulated forbidden
   /// words and equality variables. Construction activates [0, N); grow_to()
@@ -255,25 +319,67 @@ private:
   void activate_columns(std::size_t lo, std::size_t hi);
   /// Chain variable m(g, c): "some state variable in groups <= g is state c".
   sat::Lit chain_lit(std::size_t g, std::size_t c) const;
-  /// Emits the value-precedence clauses of columns [lo, hi) (class doc).
-  void encode_precedence_columns(std::size_t lo, std::size_t hi);
+  /// Emits the value-precedence clauses of state variables [sv_lo, end)
+  /// over columns [lo, hi) (class doc).
+  void encode_precedence_columns(std::size_t lo, std::size_t hi, std::size_t sv_lo = 0);
   void encode_determinism_pairwise(std::size_t lo, std::size_t hi);
+  /// Pairwise determinism between each transition of [t_lo, end) and every
+  /// earlier transition with its predicate, over columns [0, N).
+  void encode_pairwise_new_transitions(std::size_t t_lo);
+  /// Determinism tuples of transitions a and b with a column in [lo, hi).
+  void emit_pairwise(std::size_t a, std::size_t b, std::size_t lo, std::size_t hi,
+                     ClauseSink& sink) const;
   void encode_determinism_successor(std::size_t lo, std::size_t hi);
-  void encode_forbidden_pair(const std::vector<ForbiddenChainCache::Chain>& chains,
+  /// Successor-block at-most-one pairs of predicates `preds` that reach a
+  /// column in [lo, hi); false on overflow.
+  bool encode_successor_blocks(std::span<const std::uint32_t> preds, std::size_t lo,
+                               std::size_t hi);
+  /// Successor links of `transitions` with a column in [lo, hi).
+  void encode_successor_links(std::span<const std::uint32_t> transitions, std::size_t lo,
+                              std::size_t hi);
+  void encode_forbidden_pair(std::span<const ForbiddenChainCache::Chain> chains,
                              std::size_t lo, std::size_t hi);
   /// Star-compression support: index of the z-flag block for the given
   /// predicate/side (creating it, with its membership binaries over the
   /// active columns, on first use).
   std::size_t star_block(PredId pred, bool src_side);
   struct StarBlock;
-  /// Membership binaries of `blk` over columns [lo, hi).
-  void emit_star_membership(const StarBlock& blk, std::size_t lo, std::size_t hi,
-                            ClauseSink& sink) const;
+  /// Membership binaries of `blk`'s members [from, end) over columns
+  /// [lo, hi).
+  void emit_star_membership(const StarBlock& blk, std::size_t from, std::size_t lo,
+                            std::size_t hi, ClauseSink& sink) const;
   /// Conflict binaries of compressed word `word` (index into star_words_).
   void emit_star_conflicts(std::size_t word, std::size_t lo, std::size_t hi,
                            ClauseSink& sink) const;
   /// Extends every star block and compressed word to columns [lo, hi).
   void encode_star_columns(std::size_t lo, std::size_t hi);
+  /// The transition at position p of the leading chain.
+  std::size_t chain_transition(std::size_t p) const;
+  /// Ties every not yet tied non-leading segment that equals a window of the
+  /// leading chain ending in transitions [t_lo, end) to its first such
+  /// occurrence (class doc).
+  void tie_covered_segments(std::size_t t_lo);
+  /// Tie binaries of ties_[from, end) over columns [lo, hi).
+  void encode_ties(std::size_t from, std::size_t lo, std::size_t hi);
+  /// Adds the state variables of transitions [t_lo, end) to every star
+  /// block of their predicate and side, with membership over [0, N).
+  void encode_star_members(std::size_t t_lo);
+  /// How a forbidden word is encoded (add_forbidden_sequence).
+  enum class WordForm : std::uint8_t {
+    Absent,  ///< length 1 or 2 with no labelled path in the layout yet
+    Unit,    ///< length 1: the root-level contradiction
+    Direct,  ///< length 2: one binary per chain and column
+    Star,    ///< length 2: star-compressed conflict binaries
+    Chain,   ///< length >= 3: one clause per chain over equality variables
+  };
+  struct ForbiddenWord {
+    std::vector<PredId> word;
+    WordForm form;
+  };
+  /// Encodes the chains of `words_[w]` that use a transition of [t_lo, end):
+  /// all of them for a new word (t_lo = 0), the new ones after an
+  /// extension. An Absent word is encoded in full once it has a path.
+  void encode_word(std::size_t w, std::size_t t_lo);
   void set_overflowed(const char* where);
   /// Emits the equality semantics of each (key, e) in `vars` over columns
   /// [lo, hi), in order.
@@ -283,9 +389,16 @@ private:
   /// (sv_a, sv_b) so repeated adjacencies across forbidden chains reuse one
   /// aux var instead of minting a fresh one plus 2N duplicate clauses.
   sat::Var equality_var(std::size_t sv_a, std::size_t sv_b);
-  /// Enumerates (and caches) the transition chains labelled by `word`.
-  const std::vector<ForbiddenChainCache::Chain>& chains_for(
-      const std::vector<PredId>& word);
+  /// The transition chains labelled by `word` that use a transition of
+  /// [t_lo, end): every chain for t_lo = 0, the new ones after an extension
+  /// from t_lo transitions (cached; see ForbiddenChainCache).
+  std::span<const ForbiddenChainCache::Chain> chains_for(const std::vector<PredId>& word,
+                                                         std::size_t t_lo = 0);
+  /// Appends to `out` every chain labelled by `word` that uses a transition
+  /// of [from, end), in product order. False when `out` would exceed the
+  /// clause budget.
+  bool enumerate_chains(const std::vector<PredId>& word, std::size_t from,
+                        std::vector<ForbiddenChainCache::Chain>& out) const;
 
   bool clause_budget_ok() const { return solver_.num_clauses() <= options_.max_clauses; }
 
@@ -302,23 +415,51 @@ private:
   std::vector<std::size_t> src_var_;
   std::vector<std::size_t> dst_var_;
   std::size_t num_state_vars_ = 0;
+  /// State variables laid out by the constructor; extend_prefix appends the
+  /// rest.
+  std::size_t base_state_vars_ = 0;
+  /// Last state variable of the leading segment (kNoStateVar when the
+  /// layout has none).
+  std::size_t lead_end_sv_ = kNoStateVar;
+  /// The leading chain is the constructor's leading segment, transitions
+  /// [0, base_lead_length_), then the appended ones, [base_transitions_,
+  /// end).
+  std::size_t base_lead_length_ = 0;
+  std::size_t base_transitions_ = 0;
+  /// The other segments as (first transition, length), until the first
+  /// extension moves them into untied_.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> others_;
+  /// Other segments not yet tied, by content, to their first transition,
+  /// and their distinct lengths.
+  std::unordered_map<Segment, std::size_t, VectorHash> untied_;
+  std::vector<std::size_t> untied_lengths_;
+  /// (segment state variable, chain state variable it is tied to).
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> ties_;
   /// First SAT var of each state variable's one-hot block (capacity_ wide).
   std::vector<sat::Var> block_base_;
   /// Transitions grouped by predicate (for determinism and forbidding).
   std::vector<std::vector<std::size_t>> transitions_with_pred_;
-  /// Value-precedence chains: chain_base_[c] is the first of the
-  /// num_chain_groups() variables m(., c), for c in [1, capacity_-2];
+  /// Value-precedence chains of the base groups: chain_base_[c] is the
+  /// first of the base_groups() variables m(., c), for c in [1, capacity_-2];
   /// kVarUndef for c = 0 and until allocated.
   std::vector<sat::Var> chain_base_;
+  /// Precedence groups of the appended state variables, in order: each
+  /// starts at `first` and owns the chain variables m(g, c) = chain_base +
+  /// c - 1 for c in [1, capacity_-2].
+  struct ExtGroup {
+    std::size_t first;
+    sat::Var chain_base;
+  };
+  std::vector<ExtGroup> ext_groups_;
   /// Persistent mode: per-column guard variables (empty when fixed-N).
   std::vector<sat::Var> act_;
   /// Successor-encoding aux blocks, one capacity_^2 block per used predicate
   /// (kVarUndef for unused predicates).
   std::vector<sat::Var> succ_base_;
-  /// Length-2 forbidden words already encoded, re-extended at grow time.
-  /// (Longer words reduce to equality variables, which are extended via
-  /// the equality list; their chain clause itself is width-independent.)
-  std::vector<std::vector<PredId>> forbidden_pairs_;
+  /// Every forbidden word added, in order. Direct pairs are re-extended at
+  /// grow time; star words through their blocks; longer words through the
+  /// equality list (their chain clause itself is width-independent).
+  std::vector<ForbiddenWord> words_;
   /// Flattened transition order (by predicate, then group order): the item
   /// space of the successor-link emission.
   std::vector<std::uint32_t> trans_order_;
@@ -336,7 +477,7 @@ private:
   /// Compressed forbidden pairs as (dst-block, src-block) index pairs; their
   /// per-column conflict binaries are re-extended at grow time.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> star_words_;
-  /// Memoised equality aux vars, keyed by sv_a * num_state_vars_ + sv_b.
+  /// Memoised equality aux vars, keyed by sv_a << 32 | sv_b.
   /// The map answers lookups; the vector preserves insertion order so
   /// grow-time extension is deterministic.
   std::unordered_map<std::uint64_t, sat::Var> equality_cache_;
@@ -351,6 +492,7 @@ private:
   std::vector<sat::Lit> assumptions_;
 
   static constexpr sat::Var kVarUndef = -1;
+  static constexpr std::size_t kNoStateVar = static_cast<std::size_t>(-1);
 };
 
 }  // namespace t2m

@@ -5,7 +5,6 @@
 #include <optional>
 #include <set>
 #include <span>
-#include <unordered_set>
 
 #include "src/abstraction/event_stream.h"
 #include "src/base/memory_accountant.h"
@@ -62,26 +61,6 @@ LearnResult failure_result(Status status) {
   return result;
 }
 
-/// The layout of a prefix refinement: `prefix` as the leading segment (the
-/// one the encoding starts at q0), then every other segment of `segments` that
-/// is not a window of the prefix. The prefix chain already embeds those
-/// windows, so dropping them leaves the encodable automata unchanged and
-/// keeps the rebuilt encoding, and the learn's peak memory, smaller.
-std::vector<Segment> prefix_layout(const std::vector<Segment>& segments,
-                                   std::span<const PredId> prefix) {
-  std::vector<Segment> layout{Segment(prefix.begin(), prefix.end())};
-  if (segments.size() <= 1) return layout;
-  // Every segment but the leading one is a window of one length w.
-  std::unordered_set<Segment, VectorHash> covered;
-  for (Segment& window : segment_sequence(layout.front(), segments[1].size())) {
-    covered.insert(std::move(window));
-  }
-  for (std::size_t i = 1; i < segments.size(); ++i) {
-    if (covered.count(segments[i]) == 0) layout.push_back(segments[i]);
-  }
-  return layout;
-}
-
 }  // namespace
 
 LearnStats& LearnStats::operator+=(const LearnStats& other) {
@@ -97,6 +76,7 @@ LearnStats& LearnStats::operator+=(const LearnStats& other) {
   sat_calls += other.sat_calls;
   refinements += other.refinements;
   prefix_refinements += other.prefix_refinements;
+  prefix_extensions += other.prefix_extensions;
   state_increments += other.state_increments;
   csp_builds += other.csp_builds;
   csp_grows += other.csp_grows;
@@ -511,15 +491,15 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
 
   // Forbidden sequences accumulate across N: they are facts about P. Their
   // chain enumeration is N-independent, so one cache serves every CSP this
-  // run constructs over the same segment layout (see ForbiddenChainCache).
+  // run constructs (see ForbiddenChainCache).
   std::set<std::vector<PredId>> forbidden;
   ForbiddenChainCache chain_cache;
 
-  // The encoded segment layout: the shared `segments` until the first
-  // prefix refinement, then a run-local copy whose leading segment is the
-  // longest trace prefix every accepting model must embed from q0.
-  const std::vector<Segment>* layout = &segments;
-  std::vector<Segment> refined_layout;
+  // The encoded layout is `segments` with the leading segment extended to
+  // P[0..lead_length): prefix refinements append the tails P[b..e) in order,
+  // and every build replays them.
+  std::size_t lead_length = segments.empty() ? 0 : segments.front().size();
+  std::vector<std::pair<std::size_t, std::size_t>> tails;
 
   // Fold a finished CSP's solver counters into the run totals. In the
   // persistent path one CSP spans many state counts, so this runs only when
@@ -561,9 +541,7 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
   // mode allocates headroom columns beyond n so subsequent increments are
   // in-place grows; the shared chain cache keeps re-adding the accumulated
   // forbidden words cheap, and a live CSP's width-independent learned
-  // clauses are carried over (reseed_from) before it is dropped. Callers
-  // that change the layout free the CSP first, since its clauses speak about
-  // the old state variables.
+  // clauses are carried over (reseed_from) before it is dropped.
   const auto build_csp = [&](std::size_t n) {
     T2M_SPAN("learn.build_csp", "n", n);
     std::unique_ptr<AutomatonCsp> old = std::move(csp);
@@ -577,9 +555,12 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
         config_.persistent_solver
             ? std::min(config_.max_states, n + config_.state_headroom)
             : 0;
-    csp = std::make_unique<AutomatonCsp>(*layout, preds.vocab.size(), n, options);
+    csp = std::make_unique<AutomatonCsp>(segments, preds.vocab.size(), n, options);
     csp->set_chain_cache(&chain_cache);
     csp->set_stop_flag(config_.stop);
+    for (const auto& [b, e] : tails) {
+      csp->extend_prefix(std::span<const PredId>(preds.seq).subspan(b, e - b));
+    }
     // Forbidden words before reseeding: the import needs the new CSP's
     // equality/star variable layout in place to rename against.
     for (const auto& word : forbidden) csp->add_forbidden_sequence(word);
@@ -683,14 +664,19 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
         // Prefix refinement: the candidate is deterministic and embeds the
         // leading segment from q0, so it replays at least that segment and
         // dead-ends at step `replayed`. Every accepting model embeds
-        // P[0..replayed] from q0; make that the leading segment.
-        if (replayed < layout->front().size()) {
+        // P[0..replayed] from q0; extend the leading segment to it in place.
+        if (replayed < lead_length) {
           throw_status(ErrorCode::internal,
                        "learner: candidate does not replay its pinned segment");
         }
-        refined_layout =
-            prefix_layout(segments, std::span<const PredId>(preds.seq).first(replayed + 1));
-        layout = &refined_layout;
+        {
+          T2M_SPAN("learn.grow", "n", n, "prefix", replayed + 1);
+          csp->extend_prefix(std::span<const PredId>(preds.seq)
+                                 .subspan(lead_length, replayed + 1 - lead_length));
+        }
+        tails.emplace_back(lead_length, replayed + 1);
+        lead_length = replayed + 1;
+        ++result.stats.prefix_extensions;
         // The rejected candidate is the best model seen so far — keep it for
         // salvage if the run is cut short before a full verdict.
         best_model = std::move(candidate);
@@ -700,13 +686,6 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
         obs::Progress::global().add_refinements(1);
         log_debug() << "learner: acceptance refinement to a " << replayed + 1
                     << "-step prefix at N = " << n;
-        // Rebuild at the same N over the new layout. The cached chains and
-        // the retired solver's clauses name the old state variables, so both
-        // go; freeing the CSP first keeps only one encoding alive.
-        absorb_solver_stats(*csp);
-        csp.reset();
-        chain_cache = ForbiddenChainCache{};
-        build_csp(n);
         continue;
       }
       if (compliance.compliant) {

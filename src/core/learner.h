@@ -40,9 +40,10 @@ struct LearnerConfig {
   /// P from its initial state (our strengthening over Algorithm 1: segment
   /// embedding plus compliance do not by themselves pin down a wiring that
   /// replays the trace). A compliant candidate that dead-ends at step i of P
-  /// triggers a prefix refinement: the leading segment becomes P[0..i] and
-  /// the search re-solves at the same N (see ModelLearner). A successful
-  /// learn then always returns a model that replays P.
+  /// triggers a prefix refinement: the leading segment is extended to
+  /// P[0..i] in place and the search re-solves at the same N (see
+  /// ModelLearner). A successful learn then always returns a model that
+  /// replays P.
   bool require_trace_acceptance = true;
   /// Keep ONE SAT solver alive across the whole N-increment loop (guarded
   /// one-hot encoding + per-solve assumptions, see AutomatonCsp): learned
@@ -124,11 +125,16 @@ struct LearnStats {
   /// Acceptance refinements: times the leading segment was extended to a
   /// longer trace prefix (each also counts in `refinements`).
   std::size_t prefix_refinements = 0;
+  /// Prefix refinements served in place by AutomatonCsp::extend_prefix on
+  /// the live CSP, without a rebuild.
+  std::size_t prefix_extensions = 0;
   std::size_t state_increments = 0;  ///< times N had to grow
   std::size_t forbidden_words = 0;   ///< distinct forbidden sequences learned
   // Solver-reuse trajectory: how often the run could flip assumptions on a
   // live solver versus paying for a fresh encoding.
-  std::size_t csp_builds = 0;  ///< CSP constructions (fresh path: one per N)
+  /// CSP constructions: one per N on the fresh path; one plus one per
+  /// capacity rebuild on the persistent path.
+  std::size_t csp_builds = 0;
   std::size_t csp_grows = 0;   ///< in-place state-count growths (persistent path)
   /// Learned clauses carried across capacity rebuilds via
   /// AutomatonCsp::reseed_from (persistent path only).
@@ -208,12 +214,17 @@ struct [[nodiscard]] LearnResult {
 /// precedence, see AutomatonCsp): first the window P[0..w), later a longer
 /// prefix.
 /// A candidate that passes compliance is replayed on P. If it dead-ends at
-/// step i, the leading segment becomes P[0..i] (i + 1 steps), segments that
-/// occur inside that prefix are dropped, and the CSP is rebuilt at the same
-/// N with the accumulated forbidden words.
+/// step i, the leading segment is extended to P[0..i] (i + 1 steps) in
+/// place: AutomatonCsp::extend_prefix appends the tail's state variables
+/// and clauses to the live CSP at the same N, which keeps its learned
+/// clauses, activities and phases. The other segments stay encoded; those
+/// that are windows of the prefix are tied to their first occurrence in it
+/// (see AutomatonCsp). Every later build (the next N on the fresh path, a
+/// capacity rebuild on the persistent one) encodes the original segments
+/// and replays the recorded tails in order, so its layout is the live
+/// CSP's.
 ///  - Sound: a model that replays P runs through P[0..i] from q0, so it
-///    embeds the new leading segment. The dropped segments are windows of
-///    the prefix, so the prefix chain embeds them too.
+///    embeds the extended leading segment.
 ///  - Progress: the candidate is deterministic and embeds the old leading
 ///    segment from q0, so i is at least that segment's length and the
 ///    prefix strictly grows. The candidate violates the new prefix, so it

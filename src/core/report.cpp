@@ -134,6 +134,7 @@ std::string to_json(const LearnStats& stats) {
      << ", \"sat_calls\": " << stats.sat_calls
      << ", \"refinements\": " << stats.refinements
      << ", \"prefix_refinements\": " << stats.prefix_refinements
+     << ", \"prefix_extensions\": " << stats.prefix_extensions
      << ", \"state_increments\": " << stats.state_increments
      << ", \"forbidden_words\": " << stats.forbidden_words
      << ", \"csp_builds\": " << stats.csp_builds
@@ -201,6 +202,7 @@ void publish_learn_metrics(const LearnResult& result) {
   obs::count("learn.sat_calls", s.sat_calls);
   obs::count("learn.refinements", s.refinements);
   obs::count("learn.prefix_refinements", s.prefix_refinements);
+  obs::count("learn.prefix_extensions", s.prefix_extensions);
   obs::count("learn.state_increments", s.state_increments);
   obs::count("learn.forbidden_words", s.forbidden_words);
   obs::count("learn.csp_builds", s.csp_builds);

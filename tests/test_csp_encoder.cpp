@@ -635,6 +635,226 @@ TEST(ReseedAcrossRebuilds, ImportsClausesAndPreservesVerdicts) {
   }
 }
 
+TEST(ReseedAcrossRebuilds, RefusesASameSizeDifferentLayout) {
+  // Reversing the segment order keeps the state-variable, predicate and
+  // transition counts but moves the transitions onto other state variables:
+  // a learned clause renamed across that would speak about the wrong ones.
+  const std::vector<Segment> segments = bulky_segments();
+  const std::vector<Segment> reversed(segments.rbegin(), segments.rend());
+  ASSERT_NE(segments, reversed);
+  CspOptions small_options;
+  small_options.state_capacity = 6;
+  AutomatonCsp old_csp(segments, 4, 2, small_options);
+  old_csp.add_forbidden_sequence({0, 1});
+  for (std::size_t n = 2; n <= 6; ++n) {
+    ASSERT_TRUE(old_csp.grow_to(n));
+    (void)old_csp.solve();
+  }
+  CspOptions big_options;
+  big_options.state_capacity = 8;
+  AutomatonCsp same(segments, 4, 6, big_options);
+  same.add_forbidden_sequence({0, 1});
+  EXPECT_GT(same.reseed_from(old_csp), 0u);
+  AutomatonCsp other(reversed, 4, 6, big_options);
+  other.add_forbidden_sequence({0, 1});
+  EXPECT_EQ(other.reseed_from(old_csp), 0u);
+}
+
+TEST(ReseedAcrossRebuilds, RefusesDifferentPrecedenceGroups) {
+  // {0,1} extended by {2,0,1,2} has the transition table of the single
+  // segment {0,1,2,0,1,2}, but its appended state variables start a
+  // precedence group of their own, so the chain variables differ.
+  const std::vector<PredId> tail = {2, 0, 1, 2};
+  CspOptions small_options;
+  small_options.state_capacity = 4;
+  AutomatonCsp old_csp({{0, 1}}, 3, 2, small_options);
+  old_csp.extend_prefix(tail);
+  for (std::size_t n = 2; n <= 4; ++n) {
+    ASSERT_TRUE(old_csp.grow_to(n));
+    (void)old_csp.solve();
+  }
+  CspOptions big_options;
+  big_options.state_capacity = 6;
+  AutomatonCsp replayed({{0, 1}}, 3, 4, big_options);
+  replayed.extend_prefix(tail);
+  EXPECT_GT(replayed.reseed_from(old_csp), 0u);
+  AutomatonCsp single({{0, 1, 2, 0, 1, 2}}, 3, 4, big_options);
+  ASSERT_EQ(single.num_state_vars(), replayed.num_state_vars());
+  EXPECT_EQ(single.reseed_from(old_csp), 0u);
+}
+
+/// A random word of length 1-3 over `num_preds` predicates.
+std::vector<PredId> random_word(Rng& rng, std::size_t num_preds) {
+  std::vector<PredId> word(1 + rng.below(3));
+  for (PredId& p : word) p = static_cast<PredId>(rng.below(num_preds));
+  return word;
+}
+
+/// `segments` with its leading segment extended by `tail`: the layout a
+/// direct build over the refined prefix encodes.
+std::vector<Segment> prefix_layout(std::vector<Segment> segments, const Segment& tail) {
+  segments.front().insert(segments.front().end(), tail.begin(), tail.end());
+  return segments;
+}
+
+/// A Sat model of an extended CSP embeds every segment of `layout` and
+/// replays its leading segment from q0.
+void expect_prefix_model(const Nfa& model, const std::vector<Segment>& layout,
+                         const std::string& what) {
+  validate_model(model, layout);
+  EXPECT_EQ(model.replay_length(layout.front()), layout.front().size()) << what;
+}
+
+TEST(ExtendPrefix, MatchesADirectBuildAtEveryN) {
+  // Random layouts and forbidden words of lengths 1-3, some over a
+  // predicate only the tail uses, with the tail appended at a random N of a
+  // persistent CSP (then grown to 6) and to a fixed-N CSP: every verdict
+  // equals a direct build over the prefix layout, in both encodings.
+  Rng rng(0xe7e);
+  for (int c = 0; c < 160; ++c) {
+    const std::size_t num_preds = 2 + rng.below(3);
+    // The last predicate appears only in the tail (when drawn there).
+    std::vector<Segment> segments(1 + rng.below(3));
+    for (Segment& segment : segments) {
+      segment.resize(1 + rng.below(3));
+      for (PredId& p : segment) p = static_cast<PredId>(rng.below(num_preds - 1));
+    }
+    Segment tail(1 + rng.below(4));
+    for (PredId& p : tail) p = static_cast<PredId>(rng.below(num_preds));
+    std::vector<std::vector<PredId>> before(rng.below(4));
+    for (auto& word : before) word = random_word(rng, num_preds);
+    std::vector<std::vector<PredId>> after(rng.below(3));
+    for (auto& word : after) word = random_word(rng, num_preds);
+    const std::vector<Segment> layout = prefix_layout(segments, tail);
+    CspOptions options;
+    options.encoding = c % 2 == 0 ? DeterminismEncoding::Successor
+                                  : DeterminismEncoding::Pairwise;
+    options.compress_forbidden = rng.chance(0.5);
+    const auto direct = [&](std::size_t n, bool extended) {
+      AutomatonCsp csp(extended ? layout : segments, num_preds, n, options);
+      for (const auto& word : before) csp.add_forbidden_sequence(word);
+      if (extended) {
+        for (const auto& word : after) csp.add_forbidden_sequence(word);
+      }
+      return csp.solve();
+    };
+
+    CspOptions persistent_options = options;
+    persistent_options.state_capacity = 6;
+    AutomatonCsp grown(segments, num_preds, 2, persistent_options);
+    for (const auto& word : before) grown.add_forbidden_sequence(word);
+    const std::size_t extend_at = 2 + rng.below(5);
+    for (std::size_t n = 2; n <= 6; ++n) {
+      const std::string what = "case " + std::to_string(c) + " N=" + std::to_string(n);
+      ASSERT_TRUE(grown.grow_to(n));
+      if (n == extend_at) {
+        EXPECT_EQ(grown.solve(), direct(n, false)) << what << " before extension";
+        grown.extend_prefix(tail);
+        for (const auto& word : after) grown.add_forbidden_sequence(word);
+      }
+      const bool extended = n >= extend_at;
+      const sat::SolveResult got = grown.solve();
+      ASSERT_EQ(got, direct(n, extended)) << what << " persistent";
+      if (got == sat::SolveResult::Sat && extended) {
+        expect_prefix_model(grown.extract_model(), layout, what + " persistent");
+      }
+
+      AutomatonCsp fixed(segments, num_preds, n, options);
+      for (const auto& word : before) fixed.add_forbidden_sequence(word);
+      (void)fixed.solve();
+      fixed.extend_prefix(tail);
+      for (const auto& word : after) fixed.add_forbidden_sequence(word);
+      const sat::SolveResult fixed_got = fixed.solve();
+      ASSERT_EQ(fixed_got, direct(n, true)) << what << " fixed";
+      if (fixed_got == sat::SolveResult::Sat) {
+        expect_prefix_model(fixed.extract_model(), layout, what + " fixed");
+      }
+    }
+  }
+}
+
+TEST(ExtendPrefix, ReplayedRebuildSharesTheCacheAndReseeds) {
+  // The learner's capacity rebuild: a live CSP extended twice, then a
+  // bigger one built over the same segments, replaying both tails and
+  // re-adding the words through the shared chain cache. The rebuild reseeds
+  // from the live CSP and agrees with a direct build at every N.
+  const std::vector<Segment> segments = bulky_segments();
+  const Segment tail1 = {1, 2, 3, 0, 1};
+  const Segment tail2 = {2, 2, 0};
+  const std::vector<std::vector<PredId>> words = {{0, 1}, {1, 2, 3}, {2, 2}, {3, 0, 1}};
+  for (const DeterminismEncoding enc :
+       {DeterminismEncoding::Successor, DeterminismEncoding::Pairwise}) {
+    ForbiddenChainCache cache;
+    CspOptions small_options;
+    small_options.encoding = enc;
+    small_options.state_capacity = 4;
+    AutomatonCsp live(segments, 4, 2, small_options);
+    live.set_chain_cache(&cache);
+    live.add_forbidden_sequence(words[0]);
+    live.add_forbidden_sequence(words[1]);
+    (void)live.solve();
+    live.extend_prefix(tail1);
+    live.add_forbidden_sequence(words[2]);
+    for (std::size_t n = 3; n <= 4; ++n) {
+      ASSERT_TRUE(live.grow_to(n));
+      (void)live.solve();
+    }
+    live.extend_prefix(tail2);
+    live.add_forbidden_sequence(words[3]);
+    (void)live.solve();
+
+    CspOptions big_options = small_options;
+    big_options.state_capacity = 6;
+    AutomatonCsp rebuilt(segments, 4, 4, big_options);
+    rebuilt.set_chain_cache(&cache);
+    rebuilt.extend_prefix(tail1);
+    rebuilt.extend_prefix(tail2);
+    for (const auto& word : words) rebuilt.add_forbidden_sequence(word);
+    EXPECT_GT(rebuilt.reseed_from(live), 0u);
+    EXPECT_EQ(cache.size(), 2u);  // the triples; both pairs are star-compressed
+
+    Segment tail = tail1;
+    tail.insert(tail.end(), tail2.begin(), tail2.end());
+    const std::vector<Segment> layout = prefix_layout(segments, tail);
+    for (std::size_t n = 4; n <= 6; ++n) {
+      ASSERT_TRUE(rebuilt.grow_to(n));
+      CspOptions fresh_options;
+      fresh_options.encoding = enc;
+      AutomatonCsp fresh(layout, 4, n, fresh_options);
+      for (const auto& word : words) fresh.add_forbidden_sequence(word);
+      const sat::SolveResult got = rebuilt.solve();
+      EXPECT_EQ(got, fresh.solve()) << "N=" << n;
+      if (got == sat::SolveResult::Sat) {
+        expect_prefix_model(rebuilt.extract_model(), layout, "N=" + std::to_string(n));
+      }
+    }
+  }
+}
+
+TEST(ExtendPrefix, TiesACoveredSegmentToItsFirstOccurrence) {
+  // Chain 0 1 0 1 0 over state variables 0 1 2 | 9 10 11 (the lead, then
+  // the tail after the other segments' 3..8). The segment {1,0} (3 4 5)
+  // first occurs at chain position 1, so every model labels it like state
+  // variables 1 2 9; {2,2} (6 7 8) occurs nowhere and stays free.
+  CspOptions options;
+  options.state_capacity = 5;
+  AutomatonCsp csp({{0, 1}, {1, 0}, {2, 2}}, 3, 2, options);
+  csp.extend_prefix(std::vector<PredId>{0, 1, 0});
+  ASSERT_EQ(csp.num_state_vars(), 12u);
+  for (std::size_t n = 2; n <= 5; ++n) {
+    ASSERT_TRUE(csp.grow_to(n));
+    ASSERT_EQ(csp.solve(), sat::SolveResult::Sat) << "N=" << n;
+    EXPECT_EQ(csp.decode_state(3), csp.decode_state(1)) << "N=" << n;
+    EXPECT_EQ(csp.decode_state(4), csp.decode_state(2)) << "N=" << n;
+    EXPECT_EQ(csp.decode_state(5), csp.decode_state(9)) << "N=" << n;
+  }
+}
+
+TEST(ExtendPrefix, NeedsALeadingSegment) {
+  AutomatonCsp empty({}, 2, 2);
+  EXPECT_THROW(empty.extend_prefix(std::vector<PredId>{0, 1}), std::logic_error);
+}
+
 /// Exhaustive reference for the CSP's verdict: the state variables laid out
 /// as the encoder does (w+1 per segment of length w, in segment order).
 class BruteForceCsp {

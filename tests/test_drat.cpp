@@ -297,12 +297,14 @@ TEST(DratCheckSolverRoundTrip, TamperedProofIsRejected) {
 // End-to-end proof-carrying learn runs: every solver verdict the CEGIS loop
 // consumes is independently re-derived by the forward DRAT checker from the
 // emitted trace — "i" axioms for the encoding, checked lemmas for every
-// conflict, `c restart` across CSP rebuilds (capacity and prefix-refinement
-// rebuilds alike), and per-epoch conclusions for the guarded incremental
-// grow_to path.
+// conflict, `c restart` across CSP rebuilds (per N on the fresh path, at a
+// capacity overflow on the persistent one), `i` axioms for the clauses a
+// prefix refinement appends to the live solver, and per-epoch conclusions
+// for the guarded incremental grow_to path.
 
 void expect_checked_learn_run(const Trace& trace, bool persistent, const char* what,
-                              std::size_t min_prefix_refinements = 0) {
+                              std::size_t min_prefix_refinements = 0,
+                              LearnStats* stats = nullptr) {
   std::ostringstream proof_stream;
   ProofLog log(proof_stream);
   LearnerConfig config;
@@ -311,6 +313,7 @@ void expect_checked_learn_run(const Trace& trace, bool persistent, const char* w
   const LearnResult result = ModelLearner(config).learn(trace);
   ASSERT_TRUE(result.success) << what;
   EXPECT_GE(result.stats.prefix_refinements, min_prefix_refinements) << what;
+  if (stats != nullptr) *stats = result.stats;
   std::istringstream proof(proof_stream.str());
   const DratCheckResult check = check_drat(CnfFormula{}, proof, {});
   ASSERT_TRUE(check.ok) << what << ": line " << check.error_line << ": "
@@ -335,12 +338,17 @@ TEST(ProofCarryingLearnRun, UsbAttachFreshPerN) {
 
 TEST(ProofCarryingLearnRun, RandomDfaWalkPrefixRefinement) {
   // On this 6-state random-DFA walk, compliant candidates that do not replay
-  // P make both paths rebuild their CSP over a longer leading prefix mid-run.
+  // P make both paths extend their live CSP's leading prefix mid-run; the
+  // persistent path's one solver carries the whole proof.
   const Trace trace = sim::random_dfa_walk_trace(6, 600, 3);
   for (const bool persistent : {true, false}) {
+    LearnStats stats;
     expect_checked_learn_run(trace, persistent,
                              persistent ? "walk-persistent" : "walk-fresh",
-                             /*min_prefix_refinements=*/1);
+                             /*min_prefix_refinements=*/1, &stats);
+    if (persistent) {
+      EXPECT_EQ(stats.csp_builds, 1u);
+    }
   }
 }
 

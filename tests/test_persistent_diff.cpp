@@ -110,10 +110,13 @@ TEST(PersistentDiff, RandomisedAgainstFreshPerN) {
                       "round=" + std::to_string(round));
     if (persistent.success) {
       // Every state increment was served by an in-place grow or (beyond the
-      // headroom) by one capacity rebuild — never by a per-N reconstruction.
-      // The only other rebuilds are the prefix refinements, one each.
-      EXPECT_EQ(persistent.stats.csp_grows + persistent.stats.csp_builds - 1,
-                persistent.stats.state_increments + persistent.stats.prefix_refinements)
+      // headroom) by one capacity rebuild — never by a per-N reconstruction:
+      // builds - 1 = capacity rebuilds. Every prefix refinement extended the
+      // live CSP in place.
+      EXPECT_EQ(persistent.stats.csp_builds - 1,
+                persistent.stats.state_increments - persistent.stats.csp_grows)
+          << "round=" << round;
+      EXPECT_EQ(persistent.stats.prefix_extensions, persistent.stats.prefix_refinements)
           << "round=" << round;
     }
     ++cases;
