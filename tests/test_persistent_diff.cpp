@@ -119,6 +119,13 @@ TEST(PersistentDiff, RandomisedAgainstFreshPerN) {
       EXPECT_EQ(persistent.stats.prefix_extensions, persistent.stats.prefix_refinements)
           << "round=" << round;
     }
+    if (fresh.success) {
+      // The fresh path builds once per state count; its refinements extend
+      // the CSP of that state count in place too.
+      EXPECT_EQ(fresh.stats.csp_builds, fresh.stats.state_increments + 1) << "round=" << round;
+      EXPECT_EQ(fresh.stats.prefix_extensions, fresh.stats.prefix_refinements)
+          << "round=" << round;
+    }
     ++cases;
   }
   EXPECT_GE(cases, 500);
