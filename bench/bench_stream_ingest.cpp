@@ -1,9 +1,9 @@
-// bench_stream_ingest: streaming vs in-memory vs sharded-parallel ingest of
-// a synthetic million-event trace, end to end through the learner.
+// bench_stream_ingest: streaming vs in-memory ingest of a synthetic
+// million-event trace, end to end through the learner.
 //
 //   bench_stream_ingest [--events 1000000] [--window 3] [--timeout 120]
 //                       [--trace FILE] [--json BENCH_stream.json]
-//                       [--min-rss-ratio 0] [--threads 4] [--min-speedup 0]
+//                       [--min-rss-ratio 0]
 //
 // Each path runs in a forked child so the parent can read the child's peak
 // RSS from wait4() — the honest number, unpolluted by the other path's
@@ -13,12 +13,7 @@
 // acceptance off (the paper's Algorithm 1), which lets the streaming path
 // drop the id sequence and hold only the w-event ring plus the dedup set.
 // --min-rss-ratio N fails the run unless streaming peak RSS is at least N
-// times below the in-memory path's (0 disables the gate). The parallel child
-// drives ModelLearner::learn_from_ftrace with --threads workers (sharded
-// ingest; byte-identical artefacts, checked here
-// via states/segments); --min-speedup N fails the run unless the parallel
-// wall clock beats the streaming one by that factor (0 disables — the gate
-// is meaningful only on machines actually offering the requested cores).
+// times below the in-memory path's (0 disables the gate).
 
 #include <cstdint>
 #include <cstdio>
@@ -204,16 +199,6 @@ int main(int argc, char** argv) {
       },
       "in_memory");
 
-  const std::size_t threads =
-      static_cast<std::size_t>(args.get_int_or("threads", 4));
-  const RunOutcome parallel = run_measured(
-      [&] {
-        LearnerConfig parallel_config = config;
-        parallel_config.threads = threads;
-        return ModelLearner(parallel_config).learn_from_ftrace(trace_path);
-      },
-      "parallel");
-
   if (generated && !args.has("keep-trace")) std::remove(trace_path.c_str());
 
   TableWriter table({"path", "ok", "states", "segments", "wall s", "peak RSS MB"});
@@ -224,7 +209,6 @@ int main(int argc, char** argv) {
   };
   row("streaming", streaming);
   row("in-memory", in_memory);
-  row("parallel x" + std::to_string(threads), parallel);
   table.write_ascii(std::cout);
 
   const double ratio = streaming.peak_rss_kb > 0
@@ -235,25 +219,18 @@ int main(int argc, char** argv) {
     std::cout << "peak RSS ratio (in-memory / streaming): " << format_double(ratio, 2)
               << "x\n";
   }
-  const double speedup =
-      parallel.wall_seconds > 0 ? streaming.wall_seconds / parallel.wall_seconds : 0.0;
-  if (speedup > 0) {
-    std::cout << "parallel speedup (streaming / parallel, " << threads
-              << " threads): " << format_double(speedup, 2) << "x\n";
-  }
 
   const std::string json_path = args.get_or("json", "");
   if (!json_path.empty()) {
     std::ofstream os(json_path);
     os << "[\n";
     emit_json_record(os, "stream_ingest/streaming", streaming, false);
-    emit_json_record(os, "stream_ingest/in_memory", in_memory, false);
-    emit_json_record(os, "stream_ingest/parallel", parallel, true);
+    emit_json_record(os, "stream_ingest/in_memory", in_memory, true);
     os << "]\n";
     std::cout << "wrote " << json_path << "\n";
   }
 
-  if (!streaming.ok || !in_memory.ok || !parallel.ok) {
+  if (!streaming.ok || !in_memory.ok) {
     std::cerr << "bench_stream_ingest: a path failed to learn\n";
     return 1;
   }
@@ -261,18 +238,6 @@ int main(int argc, char** argv) {
     std::cerr << "bench_stream_ingest: paths disagree (states " << streaming.states
               << " vs " << in_memory.states << ", segments " << streaming.segments
               << " vs " << in_memory.segments << ")\n";
-    return 1;
-  }
-  if (parallel.states != streaming.states || parallel.segments != streaming.segments) {
-    std::cerr << "bench_stream_ingest: parallel path disagrees (states "
-              << parallel.states << " vs " << streaming.states << ", segments "
-              << parallel.segments << " vs " << streaming.segments << ")\n";
-    return 1;
-  }
-  const double min_speedup = args.get_double_or("min-speedup", 0.0);
-  if (min_speedup > 0 && speedup > 0 && speedup < min_speedup) {
-    std::cerr << "bench_stream_ingest: parallel speedup " << format_double(speedup, 2)
-              << "x below required " << format_double(min_speedup, 2) << "x\n";
     return 1;
   }
   const double min_ratio = args.get_double_or("min-rss-ratio", 0.0);

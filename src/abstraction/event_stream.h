@@ -17,9 +17,9 @@ namespace t2m {
 /// there. The step predicate is the conjunction of destination atoms
 /// `v' = value` and its display name the destination's spellings, so both
 /// depend only on the destination observation. abstract_event_trace is a
-/// loop over this class, and the streaming readers and the sharded-ingest
-/// merge drive it directly, so every path interns the same Exprs in the
-/// same first-occurrence order with the same display names.
+/// loop over this class, and the streaming readers drive it directly, so
+/// every path interns the same Exprs in the same first-occurrence order with
+/// the same display names.
 class EventStreamAbstractor {
 public:
   /// `schema` is read per call (not stored) because streaming readers intern
@@ -29,16 +29,6 @@ public:
   /// push() for single-variable schemas, taking the observation's symbol id
   /// directly so the per-line caller builds no Valuation.
   std::optional<PredId> push_symbol(const Schema& schema, std::int64_t sym);
-
-  /// Marks the stream as a continuation of an earlier one: the next push is
-  /// treated as a step destination (yielding a PredId) instead of the
-  /// trace's first observation. The sharded-ingest merge replays per-shard
-  /// vocabularies through one global abstractor this way — the caller then
-  /// owns the all-categorical precondition the first regular push would
-  /// have checked. No-op once an observation was pushed.
-  void prime() {
-    if (observations_ == 0) observations_ = 1;
-  }
 
   /// Observations pushed so far.
   std::size_t observations() const { return observations_; }

@@ -69,34 +69,6 @@ private:
   std::atomic<std::size_t> limit_{0};
 };
 
-/// RAII charge for block-scoped reservations (shard buffers, merge queues).
-class ScopedCharge {
-public:
-  ScopedCharge() = default;
-  explicit ScopedCharge(std::size_t bytes) : bytes_(bytes) {
-    MemoryAccountant::global().charge(bytes);
-  }
-  ~ScopedCharge() {
-    if (bytes_ != 0) MemoryAccountant::global().release(bytes_);
-  }
-  ScopedCharge(const ScopedCharge&) = delete;
-  ScopedCharge& operator=(const ScopedCharge&) = delete;
-  ScopedCharge(ScopedCharge&& other) noexcept : bytes_(other.bytes_) {
-    other.bytes_ = 0;
-  }
-  ScopedCharge& operator=(ScopedCharge&& other) noexcept {
-    if (this != &other) {
-      if (bytes_ != 0) MemoryAccountant::global().release(bytes_);
-      bytes_ = other.bytes_;
-      other.bytes_ = 0;
-    }
-    return *this;
-  }
-
-private:
-  std::size_t bytes_ = 0;
-};
-
 /// Tracks the charged capacity of one growable structure and charges only
 /// deltas. Move-aware: the charge follows the owning structure; moved-from
 /// trackers hold zero. Not copyable — copyable owners must charge the copy

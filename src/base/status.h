@@ -64,7 +64,7 @@ private:
 };
 
 /// Exception carrying a Status across layers that still unwind (trace IO,
-/// ingest workers, the SAT stack). Derives from std::runtime_error so
+/// ingest, the SAT stack). Derives from std::runtime_error so
 /// pre-taxonomy call sites that catch or EXPECT_THROW runtime_error keep
 /// working unchanged.
 class StatusError : public std::runtime_error {

@@ -26,6 +26,13 @@ struct DeadlinePoll {
   }
 };
 
+/// l == 0 has no windows to compare, so every candidate fails on the empty
+/// word and the refinement loop never converges: reject it up front.
+std::size_t positive_length(std::size_t l) {
+  if (l == 0) throw_status(ErrorCode::parse_error, "compliance length must be positive");
+  return l;
+}
+
 }  // namespace
 
 void ComplianceChecker::init_packing(PredId max_pred) {
@@ -47,11 +54,11 @@ std::uint64_t ComplianceChecker::pack_word(const std::vector<PredId>& word) cons
 }
 
 ComplianceChecker::ComplianceChecker(const std::vector<PredId>& seq, std::size_t l)
-    : l_(l) {
-  // Mirror the original subsequences() edge cases: no windows for l == 0 or
-  // a sequence shorter than l. The empty window set is served by the
-  // generic hashed-vector path; every model word is missing.
-  if (l_ == 0 || seq.size() < l_) return;
+    : l_(positive_length(l)) {
+  // Mirror the original subsequences() edge case: no windows for a sequence
+  // shorter than l. The empty window set is served by the generic
+  // hashed-vector path; every model word is missing.
+  if (seq.size() < l_) return;
 
   PredId max_pred = 0;
   for (const PredId p : seq) max_pred = std::max(max_pred, p);
@@ -170,22 +177,23 @@ ComplianceResult ComplianceChecker::check(const Nfa& model) const {
 }
 
 ComplianceWindowBuilder::ComplianceWindowBuilder(std::size_t l)
-    : l_(l), dedup_(std::max<std::size_t>(l, 1)) {}
+    : l_(positive_length(l)), dedup_(l) {}
 
 void ComplianceWindowBuilder::push(PredId p) {
   max_pred_ = std::max(max_pred_, p);
-  if (l_ == 0) return;  // no windows, matching the batch constructor
   dedup_.push(p);
 }
 
-ComplianceChecker ComplianceChecker::from_windows(std::size_t l, std::size_t pushed,
-                                                  std::vector<std::vector<PredId>> windows,
-                                                  PredId max_pred) {
-  ComplianceChecker checker(l);
-  // Mirror the batch constructor's edge cases: l == 0 or a stream shorter
-  // than l leaves an empty window set served by the generic path.
-  if (l == 0 || pushed < l) return checker;
-  checker.init_packing(max_pred);
+ComplianceChecker ComplianceWindowBuilder::finish() {
+  ComplianceChecker checker(l_);
+  // Mirror the batch constructor's edge case: a stream shorter than l leaves
+  // an empty window set served by the generic path.
+  if (dedup_.pushed() < l_) return checker;
+  // Every stream element is covered by at least one window once count >= l,
+  // so the maximum over pushed ids equals the batch path's maximum over the
+  // whole sequence — the packed-representation decision is identical.
+  checker.init_packing(max_pred_);
+  std::vector<std::vector<PredId>> windows = dedup_.take_windows();
   if (checker.packed_) {
     checker.packed_windows_.reserve(windows.size());
     for (const auto& window : windows) {
@@ -198,14 +206,6 @@ ComplianceChecker ComplianceChecker::from_windows(std::size_t l, std::size_t pus
   checker.trace_windows_ =
       checker.packed_ ? checker.packed_windows_.size() : checker.vec_windows_.size();
   return checker;
-}
-
-ComplianceChecker ComplianceWindowBuilder::finish() {
-  // Every stream element is covered by at least one window once count >= l,
-  // so the maximum over pushed ids equals the batch path's maximum over the
-  // whole sequence — the packed-representation decision is identical.
-  const std::size_t pushed = dedup_.pushed();
-  return ComplianceChecker::from_windows(l_, pushed, dedup_.take_windows(), max_pred_);
 }
 
 ComplianceResult check_compliance(const Nfa& model, const std::vector<PredId>& seq,

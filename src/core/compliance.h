@@ -35,16 +35,8 @@ struct ComplianceResult {
 /// transition_sequences/subsequences/set_difference pipeline.
 class ComplianceChecker {
 public:
+  /// Throws StatusError(parse_error) for l == 0.
   ComplianceChecker(const std::vector<PredId>& seq, std::size_t l);
-
-  /// Builds a checker from an already-deduplicated window multiset, as the
-  /// sharded-ingest merge produces: `pushed` is the underlying stream length
-  /// (so the short-stream edge cases match the builder), `max_pred` the
-  /// stream's maximum predicate id (the packed-representation decision).
-  /// Byte-identical to pushing the stream through ComplianceWindowBuilder.
-  static ComplianceChecker from_windows(std::size_t l, std::size_t pushed,
-                                        std::vector<std::vector<PredId>> windows,
-                                        PredId max_pred);
 
   ComplianceResult check(const Nfa& model) const;
 
@@ -103,6 +95,7 @@ private:
 /// keys at finish() when they fit.
 class ComplianceWindowBuilder {
 public:
+  /// Throws StatusError(parse_error) for l == 0.
   explicit ComplianceWindowBuilder(std::size_t l);
 
   void push(PredId p);
@@ -113,7 +106,7 @@ public:
 private:
   std::size_t l_;
   PredId max_pred_ = 0;
-  StreamingWindowDedup<PredId> dedup_;  ///< unused shell when l == 0
+  StreamingWindowDedup<PredId> dedup_;
 };
 
 /// Convenience single-shot wrapper around ComplianceChecker; the learner

@@ -86,9 +86,8 @@ struct CspOptions {
   /// instance (learned clauses, VSIDS activity, saved phases) serves the
   /// whole N-increment loop.
   std::size_t state_capacity = 0;
-  /// Search-shape knobs applied to the underlying solver before encoding
-  /// (restart schedule, phase default, random polarity — the axes the
-  /// portfolio driver diversifies per racing configuration).
+  /// Solver settings (proof log, original-clause retention) applied to the
+  /// underlying solver before encoding.
   sat::SolverConfig solver;
   /// Star-compress length-2 forbidden words: instead of one binary clause
   /// per (transition-of-p, transition-of-q) pair and column, introduce
@@ -224,8 +223,8 @@ public:
   sat::SolveResult solve(const Deadline& deadline = Deadline::never());
 
   /// Cooperative cancellation, forwarded to the solver: when the flag reads
-  /// true, the next solve() poll returns Unknown. The portfolio driver
-  /// threads one flag through every racing worker's CSPs.
+  /// true, the next solve() poll returns Unknown. The learner threads its
+  /// caller's LearnerConfig::stop through every CSP it builds.
   void set_stop_flag(const std::atomic<bool>* stop) { solver_.set_stop_flag(stop); }
 
   /// After solve() == Unsat in persistent mode: true when the verdict

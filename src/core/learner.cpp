@@ -8,14 +8,10 @@
 
 #include "src/abstraction/event_stream.h"
 #include "src/base/memory_accountant.h"
-#include "src/core/portfolio.h"
 #include "src/core/report.h"
 #include "src/obs/progress.h"
 #include "src/obs/trace.h"
-#include "src/parallel/sharded_ingest.h"
-#include "src/parallel/thread_pool.h"
 #include "src/trace/mmap_io.h"
-#include "src/util/failpoint.h"
 #include "src/util/log.h"
 
 namespace t2m {
@@ -63,37 +59,6 @@ LearnResult failure_result(Status status) {
 
 }  // namespace
 
-LearnStats& LearnStats::operator+=(const LearnStats& other) {
-  // Input-shape fields describe the shared artefacts — identical across
-  // workers of one run, so max is the faithful merge (and still sensible
-  // for heterogeneous merges).
-  sequence_length = std::max(sequence_length, other.sequence_length);
-  vocabulary_size = std::max(vocabulary_size, other.vocabulary_size);
-  segments = std::max(segments, other.segments);
-  encoded_transitions = std::max(encoded_transitions, other.encoded_transitions);
-  forbidden_words = std::max(forbidden_words, other.forbidden_words);
-  // Work counters add up: the aggregate is the total work the run paid for.
-  sat_calls += other.sat_calls;
-  refinements += other.refinements;
-  prefix_refinements += other.prefix_refinements;
-  prefix_extensions += other.prefix_extensions;
-  state_increments += other.state_increments;
-  csp_builds += other.csp_builds;
-  csp_grows += other.csp_grows;
-  reseeded_clauses += other.reseeded_clauses;
-  core_stops += other.core_stops;
-  sat_conflicts += other.sat_conflicts;
-  sat_propagations += other.sat_propagations;
-  sat_learned_clauses += other.sat_learned_clauses;
-  sat_peak_arena_bytes = std::max(sat_peak_arena_bytes, other.sat_peak_arena_bytes);
-  acceptance_relaxed = acceptance_relaxed || other.acceptance_relaxed;
-  // Parallel workers overlap in time; their wall clocks don't add.
-  abstraction_seconds = std::max(abstraction_seconds, other.abstraction_seconds);
-  construction_seconds = std::max(construction_seconds, other.construction_seconds);
-  total_seconds = std::max(total_seconds, other.total_seconds);
-  return *this;
-}
-
 ModelLearner::ModelLearner(LearnerConfig config) : config_(std::move(config)) {}
 
 LearnResult ModelLearner::learn(const Trace& trace, AbstractionMode mode) const {
@@ -139,7 +104,7 @@ LearnResult ModelLearner::learn_from_sequence(PredicateSequence preds,
     const Deadline deadline = config_.timeout_seconds > 0
                                   ? Deadline::after_seconds(config_.timeout_seconds)
                                   : Deadline::never();
-    return run_search(std::move(preds), sequence_length, std::move(segments),
+    return run_search(std::move(preds), sequence_length, segments,
                       compliance_checker, schema, deadline, total);
   } catch (const StatusError& e) {
     return failure_result(e.status());
@@ -189,7 +154,7 @@ LearnResult ModelLearner::learn_from_stream(PredStream& stream) const {
                                   ? Deadline::after_seconds(config_.timeout_seconds)
                                   : Deadline::never();
 
-    LearnResult result = run_search(std::move(preds), sequence_length, std::move(segments),
+    LearnResult result = run_search(std::move(preds), sequence_length, segments,
                                     compliance_checker, stream.schema(), deadline, total);
     result.stats.abstraction_seconds = pass_seconds;
     result.stats.total_seconds = total.elapsed_seconds();
@@ -203,55 +168,11 @@ LearnResult ModelLearner::learn_from_stream(PredStream& stream) const {
 
 LearnResult ModelLearner::learn_from_ftrace(const std::string& path,
                                             const std::string& task_filter) const {
-  if (config_.threads <= 1) {
-    const ScopedMemoryLimit mem_limit(config_.max_memory_bytes);
-    try {
-      LineReader lines(path);
-      FtracePredStream stream(lines, task_filter);
-      return learn_from_stream(stream);
-    } catch (const StatusError& e) {
-      return failure_result(e.status());
-    } catch (const std::bad_alloc&) {
-      return failure_result(Status::ResourceExhausted("allocation failed during learn"));
-    }
-  }
-
   const ScopedMemoryLimit mem_limit(config_.max_memory_bytes);
-  const Stopwatch total;
   try {
-    const Stopwatch pass_watch;
-    par::ShardedIngestOptions options;
-    options.window = config_.window;
-    options.compliance_length = config_.compliance_length;
-    options.threads = config_.threads;
-    options.segmented = config_.segmented;
-    options.keep_sequence = config_.require_trace_acceptance || !config_.segmented;
-    options.task_filter = task_filter;
-    // The ingest gets its own full-timeout deadline so a pathological scan
-    // or merge cannot hang past the configured budget; the search deadline
-    // below still starts after ingest, matching the other entry points.
-    options.deadline = config_.timeout_seconds > 0
-                           ? Deadline::after_seconds(config_.timeout_seconds)
-                           : Deadline::never();
-    par::ShardedIngestResult ingest = par::sharded_ftrace_ingest_file(path, options);
-    log_debug() << "learner: sharded ingest over " << ingest.shards_used << " shard(s), "
-                << ingest.sequence_length << " steps";
-
-    std::vector<Segment> segments = config_.segmented
-                                        ? std::move(ingest.segments)
-                                        : whole_sequence(ingest.preds.seq);
-    ComplianceChecker compliance_checker = std::move(ingest.compliance);
-    const double pass_seconds = pass_watch.elapsed_seconds();
-
-    const Deadline deadline = config_.timeout_seconds > 0
-                                  ? Deadline::after_seconds(config_.timeout_seconds)
-                                  : Deadline::never();
-    LearnResult result =
-        run_search(std::move(ingest.preds), ingest.sequence_length, std::move(segments),
-                   compliance_checker, ingest.schema, deadline, total);
-    result.stats.abstraction_seconds = pass_seconds;
-    result.stats.total_seconds = total.elapsed_seconds();
-    return result;
+    LineReader lines(path);
+    FtracePredStream stream(lines, task_filter);
+    return learn_from_stream(stream);
   } catch (const StatusError& e) {
     return failure_result(e.status());
   } catch (const std::bad_alloc&) {
@@ -260,7 +181,7 @@ LearnResult ModelLearner::learn_from_ftrace(const std::string& path,
 }
 
 LearnResult ModelLearner::run_search(PredicateSequence preds, std::size_t sequence_length,
-                                     std::vector<Segment> segments,
+                                     const std::vector<Segment>& segments,
                                      const ComplianceChecker& compliance_checker,
                                      const Schema& schema, const Deadline& deadline,
                                      const Stopwatch& total) const {
@@ -268,211 +189,20 @@ LearnResult ModelLearner::run_search(PredicateSequence preds, std::size_t sequen
   // enabled) against this run's deadline and publish the final counters into
   // the metrics registry on every exit path.
   if (obs::Progress::global().enabled()) obs::Progress::global().begin_run(deadline);
-  T2M_SPAN_SCOPE(run_span, "learn.run", "segments", segments.size(), "portfolio",
-                 config_.portfolio);
-  LearnResult result =
-      config_.portfolio > 1
-          ? run_portfolio(preds, sequence_length, segments, compliance_checker, schema,
-                          deadline, total)
-          : run_search_single(std::move(preds), sequence_length, segments,
-                              compliance_checker, schema, deadline, total);
+  T2M_SPAN_SCOPE(run_span, "learn.run", "segments", segments.size());
+  LearnResult result = run_cegis(std::move(preds), sequence_length, segments,
+                                 compliance_checker, schema, deadline, total);
   run_span.arg("success", result.success);
   run_span.arg("states", result.states);
   publish_learn_metrics(result);
   return result;
 }
 
-LearnResult ModelLearner::run_portfolio(const PredicateSequence& preds,
-                                        std::size_t sequence_length,
-                                        const std::vector<Segment>& segments,
-                                        const ComplianceChecker& compliance_checker,
-                                        const Schema& schema, const Deadline& deadline,
-                                        const Stopwatch& total) const {
-  const std::vector<PortfolioVariant> variants =
-      portfolio_configs(config_, config_.portfolio);
-  const std::size_t k = variants.size();
-
-  // The race: every worker runs the full CEGIS loop over the shared
-  // read-only artefacts with its own solver configuration. (Each lane still
-  // copies `preds` — run_search_single materialises its own result from it
-  // — a bounded K * O(|P|) cost only paid when the sequence is retained.)
-  // The first genuine verdict wins and raises the stop flag; Solver::solve
-  // polls it at every conflict, so the losers unwind quickly.
-  std::atomic<bool> race_stop{false};
-  std::atomic<int> winner{-1};
-  std::vector<LearnResult> results(k);
-  std::vector<double> walls(k, 0.0);
-
-  par::ThreadPool& pool = par::ThreadPool::global();
-  pool.ensure_size(std::min(k, par::ThreadPool::kMaxWorkers));
-  // The caller's cancellation flag is relayed into the race at three
-  // points: before the lanes launch, at each lane's start, and from the
-  // wait loop below — so cancellation works even when the relaying thread
-  // is starved on a loaded machine.
-  const std::atomic<bool>* outer_stop = config_.stop;
-  const auto relay_outer_stop = [outer_stop, &race_stop] {
-    // order: relaxed load / release store — both flags are pure signals; the
-    // lanes' results reach this thread through the TaskGroup join, and the
-    // release store mirrors the winner path so the two raise sites match.
-    if (outer_stop != nullptr && outer_stop->load(std::memory_order_relaxed)) {
-      race_stop.store(true, std::memory_order_release);
-    }
-  };
-  relay_outer_stop();
-  std::vector<Status> lane_errors(k);  // non-ok when the lane body threw
-  par::TaskGroup group(pool);
-  for (std::size_t i = 0; i < k; ++i) {
-    group.run([&, i] {
-      relay_outer_stop();
-      const Stopwatch wall;
-      // Lane fault isolation: an error unwinding one lane (including an
-      // injected one) records a per-lane Status and leaves the race — it
-      // must not take down the siblings or the process. A failed lane is
-      // never crowned; the winner CAS below stays single-shot.
-      try {
-        T2M_INJECT_STATUS("portfolio.lane", ErrorCode::internal,
-                          "injected portfolio lane failure");
-        // Every span this lane emits (solver epochs, compliance, encoding)
-        // lands on its own named track, so the Perfetto view shows one
-        // contiguous timeline per configuration even though lanes share
-        // pool workers.
-        const obs::TrackScope lane_track("lane " + variants[i].name);
-        T2M_SPAN_SCOPE(lane_span, "portfolio.lane", "lane", variants[i].name);
-        LearnerConfig config = variants[i].config;
-        config.stop = &race_stop;
-        const ModelLearner worker(config);
-        LearnResult r = worker.run_search_single(preds, sequence_length, segments,
-                                                 compliance_checker, schema, deadline,
-                                                 total);
-        // A verdict was reached only if neither the race's stop flag nor
-        // the deadline cut the lane short; a timed-out, budget-overflowed
-        // or memory-starved lane must not be crowned (another configuration
-        // may still fit).
-        if (!r.cancelled && !r.timed_out && !r.budget_exceeded &&
-            !r.resource_exhausted) {
-          int expected = -1;
-          // order: seq_cst (default) — a cold, single-shot crowning; the
-          // strongest order keeps the winner index and the stop raise below
-          // trivially ordered for every observer, and costs nothing here.
-          if (winner.compare_exchange_strong(expected, static_cast<int>(i))) {
-            // order: release — signal only; results[i] is published to the
-            // coordinator by the TaskGroup join, not by this flag.
-            race_stop.store(true, std::memory_order_release);
-            T2M_INSTANT("portfolio.winner");
-          }
-        }
-        lane_span.arg("cancelled", r.cancelled);
-        lane_span.arg("success", r.success);
-        if (r.cancelled) T2M_INSTANT("portfolio.cancelled");
-        results[i] = std::move(r);
-      } catch (const StatusError& e) {
-        lane_errors[i] = e.status();
-      } catch (const std::exception& e) {
-        lane_errors[i] = Status::Internal(std::string("portfolio lane failed: ") + e.what());
-      } catch (...) {
-        lane_errors[i] = Status::Internal("portfolio lane failed with an unknown exception");
-      }
-      if (!lane_errors[i].ok()) {
-        log_warn() << "learner: portfolio lane '" << variants[i].name
-                   << "' failed: " << lane_errors[i].to_string();
-      }
-      walls[i] = wall.elapsed_seconds();
-    });
-  }
-  // Wait while relaying the caller's cancellation into the race: the lanes
-  // poll race_stop (through their solvers), so raising it here preserves
-  // the LearnerConfig::stop contract for portfolio runs too.
-  //
-  // Deliberately no pool.help_one() here (the thread-safety audit flagged
-  // it): stealing a lane would capture this coordinator for the lane's whole
-  // CEGIS run, during which relay_outer_stop() never fires and the caller's
-  // cancellation latency becomes unbounded. The pool was grown to min(k,
-  // kMaxWorkers) workers above, so queued lanes drain without our help; a
-  // 1 ms poll keeps the relay responsive at negligible cost.
-  while (!group.done()) {
-    relay_outer_stop();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  group.wait();  // synchronise and surface any lane exception
-
-  // No genuine verdict (outer stop or deadline cancelled every lane):
-  // report the first healthy lane that at least ran to its own cutoff
-  // uncancelled — a salvaged partial model beats an empty result.
-  std::size_t won = 0;
-  bool found_fallback = false;
-  if (winner.load() >= 0) {
-    won = static_cast<std::size_t>(winner.load());
-    found_fallback = true;
-  } else {
-    for (std::size_t i = 0; i < k; ++i) {
-      if (!results[i].cancelled && lane_errors[i].ok()) {
-        won = i;
-        found_fallback = true;
-        break;
-      }
-    }
-    // Every lane was cancelled or died: fall back to any healthy lane, then
-    // to lane 0 (whose error is surfaced in the result's status below).
-    if (!found_fallback) {
-      for (std::size_t i = 0; i < k; ++i) {
-        if (lane_errors[i].ok()) {
-          won = i;
-          found_fallback = true;
-          break;
-        }
-      }
-    }
-  }
-  const bool have_verdict = winner.load() >= 0;
-
-  // Per-configuration breakdown from each worker's own numbers, snapshotted
-  // before any aggregation.
-  std::vector<PortfolioConfigStats> entries(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    PortfolioConfigStats& e = entries[i];
-    e.name = variants[i].name;
-    e.winner = have_verdict && i == won;
-    e.cancelled = results[i].cancelled;
-    e.failed = !lane_errors[i].ok();
-    if (e.failed) e.error = lane_errors[i].to_string();
-    e.finished = !e.failed && !results[i].cancelled && !results[i].timed_out &&
-                 !results[i].budget_exceeded && !results[i].resource_exhausted;
-    e.states = results[i].states;
-    e.sat_calls = results[i].stats.sat_calls;
-    e.sat_conflicts = results[i].stats.sat_conflicts;
-    e.sat_propagations = results[i].stats.sat_propagations;
-    e.wall_seconds = walls[i];
-  }
-
-  LearnResult result = std::move(results[won]);
-  if (!found_fallback) {
-    // Every lane died: the race as a whole failed. Surface the first lane's
-    // error as the run's status — still a returned verdict, not a throw.
-    result.status = lane_errors[won];
-  }
-  // Aggregate the losers' counters into the headline stats — the honest
-  // total-work number for the race.
-  for (std::size_t i = 0; i < k; ++i) {
-    if (i != won) result.stats += results[i].stats;
-  }
-  result.stats.portfolio = std::move(entries);
-  result.stats.total_seconds = total.elapsed_seconds();
-  if (have_verdict) {
-    log_info() << "learner: portfolio winner '" << variants[won].name << "' of " << k
-               << " configurations";
-  } else {
-    log_info() << "learner: portfolio race ended with no verdict ("
-               << (result.cancelled ? "cancelled" : "timed out") << ")";
-  }
-  return result;
-}
-
-LearnResult ModelLearner::run_search_single(PredicateSequence preds,
-                                            std::size_t sequence_length,
-                                            const std::vector<Segment>& segments,
-                                            const ComplianceChecker& compliance_checker,
-                                            const Schema& schema, const Deadline& deadline,
-                                            const Stopwatch& total) const {
+LearnResult ModelLearner::run_cegis(PredicateSequence preds, std::size_t sequence_length,
+                                    const std::vector<Segment>& segments,
+                                    const ComplianceChecker& compliance_checker,
+                                    const Schema& schema, const Deadline& deadline,
+                                    const Stopwatch& total) const {
   LearnResult result;
   result.schema = schema;
   result.stats.sequence_length = sequence_length;
@@ -571,9 +301,9 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
   };
 
   // Abandons the run at the current point (deadline expiry or cooperative
-  // cancellation), reporting which of the two it was. Uncancelled aborts
-  // salvage the best model so far; a cancelled lane lost a portfolio race
-  // where another lane owns the verdict, so it hands back nothing.
+  // cancellation), reporting which of the two it was. A deadline abort
+  // salvages the best model so far; a cancelled run hands back nothing, since
+  // the caller who raised the stop flag asked for no verdict.
   const auto abort_run = [&](bool was_stopped) {
     if (csp) absorb_solver_stats(*csp);
     result.timed_out = true;

@@ -60,18 +60,8 @@ struct LearnerConfig {
   /// the instance is Unsat for every state count — stop instead of growing
   /// to max_states blindly.
   bool core_driven_stop = true;
-  /// Sharded ingest width for learn_from_ftrace: > 1 scans the file in this
-  /// many shards concurrently (src/parallel/sharded_ingest.h), 1 runs the
-  /// streaming one-pass pipeline. Nothing else reads it: the search is
-  /// sequential and its result is identical at every value.
-  std::size_t threads = 1;
-  /// Portfolio CEGIS: race this many independently configured solvers
-  /// (fresh vs persistent, phase/restart/polarity variations — see
-  /// portfolio_configs) over the same artefacts and keep the first verdict,
-  /// cancelling the rest. 0/1 = single configuration.
-  std::size_t portfolio = 0;
-  /// Solver search-shape knobs applied to every CSP this learner builds;
-  /// the portfolio driver diversifies them per racing worker.
+  /// Solver settings (proof log, original-clause retention) applied to
+  /// every CSP this learner builds.
   sat::SolverConfig solver;
   /// Star-compress length-2 forbidden words (CspOptions::compress_forbidden):
   /// shared per-(predicate, side) flag variables instead of the quadratic
@@ -93,24 +83,6 @@ struct LearnerConfig {
   std::size_t max_memory_bytes = 0;
   /// Trace-abstraction settings (window is taken from `window`).
   AbstractionConfig abstraction;
-};
-
-/// Outcome of one racing configuration of a portfolio learn.
-struct PortfolioConfigStats {
-  std::string name;
-  bool winner = false;
-  bool finished = false;   ///< reached a verdict before cancellation
-  bool cancelled = false;  ///< stopped by the race's stop flag
-  bool failed = false;     ///< the lane died with an error (see `error`)
-  /// Diagnostic for a failed lane ("internal: ..."); empty otherwise. A
-  /// crashed lane is cancelled out of the race without touching its
-  /// siblings — the portfolio survives it.
-  std::string error;
-  std::size_t states = 0;
-  std::size_t sat_calls = 0;
-  std::uint64_t sat_conflicts = 0;
-  std::uint64_t sat_propagations = 0;
-  double wall_seconds = 0.0;
 };
 
 /// Counters describing one learning run.
@@ -159,16 +131,6 @@ struct LearnStats {
   double abstraction_seconds = 0.0;
   double construction_seconds = 0.0;
   double total_seconds = 0.0;
-  /// Portfolio runs: one entry per racing configuration (empty otherwise).
-  std::vector<PortfolioConfigStats> portfolio;
-
-  /// Merges another run's counters into this one, the aggregation sharded
-  /// and portfolio drivers report instead of one arbitrary worker's numbers:
-  /// work counters add up, sizes describing the (shared) input and the
-  /// wall-clock phases take the maximum (parallel runs overlap), flags OR.
-  /// The per-configuration `portfolio` breakdown and the verdict's
-  /// `encoding_fingerprint` are left untouched.
-  LearnStats& operator+=(const LearnStats& other);
 };
 
 // [[nodiscard]]: a learn verdict carries success/salvage flags the caller
@@ -176,8 +138,8 @@ struct LearnStats {
 struct [[nodiscard]] LearnResult {
   bool success = false;
   bool timed_out = false;
-  /// The run was aborted by the cooperative stop flag (portfolio losers,
-  /// caller-driven cancellation); timed_out is also set for compatibility.
+  /// The run was aborted by the caller's cooperative stop flag
+  /// (LearnerConfig::stop); timed_out is also set for compatibility.
   bool cancelled = false;
   /// The CSP encoding overran its clause budget: the instance is intractable
   /// at this budget, which is a verdict about the encoding size — distinct
@@ -255,11 +217,8 @@ public:
   /// (differential-tested in tests/test_stream_pipeline.cpp).
   LearnResult learn_from_stream(PredStream& stream) const;
 
-  /// Learns from an on-disk ftrace log. threads <= 1 runs the streaming
-  /// one-pass pipeline; threads > 1 runs the sharded parallel ingest
-  /// (src/parallel/sharded_ingest.h), which produces byte-identical
-  /// artefacts and therefore the same model — differential-tested in
-  /// tests/test_sharded_ingest.cpp.
+  /// Learns from an on-disk ftrace log through the streaming one-pass
+  /// pipeline (learn_from_stream over an FtracePredStream).
   LearnResult learn_from_ftrace(const std::string& path,
                                 const std::string& task_filter = "") const;
 
@@ -267,33 +226,20 @@ public:
 
 private:
   /// The iterative SAT search + compliance refinement shared by the
-  /// in-memory and streaming entry points: dispatches to the portfolio
-  /// driver when config().portfolio > 1, else runs one configuration.
-  /// `sequence_length` is |P|; preds.seq may be empty in streaming mode
-  /// (acceptance is then skipped).
+  /// in-memory and streaming entry points. `sequence_length` is |P|;
+  /// preds.seq may be empty in streaming mode (acceptance is then skipped).
   LearnResult run_search(PredicateSequence preds, std::size_t sequence_length,
-                         std::vector<Segment> segments,
+                         const std::vector<Segment>& segments,
                          const ComplianceChecker& compliance_checker,
                          const Schema& schema, const Deadline& deadline,
                          const Stopwatch& total) const;
 
-  /// One configuration's CEGIS loop (the pre-portfolio run_search body).
-  /// `segments` is shared read-only — portfolio lanes all encode from the
-  /// same list; `preds` is consumed into the result.
-  LearnResult run_search_single(PredicateSequence preds, std::size_t sequence_length,
-                                const std::vector<Segment>& segments,
-                                const ComplianceChecker& compliance_checker,
-                                const Schema& schema, const Deadline& deadline,
-                                const Stopwatch& total) const;
-
-  /// Races portfolio_configs(config, portfolio) over the shared artefacts:
-  /// first finished verdict wins, the rest are cancelled through an atomic
-  /// stop flag threaded into every worker's solver.
-  LearnResult run_portfolio(const PredicateSequence& preds, std::size_t sequence_length,
-                            const std::vector<Segment>& segments,
-                            const ComplianceChecker& compliance_checker,
-                            const Schema& schema, const Deadline& deadline,
-                            const Stopwatch& total) const;
+  /// run_search's CEGIS loop (Algorithm 1 plus the acceptance refinement).
+  LearnResult run_cegis(PredicateSequence preds, std::size_t sequence_length,
+                        const std::vector<Segment>& segments,
+                        const ComplianceChecker& compliance_checker,
+                        const Schema& schema, const Deadline& deadline,
+                        const Stopwatch& total) const;
 
   LearnerConfig config_;
 };

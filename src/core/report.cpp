@@ -80,12 +80,6 @@ std::string format_learn_report(const LearnResult& result, const Schema& schema)
   os << "time: abstraction " << format_double(result.stats.abstraction_seconds)
      << " s, construction " << format_double(result.stats.construction_seconds)
      << " s, total " << format_double(result.stats.total_seconds) << " s\n";
-  if (!result.stats.portfolio.empty()) {
-    os << "portfolio lanes (" << result.stats.portfolio.size() << "):\n";
-    for (const PortfolioConfigStats& lane : result.stats.portfolio) {
-      os << "  " << to_json(lane) << "\n";
-    }
-  }
   os << to_text(result.model);
   return os.str();
 }
@@ -107,21 +101,6 @@ std::string format_learn_summary(const LearnResult& result) {
   os << result.states << " states, " << result.model.num_transitions()
      << " transitions, " << result.preds.vocab.size() << " predicates, "
      << format_double(result.stats.total_seconds) << " s";
-  return os.str();
-}
-
-std::string to_json(const PortfolioConfigStats& lane) {
-  std::ostringstream os;
-  os << "{\"name\": \"" << json_escape(lane.name) << "\""
-     << ", \"winner\": " << json_bool(lane.winner)
-     << ", \"finished\": " << json_bool(lane.finished)
-     << ", \"cancelled\": " << json_bool(lane.cancelled)
-     << ", \"failed\": " << json_bool(lane.failed);
-  if (lane.failed) os << ", \"error\": \"" << json_escape(lane.error) << "\"";
-  os << ", \"states\": " << lane.states << ", \"sat_calls\": " << lane.sat_calls
-     << ", \"sat_conflicts\": " << lane.sat_conflicts
-     << ", \"sat_propagations\": " << lane.sat_propagations
-     << ", \"wall_seconds\": " << format_double(lane.wall_seconds, 6) << "}";
   return os.str();
 }
 
@@ -149,16 +128,7 @@ std::string to_json(const LearnStats& stats) {
      << ", \"acceptance_relaxed\": " << json_bool(stats.acceptance_relaxed)
      << ", \"abstraction_seconds\": " << format_double(stats.abstraction_seconds, 6)
      << ", \"construction_seconds\": " << format_double(stats.construction_seconds, 6)
-     << ", \"total_seconds\": " << format_double(stats.total_seconds, 6);
-  if (!stats.portfolio.empty()) {
-    os << ", \"portfolio\": [";
-    for (std::size_t i = 0; i < stats.portfolio.size(); ++i) {
-      if (i != 0) os << ", ";
-      os << to_json(stats.portfolio[i]);
-    }
-    os << "]";
-  }
-  os << "}";
+     << ", \"total_seconds\": " << format_double(stats.total_seconds, 6) << "}";
   return os.str();
 }
 

@@ -16,13 +16,10 @@ std::string format_learn_report(const LearnResult& result, const Schema& schema)
 /// One-line summary ("4 states, 6 transitions, 4 predicates, 0.12 s").
 std::string format_learn_summary(const LearnResult& result);
 
-/// Single-line JSON object for one portfolio lane's outcome.
-std::string to_json(const PortfolioConfigStats& lane);
-
-/// Single-line JSON object covering every LearnStats field, the portfolio
-/// lane breakdown included. The one stats serialization — `t2m --stats-out`,
-/// the bench emitters' "metrics" snapshots and the portfolio lane reporting
-/// all go through it, so the key names cannot drift between consumers.
+/// Single-line JSON object covering every LearnStats field. The one stats
+/// serialization — `t2m --stats-out` and the bench emitters' "metrics"
+/// snapshots both go through it, so the key names cannot drift between
+/// consumers.
 std::string to_json(const LearnStats& stats);
 
 /// Verdict envelope for `t2m --stats-out`: run flags + "stats": to_json(...).

@@ -141,8 +141,7 @@ private:
 struct Tracer::ThreadState {
   std::shared_ptr<EventBuffer> buffer;
   std::uint64_t generation = 0;  ///< tracer generation the buffer belongs to
-  std::uint32_t track = 0;       ///< current emission track (TrackScope override)
-  std::uint32_t thread_track = 0;
+  std::uint32_t thread_track = 0;  ///< this thread's track id
   std::string name;  ///< sticky set_thread_name value, "" = default
 };
 
@@ -207,7 +206,6 @@ void Tracer::ensure_registered(ThreadState& state) {
   track_names_.push_back(state.name.empty()
                              ? "thread " + std::to_string(state.thread_track)
                              : state.name);
-  state.track = state.thread_track;
   // order: relaxed — re-read under the registry mutex: whichever generation
   // this critical section belongs to is the one the buffer was filed under.
   state.generation = generation_.load(std::memory_order_relaxed);
@@ -217,7 +215,7 @@ void Tracer::record(TraceEvent ev) {
   if (!enabled()) return;
   ThreadState& state = thread_state();
   ensure_registered(state);
-  ev.track = state.track;
+  ev.track = state.thread_track;
   state.buffer->push(std::move(ev));
 }
 
@@ -237,13 +235,6 @@ void Tracer::counter(const char* name, std::int64_t value) {
   ev.ts_ns = now_ns();
   ev.args.emplace_back("value", value);
   record(std::move(ev));
-}
-
-std::uint32_t Tracer::new_track(const std::string& name) {
-  const MutexLock lock(mutex_);  // no-span
-  const auto id = static_cast<std::uint32_t>(track_names_.size());
-  track_names_.push_back(name);
-  return id;
 }
 
 void Tracer::set_thread_name(const std::string& name) {
@@ -335,20 +326,6 @@ bool Tracer::write_file(const std::string& path) {
   if (!out) return false;
   write_json(out);
   return bool(out);
-}
-
-TrackScope::TrackScope(const std::string& name) {
-  if (!Tracer::enabled()) return;
-  Tracer& tracer = Tracer::instance();
-  Tracer::ThreadState& state = Tracer::thread_state();
-  tracer.ensure_registered(state);
-  prev_ = state.track;
-  state.track = tracer.new_track(name);
-  active_ = true;
-}
-
-TrackScope::~TrackScope() {
-  if (active_) Tracer::thread_state().track = prev_;
 }
 
 Span::~Span() {

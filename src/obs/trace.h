@@ -101,10 +101,7 @@ public:
   void instant(const char* name, std::vector<EventArg> args = {});
   void counter(const char* name, std::int64_t value);
 
-  /// Allocates a fresh named virtual track (e.g. one per portfolio lane);
-  /// route spans onto it with TrackScope.
-  std::uint32_t new_track(const std::string& name);
-  /// Names the calling thread's own track ("pool.worker 3"). Sticky: the
+  /// Names the calling thread's own track ("obs.heartbeat"). Sticky: the
   /// name survives start()/stop() cycles.
   static void set_thread_name(const std::string& name);
 
@@ -119,7 +116,6 @@ public:
   bool write_file(const std::string& path);
 
 private:
-  friend class TrackScope;
   Tracer();
 
   class EventBuffer;
@@ -136,22 +132,6 @@ private:
   /// steady_clock nanoseconds captured at start(); atomic so spans on
   /// worker threads can read it without synchronising with start().
   std::atomic<std::int64_t> epoch_ns_{0};
-};
-
-/// RAII track override: spans emitted by this thread inside the scope land
-/// on a fresh named track instead of the thread's own — portfolio lanes use
-/// one per lane so a lane's timeline stays contiguous even when lanes share
-/// pool workers. No-op when tracing is disabled at construction.
-class TrackScope {
-public:
-  explicit TrackScope(const std::string& name);
-  ~TrackScope();
-  TrackScope(const TrackScope&) = delete;
-  TrackScope& operator=(const TrackScope&) = delete;
-
-private:
-  std::uint32_t prev_ = 0;
-  bool active_ = false;
 };
 
 /// RAII span: captures the clock at construction and buffers one complete

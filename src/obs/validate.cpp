@@ -19,7 +19,7 @@ struct Interval {
 };
 
 /// Spans on one track must form a laminar family: RAII scopes on a single
-/// thread (or lane track) can nest but never half-overlap. Checked in
+/// thread can nest but never half-overlap. Checked in
 /// start order with an enclosing-interval stack; `eps` absorbs the
 /// microsecond rounding of the emitted timestamps.
 Status check_nesting(std::uint32_t track, std::vector<Interval>& intervals) {

@@ -36,8 +36,8 @@ namespace t2m::sat {
 ///                             by Solver::verify_model)
 ///   c conclude unknown 0      epoch gave up (deadline/budget/cancel)
 ///
-/// The writer is sequential: one solver owns the log at a time (the
-/// portfolio driver strips it from racing lanes). Logging is pure output —
+/// The writer is sequential: one solver owns the log at a time (capacity
+/// rebuilds hand it to the next solver generation). Logging is pure output —
 /// attaching a log never changes solver behaviour (clause fingerprints are
 /// byte-identical with and without it; asserted by bench_check).
 class ProofLog {

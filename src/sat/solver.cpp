@@ -16,6 +16,10 @@ namespace t2m::sat {
 namespace {
 
 constexpr double kVarDecay = 0.95;
+// Luby restart multiplier: conflicts before the first restart.
+constexpr std::uint64_t kRestartBase = 100;
+// Saved phase of fresh variables and after a heuristics reset: negative.
+constexpr LBool kDefaultPhase = LBool::False;
 constexpr double kClauseDecay = 0.999;
 constexpr double kVarRescaleLimit = 1e100;
 // Clause activities are stored as 32-bit floats in the arena header, so the
@@ -34,30 +38,10 @@ bool invariant_audit_enabled() {
 
 }  // namespace
 
-SolverStats& SolverStats::operator+=(const SolverStats& other) {
-  decisions += other.decisions;
-  propagations += other.propagations;
-  conflicts += other.conflicts;
-  restarts += other.restarts;
-  learned_clauses += other.learned_clauses;
-  learned_literals += other.learned_literals;
-  reduces += other.reduces;
-  gc_runs += other.gc_runs;
-  solves += other.solves;
-  assumption_unsats += other.assumption_unsats;
-  simplify_rounds += other.simplify_rounds;
-  simplify_removed += other.simplify_removed;
-  // Gauges, not counters: a summed snapshot would describe no real arena.
-  arena_bytes = std::max(arena_bytes, other.arena_bytes);
-  peak_arena_bytes = std::max(peak_arena_bytes, other.peak_arena_bytes);
-  return *this;
-}
-
 Solver::Solver() = default;
 
 void Solver::set_config(const SolverConfig& config) {
   config_ = config;
-  polarity_rng_ = Rng(config.seed);
   plog_ = config.proof_log;
   // A fresh instance taking over the log stream: tell the checker to drop
   // the previous instance's clause database (capacity rebuilds reuse one
@@ -106,7 +90,7 @@ Var Solver::new_vars(std::size_t count) {
     heap_.reserve(cap);
   }
   assign_.resize(n, LBool::Undef);
-  saved_phase_.resize(n, lbool_of(config_.default_phase));
+  saved_phase_.resize(n, kDefaultPhase);
   level_.resize(n, 0);
   reason_.resize(n, kNoReason);
   activity_.resize(n, 0.0);
@@ -584,12 +568,6 @@ Lit Solver::pick_branch_literal() {
   while (!heap_.empty()) {
     const Var v = heap_pop();
     if (value(v) == LBool::Undef) {
-      // Portfolio diversification: occasionally take a coin-flip polarity
-      // instead of the saved phase (deterministic per configured seed).
-      if (config_.random_polarity_permille != 0 &&
-          polarity_rng_.next() % 1000 < config_.random_polarity_permille) {
-        return Lit(v, (polarity_rng_.next() & 1) != 0);
-      }
       const bool negate = saved_phase_[static_cast<std::size_t>(v)] != LBool::True;
       return Lit(v, negate);
     }
@@ -638,7 +616,7 @@ void Solver::reset_branching_heuristics() {
   // at the failing decision level, and backtrack() phase-saves the trail —
   // resetting before unwinding would restore the refuted assignment.
   backtrack(0);
-  std::fill(saved_phase_.begin(), saved_phase_.end(), lbool_of(config_.default_phase));
+  std::fill(saved_phase_.begin(), saved_phase_.end(), kDefaultPhase);
   std::fill(activity_.begin(), activity_.end(), 0.0);
   var_inc_ = 1.0;
   // With all activities equal any permutation is a valid heap; sorting
@@ -764,7 +742,8 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
   }
   // order: relaxed — the stop flag is a pure signal with no payload: the
   // caller that raised it synchronises with this solver's results through
-  // the TaskGroup join, never through the flag itself (docs/concurrency.md).
+  // its own join of the solving thread, never through the flag itself
+  // (docs/concurrency.md).
   if (stop_ != nullptr && stop_->load(std::memory_order_relaxed)) {
     if (plog_ != nullptr) plog_->conclude_unknown();
     return SolveResult::Unknown;
@@ -782,7 +761,7 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
 
   std::uint64_t conflicts_total = 0;
   std::uint64_t restart_number = 0;
-  std::uint64_t restart_limit = config_.restart_base * luby(restart_number);
+  std::uint64_t restart_limit = kRestartBase * luby(restart_number);
   std::uint64_t conflicts_since_restart = 0;
   std::size_t max_learned = 4000 + num_problem_clauses_ / 2;
   std::vector<Lit> learnt;
@@ -840,8 +819,8 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
       }
       decay_activities();
 
-      // The stop flag is a relaxed load, cheap enough to poll every conflict
-      // — cancellation latency is what makes a portfolio race worth running.
+      // The stop flag is a relaxed load, cheap enough to poll every conflict,
+      // so a caller's cancellation lands within one conflict.
       // order: relaxed — pure signal; see the solve-entry check above.
       if (stop_ != nullptr && stop_->load(std::memory_order_relaxed)) {
         if (plog_ != nullptr) plog_->conclude_unknown();
@@ -866,7 +845,7 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
     if (conflicts_since_restart >= restart_limit) {
       ++stats_.restarts;
       ++restart_number;
-      restart_limit = config_.restart_base * luby(restart_number);
+      restart_limit = kRestartBase * luby(restart_number);
       conflicts_since_restart = 0;
       // Restart boundaries double as progress ticks: cheap (they arrive at
       // Luby intervals, not per conflict) yet frequent enough for a live

@@ -10,7 +10,6 @@
 #include "src/sat/clause_arena.h"
 #include "src/sat/cnf.h"
 #include "src/sat/watcher_list.h"
-#include "src/util/rng.h"
 #include "src/util/stopwatch.h"
 
 namespace t2m::sat {
@@ -37,28 +36,11 @@ struct SolverStats {
   std::uint64_t simplify_removed = 0;   ///< clauses removed as root-satisfied
   std::size_t arena_bytes = 0;      ///< clause arena size after last solve
   std::size_t peak_arena_bytes = 0; ///< lifetime arena high-water mark
-
-  /// Merges another solver's counters into this one: work counters add up,
-  /// high-water marks take the maximum. The aggregation the sharded and
-  /// portfolio drivers report instead of one arbitrary worker's numbers.
-  SolverStats& operator+=(const SolverStats& other);
 };
 
-/// Search-shape knobs the portfolio driver diversifies per racing solver.
-/// All defaults reproduce the historical single-configuration behaviour.
-/// Apply via Solver::set_config() before encoding: `default_phase` seeds the
-/// saved-phase array as variables are created, so flipping it later only
-/// affects variables created (or heuristics reset) afterwards.
+/// Output-side solver settings: neither changes the search. Apply via
+/// Solver::set_config() before encoding.
 struct SolverConfig {
-  /// Luby restart multiplier (conflicts before the first restart).
-  std::uint64_t restart_base = 100;
-  /// Initial saved-phase polarity for fresh variables and heuristic resets.
-  bool default_phase = false;
-  /// Per-mille of decisions that take a random polarity instead of the
-  /// saved phase; 0 disables. Deterministic per seed.
-  std::uint32_t random_polarity_permille = 0;
-  /// Seed for the polarity RNG.
-  std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
   /// When set, the solver writes an extended-DRAT trace of every clause it
   /// is handed, learns, strengthens or deletes to this sink, making UNSAT
   /// verdicts independently checkable (see docs/proof_checking.md). Not
@@ -175,11 +157,12 @@ public:
 
   /// Cooperative cancellation: a non-owning flag polled at every conflict
   /// (and at solve() entry). When it reads true, solve() returns Unknown at
-  /// the next poll, leaving the solver reusable — the portfolio driver's
-  /// losing workers are cancelled this way. nullptr disables.
+  /// the next poll, leaving the solver reusable — the learner threads its
+  /// caller's LearnerConfig::stop through here. nullptr disables.
   void set_stop_flag(const std::atomic<bool>* stop) { stop_ = stop; }
 
-  /// Applies search-shape knobs (see SolverConfig). Call before encoding.
+  /// Applies the output-side settings (see SolverConfig). Call before
+  /// encoding.
   void set_config(const SolverConfig& config);
   const SolverConfig& config() const { return config_; }
 
@@ -313,10 +296,9 @@ private:
   std::uint64_t conflict_budget_ = 0;  // 0 = unlimited
   /// Cooperative cancellation: polled with relaxed loads at solve entry and
   /// every conflict. The flag carries no data — result visibility comes from
-  /// the joining structure (TaskGroup) on the raising side.
+  /// the caller's own synchronisation (joining the thread that ran the solve).
   const std::atomic<bool>* stop_ = nullptr;
   SolverConfig config_;
-  Rng polarity_rng_;
 
   // --- proof logging / model auditing ---
   ProofLog* plog_ = nullptr;            // = config_.proof_log (hot-path copy)

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <sstream>
 
 #include "src/base/status.h"
 #include "src/util/failpoint.h"
@@ -21,7 +20,7 @@ namespace t2m {
 
 namespace {
 
-/// Result of the shared open+map sequence both readers use.
+/// Result of LineReader's open+map sequence.
 struct ReadonlyMapping {
   const char* data = nullptr;  ///< non-null on success ("" for an empty file)
   std::size_t size = 0;
@@ -54,8 +53,8 @@ int open_readonly_retry(const std::string& path) {
 /// Opens `path` and maps it read-only with sequential-access advice.
 /// On open failure, data == nullptr and open_errno holds the saved errno.
 /// When the file opened but is not a mappable regular file (pipe, device,
-/// mmap refusal), data == nullptr with open_errno == 0 — callers then take
-/// their own read fallback. An empty regular file succeeds with data == ""
+/// mmap refusal), data == nullptr with open_errno == 0 — the caller then
+/// takes its istream fallback. An empty regular file succeeds with data == ""
 /// and no mapping (a zero-length mmap is invalid, but there is nothing to
 /// read).
 ReadonlyMapping map_readonly(const std::string& path) {
@@ -93,56 +92,6 @@ ReadonlyMapping map_readonly(const std::string& path) {
   (void)path;
 #endif
   return m;
-}
-
-/// Whole-file slurp via a POSIX read(2) loop: retries EINTR, accumulates
-/// short reads, and reports failures with errno + path. Failpoints:
-/// "io.read_eintr" (transient EINTR), "io.read" (hard EIO),
-/// "io.short_read" (caps each read at one byte so the accumulation loop is
-/// exercised). Non-POSIX builds fall back to an ifstream slurp.
-std::string read_file_contents(const std::string& path) {
-#ifdef T2M_HAVE_MMAP
-  int fd = open_readonly_retry(path);
-  if (fd < 0) {
-    throw StatusError(ErrorCode::io_error,
-                      errno_message("cannot open", path, errno));
-  }
-  std::string out;
-  char buf[1 << 16];
-  for (;;) {
-    std::size_t want = sizeof buf;
-    if (T2M_FAILPOINT("io.short_read")) want = 1;
-    ssize_t n;
-    if (T2M_FAILPOINT("io.read_eintr")) {
-      errno = EINTR;
-      n = -1;
-    } else if (T2M_FAILPOINT("io.read")) {
-      errno = EIO;
-      n = -1;
-    } else {
-      n = ::read(fd, buf, want);
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int saved = errno;
-      ::close(fd);
-      throw StatusError(ErrorCode::io_error,
-                        errno_message("read failed", path, saved));
-    }
-    if (n == 0) break;
-    out.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return out;
-#else
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw StatusError(ErrorCode::io_error, "cannot open " + path);
-  }
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return std::move(buffer).str();
-#endif
 }
 
 }  // namespace
@@ -196,8 +145,8 @@ void LineReader::open_fallback(const std::string& path) {
 
 void LineReader::release_consumed() {
 #ifdef T2M_HAVE_MMAP
-  // Only for mappings we own: a view region may be shared with other shard
-  // cursors and is not page-aligned to this reader's consumption.
+  // Only for mappings we own: a caller's memory region is not ours to
+  // release and is not page-aligned to this reader's consumption.
   if (!owns_map_) return;
   // Hand fully-consumed pages back to the kernel in multi-megabyte strides,
   // so resident memory tracks the cursor instead of the file size. Pages
@@ -239,35 +188,6 @@ bool LineReader::next(std::string_view& line) {
   if (!line_buf_.empty() && line_buf_.back() == '\r') line_buf_.pop_back();
   line = line_buf_;
   return true;
-}
-
-MappedFile::MappedFile(const std::string& path) {
-  const ReadonlyMapping m = map_readonly(path);
-  if (m.data != nullptr) {
-    data_ = m.data;
-    size_ = m.size;
-    fd_ = m.fd;
-    owns_map_ = m.owns_map;
-    return;
-  }
-  if (m.open_errno != 0) {
-    throw StatusError(
-        ErrorCode::io_error,
-        errno_message("MappedFile: cannot open", path, m.open_errno));
-  }
-  // Fallback: slurp the file through the EINTR-safe read loop. Costs O(file)
-  // memory, but keeps the sharded path functional on platforms or file kinds
-  // mmap cannot serve.
-  fallback_ = read_file_contents(path);
-  data_ = fallback_.data();
-  size_ = fallback_.size();
-}
-
-MappedFile::~MappedFile() {
-#ifdef T2M_HAVE_MMAP
-  if (owns_map_ && size_ > 0) ::munmap(const_cast<char*>(data_), size_);
-  if (fd_ >= 0) ::close(fd_);
-#endif
 }
 
 }  // namespace t2m

@@ -33,11 +33,10 @@ public:
   struct from_memory_t {};
   static constexpr from_memory_t from_memory{};
 
-  /// Serves lines straight out of caller-owned memory (a MappedFile shard
-  /// region, a test buffer). No pages are released behind the cursor — the
-  /// region may be shared with other concurrently-reading cursors — and the
-  /// memory must outlive the reader. mapped() reports true (views stay valid
-  /// for the reader's lifetime).
+  /// Serves lines straight out of caller-owned memory (a test buffer). No
+  /// pages are released behind the cursor — the memory is not the reader's
+  /// — and it must outlive the reader. mapped() reports true (views stay
+  /// valid for the reader's lifetime).
   LineReader(std::string_view region, from_memory_t);
 
   LineReader(const LineReader&) = delete;
@@ -76,32 +75,6 @@ private:
   std::size_t bytes_read_ = 0;
 
   void open_fallback(const std::string& path);
-};
-
-/// Read-only whole-file mapping for the sharded ingest path. Unlike
-/// LineReader's consuming cursor, every byte stays addressable for the
-/// object's lifetime, so multiple shard cursors (LineReader over
-/// string_view) can walk disjoint regions of one mapping concurrently.
-/// Falls back to reading the file into memory where mmap is unavailable.
-/// Throws std::runtime_error when the file cannot be opened.
-class MappedFile {
-public:
-  explicit MappedFile(const std::string& path);
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-  ~MappedFile();
-
-  std::string_view view() const { return {data_, size_}; }
-  std::size_t size() const { return size_; }
-  /// True when backed by an actual mapping (false: in-memory fallback).
-  bool mapped() const { return owns_map_; }
-
-private:
-  const char* data_ = "";
-  std::size_t size_ = 0;
-  int fd_ = -1;
-  bool owns_map_ = false;
-  std::string fallback_;  ///< owns the bytes when mmap was unavailable
 };
 
 }  // namespace t2m

@@ -53,6 +53,15 @@ std::int64_t CliArgs::get_int_or(const std::string& flag, std::int64_t fallback)
   return value;
 }
 
+std::size_t CliArgs::get_size_or(const std::string& flag, std::size_t fallback) const {
+  const std::int64_t value = get_int_or(flag, static_cast<std::int64_t>(fallback));
+  if (value < 0) {
+    throw std::invalid_argument("--" + flag + ": expected a non-negative integer, got '" +
+                                *get(flag) + "'");
+  }
+  return static_cast<std::size_t>(value);
+}
+
 double CliArgs::get_double_or(const std::string& flag, double fallback) const {
   const auto v = get(flag);
   if (!v || v->empty()) return fallback;

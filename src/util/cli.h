@@ -1,6 +1,7 @@
 #ifndef T2M_UTIL_CLI_H
 #define T2M_UTIL_CLI_H
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -22,6 +23,9 @@ public:
   std::optional<std::string> get(const std::string& flag) const;
   std::string get_or(const std::string& flag, const std::string& fallback) const;
   std::int64_t get_int_or(const std::string& flag, std::int64_t fallback) const;
+  /// get_int_or for sizes and counts: a negative value throws the same
+  /// flag-naming invalid_argument as a malformed one.
+  std::size_t get_size_or(const std::string& flag, std::size_t fallback) const;
   double get_double_or(const std::string& flag, double fallback) const;
 
 private:

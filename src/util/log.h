@@ -24,10 +24,10 @@ std::optional<LogLevel> parse_log_level(std::string_view name);
 const char* log_level_name(LogLevel level);
 
 /// Minimal logger writing to stderr (or an installed sink). Lines are
-/// emitted whole under a mutex, so concurrent workers (portfolio races,
-/// sharded scans) interleave at line granularity, and every line carries a
-/// monotonic timestamp (seconds since process start) plus a small per-thread
-/// id: `[t2m INFO  12.345678 t03] message`.
+/// emitted whole under a mutex, so concurrent writers (the heartbeat thread,
+/// a caller's own threads) interleave at line granularity, and every line
+/// carries a monotonic timestamp (seconds since process start) plus a small
+/// per-thread id: `[t2m INFO  12.345678 t03] message`.
 ///
 /// Thread-safety: set_level is an atomic store and may be called at any
 /// time from any thread (it used to be startup-only); set_sink swaps the

@@ -187,8 +187,8 @@ class CondVar {
 
 /// Centralised thread handle: every thread in the tree is created through
 /// this alias (the lint engine forbids raw std::thread outside this header),
-/// so "what spawns threads" stays a one-grep question — the pool workers and
-/// the obs heartbeat are the only production spawners today.
+/// so "what spawns threads" stays a one-grep question — the obs heartbeat is
+/// the only production spawner today.
 using Thread = std::thread;
 
 }  // namespace t2m

@@ -1,9 +1,8 @@
 // Concurrency stress for the annotated sync layer (docs/concurrency.md):
-// the components the thread-safety audit certifies — pool, task groups,
-// logger sink swaps, metrics registry, heartbeat, tracer, portfolio race —
-// hammered together under the sanitizer jobs (TSan is where these tests
-// earn their keep; on plain builds they are fast smoke checks). Also holds
-// the regression for the portfolio coordinator stall the audit fixed.
+// the components the thread-safety audit certifies — logger sink swaps,
+// metrics registry, heartbeat, tracer, the caller's stop flag — hammered
+// together from plain threads under the sanitizer jobs (TSan is where these
+// tests earn their keep; on plain builds they are fast smoke checks).
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 #include "src/obs/progress.h"
 #include "src/obs/trace.h"
 #include "src/obs/validate.h"
-#include "src/parallel/thread_pool.h"
 #include "src/sim/basic/counter.h"
 #include "src/sim/rtlinux/workloads.h"
 #include "src/util/log.h"
@@ -27,6 +25,17 @@
 
 namespace t2m {
 namespace {
+
+/// Runs `body(task)` on `tasks` plain threads while `during()` runs on the
+/// calling thread, then joins them all.
+template <typename Body, typename During>
+void fan_out(int tasks, Body body, During during) {
+  std::vector<Thread> threads;
+  threads.reserve(static_cast<std::size_t>(tasks));
+  for (int task = 0; task < tasks; ++task) threads.emplace_back(body, task);
+  during();
+  for (Thread& thread : threads) thread.join();
+}
 
 /// Restores global observability state on scope exit (mirrors test_obs.cpp).
 struct ObsQuiescent {
@@ -39,11 +48,11 @@ struct ObsQuiescent {
   }
 };
 
-TEST(ConcurrencyStress, PortfolioUnderFullObservability) {
-  // The worst-case lock interleaving the library offers: a portfolio race
-  // (pool + task group + stop flags) with the tracer, metrics, progress and
-  // a fast heartbeat all live, plus a capturing logger sink — every
-  // capability in the lock hierarchy is exercised concurrently.
+TEST(ConcurrencyStress, LearnUnderFullObservability) {
+  // The worst-case lock interleaving the library offers: a learn with the
+  // tracer, metrics, progress and a fast heartbeat thread all live, plus a
+  // capturing logger sink — every capability in the lock hierarchy is
+  // exercised concurrently.
   const ObsQuiescent guard;
   obs::Tracer::instance().start();
   obs::MetricsRegistry::global().enable();
@@ -58,10 +67,7 @@ TEST(ConcurrencyStress, PortfolioUnderFullObservability) {
 
   obs::Progress::global().begin_run(Deadline::never());
   const obs::Heartbeat heartbeat(0.005);
-  LearnerConfig config;
-  config.portfolio = 3;
-  const LearnResult result =
-      ModelLearner(config).learn(sim::generate_counter_trace({}));
+  const LearnResult result = ModelLearner().learn(sim::generate_counter_trace({}));
   EXPECT_TRUE(result.success);
 
   obs::Tracer::instance().stop();
@@ -77,27 +83,22 @@ TEST(ConcurrencyStress, LoggerSinkSwapsDuringConcurrentWrites) {
   const ObsQuiescent guard;
   Logger::instance().set_level(LogLevel::Info);
   std::atomic<std::uint64_t> delivered{0};
-  par::ThreadPool pool(4);
-  par::TaskGroup group(pool);
-  for (int task = 0; task < 8; ++task) {
-    group.run([task] {
-      for (int i = 0; i < 200; ++i) {
-        log_info() << "stress line " << task << ":" << i;
-      }
-    });
-  }
-  for (int swap = 0; swap < 100; ++swap) {
-    Logger::instance().set_sink([&delivered](LogLevel, const std::string& line) {
-      // order: relaxed — counter only; group.wait() below synchronises.
-      if (!line.empty()) delivered.fetch_add(1, std::memory_order_relaxed);
-    });
-    Logger::instance().set_sink(nullptr);
-  }
-  Logger::instance().set_sink([&delivered](LogLevel, const std::string& line) {
-    // order: relaxed — counter only; group.wait() below synchronises.
+  const auto counting_sink = [&delivered](LogLevel, const std::string& line) {
+    // order: relaxed — counter only; the joins below synchronise.
     if (!line.empty()) delivered.fetch_add(1, std::memory_order_relaxed);
-  });
-  group.wait();
+  };
+  fan_out(
+      8,
+      [](int task) {
+        for (int i = 0; i < 200; ++i) log_info() << "stress line " << task << ":" << i;
+      },
+      [&] {
+        for (int swap = 0; swap < 100; ++swap) {
+          Logger::instance().set_sink(counting_sink);
+          Logger::instance().set_sink(nullptr);
+        }
+        Logger::instance().set_sink(counting_sink);
+      });
   Logger::instance().set_sink(nullptr);
   // Some writes land on the stderr default mid-swap; whatever the sink saw
   // arrived whole (the counter only counts non-empty formatted lines).
@@ -113,22 +114,20 @@ TEST(ConcurrencyStress, MetricsRegistryConcurrentRegisterAndSnapshot) {
   }
   obs::MetricsRegistry::global().histogram("stress.histogram").reset();
   obs::MetricsRegistry::global().enable();
-  par::ThreadPool pool(4);
-  par::TaskGroup group(pool);
-  for (int task = 0; task < 8; ++task) {
-    group.run([task] {
-      for (int i = 0; i < 300; ++i) {
-        obs::count(("stress.counter." + std::to_string(i % 7)).c_str());
-        obs::gauge_max("stress.gauge", task * 1000 + i);
-        obs::observe("stress.histogram", static_cast<std::uint64_t>(i));
-        if (i % 64 == 0) {
-          std::ostringstream os;
-          obs::MetricsRegistry::global().write_json(os);
+  fan_out(
+      8,
+      [](int task) {
+        for (int i = 0; i < 300; ++i) {
+          obs::count(("stress.counter." + std::to_string(i % 7)).c_str());
+          obs::gauge_max("stress.gauge", task * 1000 + i);
+          obs::observe("stress.histogram", static_cast<std::uint64_t>(i));
+          if (i % 64 == 0) {
+            std::ostringstream os;
+            obs::MetricsRegistry::global().write_json(os);
+          }
         }
-      }
-    });
-  }
-  group.wait();
+      },
+      [] {});
   std::uint64_t total = 0;
   for (int i = 0; i < 7; ++i) {
     total += obs::MetricsRegistry::global()
@@ -138,28 +137,6 @@ TEST(ConcurrencyStress, MetricsRegistryConcurrentRegisterAndSnapshot) {
   EXPECT_EQ(total, 8u * 300u);
   EXPECT_EQ(obs::MetricsRegistry::global().histogram("stress.histogram").count(),
             8u * 300u);
-}
-
-TEST(ConcurrencyStress, PoolGrowthRacesSubmissionAndNestedGroups) {
-  // ensure_size (grow lock) racing submit (queue locks + sleep cv) and
-  // nested TaskGroups (group mutex/cv) — the full ThreadPool hierarchy.
-  par::ThreadPool pool(1);
-  std::atomic<int> done{0};
-  par::TaskGroup outer(pool);
-  for (int task = 0; task < 6; ++task) {
-    outer.run([&pool, &done] {
-      par::TaskGroup inner(pool);
-      for (int i = 0; i < 50; ++i) {
-        // order: relaxed — counter only; the group joins below.
-        inner.run([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-      }
-      inner.wait();
-    });
-  }
-  for (std::size_t size = 2; size <= 4; ++size) pool.ensure_size(size);
-  outer.wait();
-  EXPECT_EQ(done.load(), 6 * 50);
-  EXPECT_GE(pool.size(), 4u);
 }
 
 TEST(ConcurrencyStress, HeartbeatStartStopChurn) {
@@ -178,16 +155,13 @@ TEST(ConcurrencyStress, HeartbeatStartStopChurn) {
   }
 }
 
-TEST(ConcurrencyStress, OuterStopCancelsPortfolioMidRun) {
-  // Regression for the coordinator stall the thread-safety audit fixed: the
-  // portfolio wait loop used to steal lane tasks via help_one(), so a stolen
-  // lane captured the coordinator and the caller's stop flag went unrelayed
-  // for the lane's whole runtime. The relay loop must now observe a stop
-  // raised mid-run promptly regardless of lane durations.
+TEST(ConcurrencyStress, OuterStopCancelsLearnMidRun) {
+  // The caller's stop flag, raised from another thread mid-run, must reach
+  // the solver (polled every conflict) and the CEGIS loop (polled between
+  // solver calls) promptly.
   std::atomic<bool> stop{false};
   LearnerConfig config;
   config.stop = &stop;
-  config.portfolio = 3;
   const Trace trace = sim::generate_full_coverage_sched_trace(20165);
   Thread raiser([&stop] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -198,8 +172,8 @@ TEST(ConcurrencyStress, OuterStopCancelsPortfolioMidRun) {
   const LearnResult result = ModelLearner(config).learn(trace);
   const double seconds = wall.elapsed_seconds();
   raiser.join();
-  // Either the race finished before the flag rose (fast machine) or it was
-  // cancelled; a stalled relay would blow far past this generous bound.
+  // Either the learn finished before the flag rose (fast machine) or it was
+  // cancelled; an unpolled flag would blow far past this generous bound.
   EXPECT_TRUE(result.success || result.cancelled);
   EXPECT_LT(seconds, 30.0);
 }

@@ -3,8 +3,8 @@
 // no abort, no leak (the suite runs under ASan in CI), no torn process.
 // Also covers the failpoint spec grammar, the memory accountant, raw IO
 // error paths (EINTR retries, zero-length and unterminated files), deadline
-// and memory-cap learn verdicts, best-so-far salvage, and portfolio lane
-// crash isolation (the TSan job re-runs this suite for the race coverage).
+// and memory-cap learn verdicts, and best-so-far salvage (the TSan job
+// re-runs this suite for the race coverage).
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "src/core/compliance.h"
 #include "src/core/csp_encoder.h"
 #include "src/core/learner.h"
-#include "src/parallel/thread_pool.h"
 #include "src/sat/solver.h"
 #include "src/sim/basic/counter.h"
 #include "src/sim/rtlinux/workloads.h"
@@ -210,33 +209,6 @@ TEST(TraceIoFaults, MapFailureFallsBackToReads) {
   EXPECT_FALSE(reader.next(line));
 }
 
-TEST(TraceIoFaults, ReadFailureIsIoErrorAndEintrIsRetried) {
-  const FailpointGuard guard;
-  const TempFile file("alpha\nbeta\n");
-  // The read(2) loop is MappedFile's mmap fallback (sharded ingest path).
-  failpoint::arm("mmap.map", "always");
-  failpoint::arm("io.read", "always");
-  EXPECT_EQ(thrown_code([&] { MappedFile mapped(file.path()); }), ErrorCode::io_error);
-  failpoint::disarm("io.read");
-
-  failpoint::arm("io.read_eintr", "count=2");
-  MappedFile mapped(file.path());  // must succeed: EINTR is retried
-  EXPECT_FALSE(mapped.mapped());
-  EXPECT_EQ(mapped.view(), "alpha\nbeta\n");
-  EXPECT_EQ(failpoint::fires("io.read_eintr"), 2u);
-}
-
-TEST(TraceIoFaults, ShortReadsAreLooped) {
-  const FailpointGuard guard;
-  const std::string content = "first\nsecond\nthird\n";
-  const TempFile file(content);
-  failpoint::arm("mmap.map", "always");
-  failpoint::arm("io.short_read", "always");  // 1-byte reads end to end
-  MappedFile mapped(file.path());
-  EXPECT_EQ(mapped.view(), content);
-  EXPECT_GE(failpoint::fires("io.short_read"), content.size());
-}
-
 TEST(TraceIoFaults, ZeroLengthFileHasNoLines) {
   const FailpointGuard guard;
   const TempFile file("");
@@ -262,25 +234,7 @@ TEST(TraceIoFaults, MissingFileDiagnosticsNamePathAndErrno) {
   }
 }
 
-// --- thread pool and solver failpoints ---------------------------------------
-
-TEST(ParallelFaults, TaskBodyFailureCancelsTheStageNotTheProcess) {
-  const FailpointGuard guard;
-  failpoint::arm("pool.task", "once");
-  std::atomic<int> ran{0};
-  EXPECT_EQ(thrown_code([&] {
-              par::for_chunks(4, 64, 8, [&](std::size_t, std::size_t, std::size_t) {
-                ran.fetch_add(1);
-              });
-            }),
-            ErrorCode::internal);
-  failpoint::disarm_all();
-  // The pool is intact: the next parallel stage runs normally.
-  std::atomic<int> reran{0};
-  par::for_chunks(4, 64, 8,
-                  [&](std::size_t, std::size_t, std::size_t) { reran.fetch_add(1); });
-  EXPECT_EQ(reran.load(), 8);
-}
+// --- solver failpoints -----------------------------------------------------
 
 TEST(SolverFaults, ArenaAllocationFailureIsResourceExhausted) {
   const FailpointGuard guard;
@@ -371,8 +325,9 @@ TEST(Salvage, RandomDfaWalkKilledByAllocationFailureSalvagesCompliantModel) {
 
 TEST(Salvage, CancelledLaneDoesNotSalvage) {
   const FailpointGuard guard;
-  // A run aborted by the cooperative stop flag lost a race whose winner owns
-  // the verdict; handing back a partial model would be misleading.
+  // A run aborted by the caller's stop flag hands back nothing: the caller
+  // cancelled it and asked for no verdict, so a partial model would be
+  // misleading.
   const Trace t = event_trace({"a", "b", "a", "b"}, {"a", "b"});
   std::atomic<bool> stop{true};
   LearnerConfig config;
@@ -381,70 +336,6 @@ TEST(Salvage, CancelledLaneDoesNotSalvage) {
   EXPECT_FALSE(r.success);
   EXPECT_TRUE(r.cancelled);
   EXPECT_FALSE(r.salvaged);
-}
-
-// --- portfolio lane isolation ----------------------------------------------
-
-TEST(PortfolioFaults, CrashedLaneDoesNotTakeDownTheRace) {
-  const FailpointGuard guard;
-  const Trace t = event_trace({"a", "b", "c", "a", "b", "c", "a", "b", "c"},
-                              {"a", "b", "c"});
-  failpoint::arm("portfolio.lane", "once");
-  LearnerConfig config;
-  config.portfolio = 3;
-  const LearnResult r = ModelLearner(config).learn(t);
-  EXPECT_EQ(failpoint::fires("portfolio.lane"), 1u);
-  ASSERT_TRUE(r.success);  // the surviving lanes still reach the verdict
-  EXPECT_EQ(r.states, 3u);
-  ASSERT_EQ(r.stats.portfolio.size(), 3u);
-  int failed = 0, winners = 0;
-  for (const PortfolioConfigStats& lane : r.stats.portfolio) {
-    failed += lane.failed ? 1 : 0;
-    winners += lane.winner ? 1 : 0;
-    if (lane.failed) {
-      EXPECT_FALSE(lane.winner);
-      EXPECT_NE(lane.error.find("internal"), std::string::npos);
-    }
-  }
-  EXPECT_EQ(failed, 1);
-  EXPECT_EQ(winners, 1);  // the winner CAS stays single-shot
-}
-
-TEST(PortfolioFaults, LaneCrashStress) {
-  // Repeated races with one injected lane death each: run under TSan in CI
-  // to shake out winner-CAS and stop-flag races on the failure path.
-  const Trace t = event_trace({"a", "b", "c", "a", "b", "c", "a", "b", "c"},
-                              {"a", "b", "c"});
-  for (int round = 0; round < 6; ++round) {
-    const FailpointGuard guard;
-    failpoint::arm("portfolio.lane", "once");
-    LearnerConfig config;
-    config.portfolio = 4;
-    const LearnResult r = ModelLearner(config).learn(t);
-    ASSERT_TRUE(r.success) << "round " << round;
-    int winners = 0, failed = 0;
-    for (const PortfolioConfigStats& lane : r.stats.portfolio) {
-      winners += lane.winner ? 1 : 0;
-      failed += lane.failed ? 1 : 0;
-    }
-    EXPECT_EQ(winners, 1) << "round " << round;
-    EXPECT_EQ(failed, 1) << "round " << round;
-  }
-}
-
-TEST(PortfolioFaults, AllLanesCrashedStillReturnsAVerdict) {
-  const FailpointGuard guard;
-  const Trace t = event_trace({"a", "b", "a", "b"}, {"a", "b"});
-  failpoint::arm("portfolio.lane", "always");
-  LearnerConfig config;
-  config.portfolio = 3;
-  const LearnResult r = ModelLearner(config).learn(t);
-  EXPECT_FALSE(r.success);
-  EXPECT_EQ(r.status.code(), ErrorCode::internal);
-  for (const PortfolioConfigStats& lane : r.stats.portfolio) {
-    EXPECT_TRUE(lane.failed);
-    EXPECT_FALSE(lane.winner);
-  }
 }
 
 // --- determinism with the harness compiled in ------------------------------

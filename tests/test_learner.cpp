@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "src/core/compliance.h"
 #include "src/core/learner.h"
+#include "src/sim/basic/counter.h"
 #include "src/trace/recorder.h"
+#include "src/util/stopwatch.h"
 
 namespace t2m {
 namespace {
@@ -166,6 +170,44 @@ TEST(Learner, PredNamesAttachedToModel) {
   }
   EXPECT_TRUE(labels.count("a"));
   EXPECT_TRUE(labels.count("b"));
+}
+
+TEST(Learner, ZeroComplianceLengthIsAParseErrorVerdict) {
+  // l = 0 has no trace windows: every candidate would fail compliance on the
+  // empty word and the refinement loop would never converge. The learn
+  // returns a parse_error verdict before the search starts instead.
+  const Trace t = event_trace({"a", "b", "a", "b"}, {"a", "b"});
+  LearnerConfig config;
+  config.compliance_length = 0;
+  const Stopwatch watch;
+  const LearnResult r = ModelLearner(config).learn(t);
+  EXPECT_LT(watch.elapsed_seconds(), 5.0);
+  EXPECT_FALSE(r.success);
+  EXPECT_FALSE(r.timed_out);
+  EXPECT_EQ(r.status.code(), ErrorCode::parse_error);
+  EXPECT_EQ(r.stats.sat_calls, 0u);
+}
+
+TEST(Learner, StopFlagCancelsLearn) {
+  // A pre-raised stop flag cancels the run before any real work.
+  std::atomic<bool> stop{true};
+  LearnerConfig config;
+  config.stop = &stop;
+  const LearnResult result =
+      ModelLearner(config).learn(sim::generate_counter_trace({}));
+  EXPECT_FALSE(result.success);
+  EXPECT_TRUE(result.cancelled);
+  EXPECT_TRUE(result.timed_out);
+}
+
+// --- learner-level early stop ---------------------------------------------
+
+TEST(CoreDrivenStop, NormalRunsNeverFireAndStaySuccessful) {
+  LearnerConfig config;
+  ASSERT_TRUE(config.core_driven_stop);  // default on
+  const LearnResult result = ModelLearner(config).learn(sim::generate_counter_trace({}));
+  ASSERT_TRUE(result.success);
+  EXPECT_EQ(result.stats.core_stops, 0u);
 }
 
 }  // namespace

@@ -143,7 +143,7 @@ TEST(StreamingSegmenter, EdgeCases) {
 TEST(ComplianceWindowBuilder, MatchesBatchChecker) {
   Rng rng(7);
   for (int round = 0; round < 100; ++round) {
-    const std::size_t l = rng.below(4);  // includes l == 0
+    const std::size_t l = 1 + rng.below(3);
     const std::size_t length = rng.below(40);
     const std::size_t alphabet = 1 + rng.below(5);
     const auto seq = random_sequence(rng, length, alphabet);
@@ -172,6 +172,23 @@ TEST(ComplianceWindowBuilder, MatchesBatchChecker) {
     EXPECT_EQ(a.model_sequences, b.model_sequences);
     EXPECT_EQ(a.trace_sequences, b.trace_sequences);
   }
+}
+
+TEST(ComplianceWindowBuilder, ZeroLengthIsAParseError) {
+  // l == 0 has no windows: every candidate would fail on the empty word and
+  // the refinement loop would never converge. Both construction paths
+  // reject it.
+  const auto code = [](auto&& construct) {
+    try {
+      construct();
+    } catch (const StatusError& e) {
+      return e.code();
+    }
+    return ErrorCode::ok;
+  };
+  EXPECT_EQ(code([] { ComplianceWindowBuilder builder(0); }), ErrorCode::parse_error);
+  EXPECT_EQ(code([] { const ComplianceChecker checker({0, 1, 0}, 0); }),
+            ErrorCode::parse_error);
 }
 
 TEST(ComplianceWindowBuilder, WidePredicatesFallBackToVectorSet) {

@@ -254,5 +254,25 @@ TEST(CliArgs, MalformedNumbersThrowDiagnosticsInsteadOfCrashing) {
   }
 }
 
+TEST(CliArgs, SizeFlagsRejectNegativeValues) {
+  // Regression: --window, --compliance and --max-memory were read through
+  // get_int_or and cast to size_t, so `--window -1` learned a wrong model
+  // and `--max-memory -1` wrapped to an unlimited cap.
+  const char* argv[] = {"prog", "--window", "-1", "--compliance", "4",
+                        "--zero", "0",      "--bad", "x"};
+  const CliArgs args(9, argv);
+  EXPECT_EQ(args.get_size_or("compliance", 2), 4u);
+  EXPECT_EQ(args.get_size_or("zero", 2), 0u);
+  EXPECT_EQ(args.get_size_or("absent", 7), 7u);
+  EXPECT_THROW(args.get_size_or("bad", 0), std::invalid_argument);
+  try {
+    (void)args.get_size_or("window", 3);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--window"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("-1"), std::string::npos);
+  }
+}
+
 }  // namespace
 }  // namespace t2m

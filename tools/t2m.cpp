@@ -6,13 +6,13 @@
 //
 // `t2m learn` accepts --window, --compliance, --input <var> (repeatable via
 // comma list), --no-segment, --encoding pairwise|successor, --timeout <sec>,
-// --threads <n> (sharded ingest width for --ftrace inputs),
-// --portfolio <k> (race k solver configurations, first verdict wins), and
-// --ftrace FILE as an alternative to --trace for event logs (learned through
-// the streaming pipeline; with --threads > 1, the sharded parallel one).
+// and --ftrace FILE as an alternative to --trace for event logs (learned
+// through the streaming one-pass pipeline).
 
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "src/abstraction/abstraction.h"
@@ -44,17 +44,12 @@ int usage() {
       "  t2m learn --trace FILE | --ftrace FILE\n"
       "            [--window W] [--compliance L] [--input v1,v2]\n"
       "            [--no-segment] [--encoding pairwise|successor]\n"
-      "            [--timeout SEC] [--threads N] [--portfolio K]\n"
-      "            [--max-memory MB] [--task NAME] [--dot FILE] [--verbose]\n"
+      "            [--timeout SEC] [--max-memory MB]\n"
+      "            [--task NAME] [--dot FILE] [--verbose]\n"
       "            [--trace-out FILE] [--metrics-out FILE] [--stats-out FILE]\n"
       "            [--progress [SEC]] [--log-level LEVEL]\n"
       "  t2m info  --trace FILE\n"
       "\n"
-      "  --threads N    N-way sharded ingest for --ftrace inputs; the search\n"
-      "                 stays sequential and the result is byte-identical to\n"
-      "                 the streaming ingest (docs/parallel.md)\n"
-      "  --portfolio K  race K solver configurations over the same encoding\n"
-      "                 and keep the first verdict, cancelling the rest\n"
       "  --max-memory M cap accounted memory at M MiB; overrunning it ends\n"
       "                 the learn with an out-of-memory verdict (salvaging\n"
       "                 the best model so far) instead of crashing\n"
@@ -122,14 +117,16 @@ int cmd_learn(const t2m::CliArgs& args) {
   if (!path && !ftrace_path) return usage();
 
   t2m::LearnerConfig config;
-  config.window = static_cast<std::size_t>(args.get_int_or("window", 3));
-  config.compliance_length = static_cast<std::size_t>(args.get_int_or("compliance", 2));
+  config.window = args.get_size_or("window", 3);
+  config.compliance_length = args.get_size_or("compliance", 2);
   config.segmented = !args.has("no-segment");
   config.timeout_seconds = args.get_double_or("timeout", 0.0);
-  config.threads = static_cast<std::size_t>(args.get_int_or("threads", 1));
-  config.portfolio = static_cast<std::size_t>(args.get_int_or("portfolio", 0));
-  config.max_memory_bytes =
-      static_cast<std::size_t>(args.get_int_or("max-memory", 0)) << 20;
+  const std::size_t max_memory_mib = args.get_size_or("max-memory", 0);
+  if (max_memory_mib > (SIZE_MAX >> 20)) {
+    throw std::invalid_argument("--max-memory: " + std::to_string(max_memory_mib) +
+                                " MiB overflows a byte count");
+  }
+  config.max_memory_bytes = max_memory_mib << 20;
   if (args.get_or("encoding", "successor") == "pairwise") {
     config.encoding = t2m::DeterminismEncoding::Pairwise;
   }
@@ -162,8 +159,7 @@ int cmd_learn(const t2m::CliArgs& args) {
   const t2m::ModelLearner learner(config);
   t2m::LearnResult result;
   if (ftrace_path) {
-    // Event logs go through the streaming pipeline — with --threads > 1 the
-    // sharded parallel one (byte-identical artefacts either way).
+    // Event logs go through the streaming one-pass pipeline.
     result = learner.learn_from_ftrace(*ftrace_path, args.get_or("task", ""));
   } else {
     result = learner.learn(t2m::read_trace_file(*path));

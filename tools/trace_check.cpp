@@ -8,12 +8,12 @@
 //
 // --require-track / --require-span assert that at least one track name /
 // span name contains each comma-separated substring — CI uses them to prove
-// an instrumented learn actually produced per-lane tracks and per-phase
-// spans, not just an empty-but-valid document.
+// an instrumented learn actually produced its per-phase spans, not just an
+// empty-but-valid document.
 //
 // --self-test exercises the whole obs pipeline in-process: it runs a traced
-// + metered workload across the thread pool, writes both artefacts through
-// the production serializers, and validates them (registered in ctest).
+// + metered workload across two threads, writes both artefacts through the
+// production serializers, and validates them (registered in ctest).
 //
 // exit codes: 0 ok, 1 validation failed, 2 usage/io error.
 
@@ -26,9 +26,9 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/obs/validate.h"
-#include "src/parallel/thread_pool.h"
 #include "src/util/cli.h"
 #include "src/util/string_utils.h"
+#include "src/util/sync.h"
 
 namespace {
 
@@ -118,17 +118,20 @@ int self_test() {
   obs::MetricsRegistry::global().enable();
   {
     T2M_SPAN("selftest.run", "items", 64);
-    const obs::TrackScope lane("lane selftest");
-    par::ThreadPool& pool = par::ThreadPool::global();
-    pool.ensure_size(2);
-    par::for_chunks(2, 64, 8, []([[maybe_unused]] std::size_t c, std::size_t lo,
-                                  std::size_t hi) {
-      T2M_SPAN("selftest.chunk", "chunk", c);
-      for (std::size_t i = lo; i < hi; ++i) {
-        obs::count("selftest.items");
-        obs::observe("selftest.values", i);
-      }
-    });
+    // 8 chunks of 8 items, dealt round-robin to 2 threads.
+    std::vector<Thread> threads;
+    for (std::size_t t = 0; t < 2; ++t) {
+      threads.emplace_back([t] {
+        for (std::size_t c = t; c < 8; c += 2) {
+          T2M_SPAN("selftest.chunk", "chunk", c);
+          for (std::size_t i = c * 8; i < (c + 1) * 8; ++i) {
+            obs::count("selftest.items");
+            obs::observe("selftest.values", i);
+          }
+        }
+      });
+    }
+    for (Thread& thread : threads) thread.join();
     T2M_INSTANT("selftest.marker");
     T2M_TRACE_COUNTER("selftest.counter", 42);
     obs::gauge_max("selftest.peak", 7);
@@ -151,14 +154,6 @@ int self_test() {
   if (summary.span_names.count("selftest.run") == 0 ||
       summary.span_names.count("selftest.chunk") == 0) {
     std::cerr << "trace_check self-test: workload spans missing from the trace\n";
-    return 1;
-  }
-  bool lane_track = false;
-  for (const auto& [tid, name] : summary.tracks) {
-    if (name.find("lane selftest") != std::string::npos) lane_track = true;
-  }
-  if (!lane_track) {
-    std::cerr << "trace_check self-test: TrackScope lane track missing\n";
     return 1;
   }
 #endif
