@@ -962,16 +962,18 @@ std::size_t AutomatonCsp::reseed_from(const AutomatonCsp& old) {
   return imported;
 }
 
-sat::SolveResult AutomatonCsp::solve(const Deadline& deadline) {
+sat::SolveResult AutomatonCsp::solve(const Deadline& deadline,
+                                     std::span<const sat::Lit> pins) {
   if (overflowed_) return sat::SolveResult::Unknown;
   solver_.set_deadline(deadline);
   decoded_valid_ = false;
-  if (!persistent()) return solver_.solve();
+  if (!persistent()) return solver_.solve(pins);
   // Guard assumptions select the active width.
   assumptions_.clear();
   for (std::size_t k = 0; k < capacity_; ++k) {
     assumptions_.push_back(k < num_states_ ? sat::pos(act_[k]) : sat::neg(act_[k]));
   }
+  assumptions_.insert(assumptions_.end(), pins.begin(), pins.end());
   return solver_.solve(assumptions_);
 }
 

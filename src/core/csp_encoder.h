@@ -75,6 +75,8 @@ enum class DeterminismEncoding : std::uint8_t {
 struct CspOptions {
   DeterminismEncoding encoding = DeterminismEncoding::Successor;
   /// Abort encoding beyond this many clauses; solve() then reports Unknown.
+  /// Counts the solver's problem clauses, including root-satisfied ones its
+  /// amortised simplification has not swept yet (sat::Solver::simplify()).
   /// The pairwise encoding of an unsegmented long trace is O(m^2 N^3) --
   /// this cap is what turns the paper's ">16 hours" rows into a clean
   /// "intractable" verdict instead of memory exhaustion.
@@ -219,8 +221,12 @@ public:
   /// CSP is a fixed-N instance.
   bool grow_to(std::size_t n);
 
-  /// Runs the solver; Unknown on deadline expiry.
-  sat::SolveResult solve(const Deadline& deadline = Deadline::never());
+  /// Runs the solver; Unknown on deadline expiry. `pins` are extra
+  /// assumptions after the column guards, with which tests fix part of a
+  /// labelling (state_lit()) to check that the clauses refute it;
+  /// unsat_for_all_states() does not hold for a pinned solve.
+  sat::SolveResult solve(const Deadline& deadline = Deadline::never(),
+                         std::span<const sat::Lit> pins = {});
 
   /// Cooperative cancellation, forwarded to the solver: when the flag reads
   /// true, the next solve() poll returns Unknown. The learner threads its
@@ -287,9 +293,10 @@ public:
   std::size_t num_clauses() const { return solver_.num_clauses(); }
   std::size_t num_vars() const { return solver_.num_vars(); }
 
-private:
   /// SAT literal for "state variable `sv` equals state `k`".
   sat::Lit state_lit(std::size_t sv, std::size_t k) const;
+
+private:
   /// Fills decoded_ with the assigned state of every one-hot block in one
   /// pass over the model, so repeated decode_state() lookups during model
   /// extraction are O(1) instead of an O(N) scan each.

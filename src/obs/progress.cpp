@@ -93,8 +93,7 @@ ProgressSnapshot Progress::snapshot() const {
 }
 
 Heartbeat::Heartbeat(double interval_seconds, Callback callback) {
-  const auto interval = std::chrono::duration_cast<std::chrono::nanoseconds>(
-      std::chrono::duration<double>(interval_seconds > 0 ? interval_seconds : 1.0));
+  const auto interval = clamped_clock_duration(interval_seconds > 0 ? interval_seconds : 1.0);
   worker_ = Thread([this, interval, callback = std::move(callback)] {
     Tracer::set_thread_name("obs.heartbeat");
     // Absolute-deadline loop (CondVar has no predicate overloads — the

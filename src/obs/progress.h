@@ -85,9 +85,11 @@ private:
 };
 
 /// Background thread emitting one Info-level progress line (plus an optional
-/// callback) every `interval_seconds` while alive. RAII: construction
-/// starts the thread, destruction (or stop()) joins it. Long CLI runs hold
-/// one for `t2m --progress`; a future --serve mode can hold one per job.
+/// callback) every `interval_seconds` while alive. The interval clamps to
+/// kMaxClockSeconds; a non-positive or NaN one means 1 s. RAII:
+/// construction starts the thread, destruction (or stop()) joins it. Long
+/// CLI runs hold one for `t2m --progress`; a future --serve mode can hold
+/// one per job.
 class Heartbeat {
 public:
   using Callback = std::function<void(const ProgressSnapshot&)>;

@@ -25,6 +25,9 @@ constexpr double kVarRescaleLimit = 1e100;
 // Clause activities are stored as 32-bit floats in the arena header, so the
 // rescale threshold must sit well inside float range.
 constexpr float kClauseRescaleLimit = 1e20f;
+// Learned clauses kept before the first reduction, on top of half the
+// problem clauses.
+constexpr std::size_t kMinLearnedLimit = 4000;
 // GC triggers when at least this fraction of the arena is dead words.
 constexpr std::size_t kGcWasteDenominator = 5;  // 1/5 = 20%
 
@@ -188,6 +191,7 @@ bool Solver::finish_add_clause(std::span<const Lit> lits, bool tainted) {
   const ClauseRef cref = alloc_clause(lits, /*learned=*/false, tainted);
   problem_clauses_.push_back(cref);
   ++num_problem_clauses_;
+  problem_literals_ += lits.size();
   if (!batch_open_) attach_clause(cref);
   return true;
 }
@@ -207,6 +211,7 @@ void Solver::end_batch() {
     // attach_pending() did not reach.
     for (std::size_t i = batch_begin_; i < problem_clauses_.size(); ++i) {
       log_remove(problem_clauses_[i]);
+      problem_literals_ -= arena_.size(problem_clauses_[i]);
       arena_.mark_deleted(problem_clauses_[i]);
     }
     num_problem_clauses_ -= problem_clauses_.size() - batch_begin_;
@@ -612,57 +617,99 @@ void Solver::reduce_learned() {
 }
 
 void Solver::reset_branching_heuristics() {
-  // Backtrack first: solve() can return Unsat under assumptions while still
-  // at the failing decision level, and backtrack() phase-saves the trail —
-  // resetting before unwinding would restore the refuted assignment.
-  backtrack(0);
+  // Unwind to the root without backtrack(): its phase saving and heap
+  // re-insertions would be overwritten below. Unwinding first still matters,
+  // as solve() can return Unsat under assumptions at the failing level.
+  if (!trail_lim_.empty()) {
+    const std::size_t root_end = trail_lim_[0];
+    for (std::size_t i = root_end; i < trail_.size(); ++i) {
+      const auto v = static_cast<std::size_t>(trail_[i].var());
+      assign_[v] = LBool::Undef;
+      reason_[v] = kNoReason;
+    }
+    trail_.resize(root_end);
+    trail_lim_.clear();
+    propagate_head_ = root_end;
+  }
   std::fill(saved_phase_.begin(), saved_phase_.end(), kDefaultPhase);
   std::fill(activity_.begin(), activity_.end(), 0.0);
   var_inc_ = 1.0;
-  // With all activities equal any permutation is a valid heap; sorting
-  // restores the exact layout a fresh solver starts from.
-  std::sort(heap_.begin(), heap_.end());
-  for (std::size_t i = 0; i < heap_.size(); ++i) {
-    heap_index_[static_cast<std::size_t>(heap_[i])] = static_cast<std::int32_t>(i);
+  // With all activities equal any permutation is a valid heap. Rebuild it in
+  // ascending variable order, the layout a fresh solver starts from, over
+  // the same set backtrack(0) leaves: every unassigned variable plus the
+  // root-assigned ones not yet popped.
+  heap_.clear();
+  for (std::size_t v = 0; v < assign_.size(); ++v) {
+    if (heap_index_[v] < 0 && assign_[v] != LBool::Undef) continue;
+    heap_index_[v] = static_cast<std::int32_t>(heap_.size());
+    heap_.push_back(static_cast<Var>(v));
   }
 }
 
 void Solver::simplify() {
-  assert(decision_level() == 0);
   assert(!batch_open_);
-  if (trail_.size() == simplified_up_to_) return;  // no new root facts
-  simplified_up_to_ = trail_.size();
-  ++stats_.simplify_rounds;
+  backtrack(0);
+  if (trail_.size() == problem_simplified_up_to_) return;  // no new root facts
   T2M_SPAN("solver.simplify", "root_facts", trail_.size());
+  simplify_learned();
+  simplify_problem(trail_.size());
+  maybe_garbage_collect();
+}
+
+void Solver::simplify_learned() {
   // Root assignments are permanent, so their antecedents are never walked
   // again; clearing the reasons unlocks those clauses for removal.
-  for (const Lit l : trail_) reason_[static_cast<std::size_t>(l.var())] = kNoReason;
+  for (std::size_t i = simplified_up_to_; i < trail_.size(); ++i) {
+    reason_[static_cast<std::size_t>(trail_[i].var())] = kNoReason;
+  }
+  simplified_up_to_ = trail_.size();
+  (void)drop_root_satisfied(learnts_, trail_.size());
+}
+
+void Solver::simplify_problem(std::size_t root_end) {
+  ++stats_.simplify_rounds;
+  const std::size_t before = problem_clauses_.size();
+  problem_literals_ -= drop_root_satisfied(problem_clauses_, root_end);
+  num_problem_clauses_ -= before - problem_clauses_.size();
+  problem_simplified_up_to_ = root_end;
+  next_simplify_props_ = stats_.propagations + problem_literals_;
+}
+
+std::size_t Solver::drop_root_satisfied(std::vector<ClauseRef>& list, std::size_t root_end) {
+  // Root facts past root_end, units learned by the running search, are
+  // masked: the sweep sees the root trail as it stood at root_end.
+  const std::size_t root_level_end = trail_lim_.empty() ? trail_.size() : trail_lim_[0];
+  for (std::size_t i = root_end; i < root_level_end; ++i) {
+    seen_[static_cast<std::size_t>(trail_[i].var())] = 1;
+  }
   const auto root_satisfied = [this](ClauseRef c) {
     const std::size_t size = arena_.size(c);
     for (std::size_t i = 0; i < size; ++i) {
       const Lit l = arena_.lit(c, i);
-      if (value(l) == LBool::True && level_of(l.var()) == 0) return true;
+      if (value(l) == LBool::True && level_of(l.var()) == 0 &&
+          seen_[static_cast<std::size_t>(l.var())] == 0) {
+        return true;
+      }
     }
     return false;
   };
-  const auto drop_satisfied = [&](std::vector<ClauseRef>& list) {
-    std::erase_if(list, [&](ClauseRef c) {
-      if (arena_.deleted(c) || !root_satisfied(c)) return false;
-      // Watchers of deleted clauses are purged lazily: the non-binary
-      // propagation path checks the deleted bit, and a root-satisfied binary
-      // can never fire again (its blocker stays true), so both kinds are
-      // safe to drop in place until the next GC sweeps the watcher lists.
-      log_remove(c);
-      arena_.mark_deleted(c);
-      ++stats_.simplify_removed;
-      return true;
-    });
-  };
-  const std::size_t problem_before = problem_clauses_.size();
-  drop_satisfied(problem_clauses_);
-  num_problem_clauses_ -= problem_before - problem_clauses_.size();
-  drop_satisfied(learnts_);
-  maybe_garbage_collect();
+  std::size_t removed_literals = 0;
+  std::erase_if(list, [&](ClauseRef c) {
+    if (arena_.deleted(c) || !root_satisfied(c)) return false;
+    // Watchers of deleted clauses are purged lazily: the non-binary
+    // propagation path checks the deleted bit, and a root-satisfied binary
+    // can never fire again (its blocker stays true), so both kinds are
+    // safe to drop in place until the next GC sweeps the watcher lists.
+    removed_literals += arena_.size(c);
+    log_remove(c);
+    arena_.mark_deleted(c);
+    ++stats_.simplify_removed;
+    return true;
+  });
+  for (std::size_t i = root_end; i < root_level_end; ++i) {
+    seen_[static_cast<std::size_t>(trail_[i].var())] = 0;
+  }
+  return removed_literals;
 }
 
 void Solver::maybe_garbage_collect() {
@@ -754,16 +801,39 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
     if (plog_ != nullptr) plog_->conclude_unsat({});
     return SolveResult::Unsat;
   }
-  simplify();
+  // Amortised root simplification (MiniSat's simpDB_props rule): the
+  // problem clauses are swept once the propagations since their last sweep
+  // reach their literal count, so a few new root facts do not rescan a
+  // database of millions of clauses. The learned list is short and swept at
+  // every new root fact, which keeps reduce_learned() and export_clauses()
+  // seeing the same list as an eager sweep would. Leaving root-satisfied
+  // problem clauses attached changes no search decision: such a clause can
+  // never become a reason or a conflict, and the watchers it moves are
+  // appended, so no other watcher changes its relative order.
+  const std::size_t root_end = trail_.size();
+  if (stats_.propagations >= next_simplify_props_) {
+    simplify();
+  } else if (root_end != simplified_up_to_) {
+    T2M_SPAN("solver.simplify", "root_facts", root_end);
+    simplify_learned();
+    maybe_garbage_collect();
+  }
   // No heap rebuild: new_var() inserts every variable and backtrack()
   // re-inserts unassigned ones, so the heap always contains all unassigned
-  // variables; pick_branch_literal() skips stale assigned entries lazily.
+  // variables (check_invariants() audits this); pick_branch_literal() skips
+  // stale assigned entries lazily.
 
   std::uint64_t conflicts_total = 0;
   std::uint64_t restart_number = 0;
   std::uint64_t restart_limit = kRestartBase * luby(restart_number);
   std::uint64_t conflicts_since_restart = 0;
-  std::size_t max_learned = 4000 + num_problem_clauses_ / 2;
+  // The learned-clause limit counts the problem clauses as a sweep at this
+  // solve's start leaves them. While that sweep is deferred the limit is
+  // unknown but at least kMinLearnedLimit; reaching that runs the sweep
+  // (against the root facts as they stood at the start) before deciding.
+  const auto learned_limit = [this] { return kMinLearnedLimit + num_problem_clauses_ / 2; };
+  std::size_t max_learned =
+      problem_simplified_up_to_ == root_end ? learned_limit() : kMinLearnedLimit;
   std::vector<Lit> learnt;
 
   // Runs on every exit path of the search loop: flushes the conflicts not
@@ -833,6 +903,10 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
       if (conflict_budget_ != 0 && conflicts_total >= conflict_budget_) {
         if (plog_ != nullptr) plog_->conclude_unknown();
         return SolveResult::Unknown;
+      }
+      if (learnts_.size() > max_learned && problem_simplified_up_to_ != root_end) {
+        simplify_problem(root_end);
+        max_learned = learned_limit();
       }
       if (learnts_.size() > max_learned) {
         reduce_learned();
@@ -1076,6 +1150,11 @@ Status Solver::check_invariants() const {
     if (idx >= 0 && (static_cast<std::size_t>(idx) >= heap_.size() ||
                      heap_[static_cast<std::size_t>(idx)] != static_cast<Var>(v))) {
       return fail("heap index points at the wrong slot");
+    }
+    // solve() starts without a heap rebuild: an unassigned variable missing
+    // here could never be decided.
+    if (idx < 0 && assign_[v] == LBool::Undef) {
+      return fail("unassigned variable missing from the heap: " + std::to_string(v));
     }
   }
   return Status::Ok();

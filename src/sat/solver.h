@@ -56,7 +56,8 @@ struct SolverConfig {
 /// Conflict-driven clause-learning SAT solver in the MiniSat lineage:
 /// two-watched-literal propagation, first-UIP conflict analysis with
 /// recursive clause minimisation, VSIDS branching with phase saving, Luby
-/// restarts and LBD/activity-based learned-clause deletion.
+/// restarts, LBD/activity-based learned-clause deletion and amortised
+/// root-level simplification.
 ///
 /// Clauses live in a flat `ClauseArena` (contiguous uint32 buffer addressed
 /// by 32-bit offsets) rather than one heap vector per clause; deletion marks
@@ -137,9 +138,16 @@ public:
   /// Empty when the last Unsat was unconditional (root-level).
   const std::vector<Lit>& final_conflict() const { return final_conflict_; }
 
-  /// Root-level simplification: removes clauses satisfied at decision level
-  /// zero (and releases their antecedent locks). Called automatically at the
-  /// start of solve() when new root facts arrived; exposed for tests.
+  /// Root-level simplification: removes every problem and learned clause
+  /// satisfied at decision level zero (and releases their antecedent locks).
+  /// A direct call always sweeps both lists when root facts arrived since the
+  /// last sweep. solve() sweeps the learned clauses at every new root fact
+  /// but calls simplify() only once the propagations since the last problem
+  /// sweep reach the problem clauses' literal count, so until then
+  /// root-satisfied problem clauses stay in the database and in
+  /// num_clauses() (and in clause_fingerprint()). The search is the same
+  /// either way (see solve()). Unwinds to decision level zero first; call
+  /// outside a batch.
   void simplify();
 
   /// Resets the branching heuristics — saved phases to the all-false default
@@ -148,7 +156,10 @@ public:
   /// growth points: the saved assignment shape and conflict activity of the
   /// old (now unsatisfiable) problem are a misleading prior there, steering
   /// the wider search towards degenerate sibling models, whereas the learned
-  /// clauses remain sound and keep their pruning power.
+  /// clauses remain sound and keep their pruning power. Unwinds to decision
+  /// level zero and leaves the branching heap holding the variables
+  /// backtracking to zero would leave there, in ascending order: the layout
+  /// a fresh solver starts from. Linear in the variable count.
   void reset_branching_heuristics();
 
   /// Cooperative limits; checked between conflicts.
@@ -176,8 +187,9 @@ public:
   /// solve() returned Sat.
   Status verify_model() const;
 
-  /// Debug auditor: cross-checks the watcher lists against the arena and
-  /// the trail/reason invariants.
+  /// Debug auditor: cross-checks the watcher lists against the arena, the
+  /// trail/reason invariants and the branching heap, which must hold every
+  /// unassigned variable.
   /// O(database); intended for tests and the T2M_CHECK_INVARIANTS env
   /// toggle (checked at solve() boundaries), not for production loops.
   Status check_invariants() const;
@@ -237,6 +249,17 @@ private:
   void backtrack(int level);
   Lit pick_branch_literal();
   void reduce_learned();
+  /// The two halves of simplify(). simplify_learned() clears the reasons of
+  /// the root facts that arrived since its last call and sweeps learnts_.
+  /// simplify_problem() sweeps problem_clauses_ against the root facts
+  /// trail_[0, root_end) and schedules the next amortised sweep.
+  void simplify_learned();
+  void simplify_problem(std::size_t root_end);
+  /// Removes the clauses of `list` satisfied by a root fact in
+  /// trail_[0, root_end); later root facts are ignored, so the search can
+  /// catch up on a sweep deferred at its start. Returns the literal count
+  /// removed.
+  std::size_t drop_root_satisfied(std::vector<ClauseRef>& list, std::size_t root_end);
   void maybe_garbage_collect();
   /// True when the clause is the antecedent of its first literal.
   bool locked(ClauseRef cref) const;
@@ -266,6 +289,7 @@ private:
   std::vector<ClauseRef> problem_clauses_;
   std::vector<ClauseRef> learnts_;
   std::size_t num_problem_clauses_ = 0;
+  std::size_t problem_literals_ = 0;  // literal count of problem_clauses_
   // Open batch: problem_clauses_[batch_begin_..] are stored but unwatched.
   bool batch_open_ = false;
   std::size_t batch_begin_ = 0;
@@ -312,7 +336,11 @@ private:
   /// checker replaying the proof reaches its own root conflict in lockstep.
   void set_unsat();
   std::vector<Lit> final_conflict_;    // assumption core of the last Unsat
-  std::size_t simplified_up_to_ = 0;   // root trail size at the last simplify()
+  // Root trail sizes at the last learned and problem sweeps, and the
+  // propagation count from which solve() sweeps the problem clauses again.
+  std::size_t simplified_up_to_ = 0;
+  std::size_t problem_simplified_up_to_ = 0;
+  std::uint64_t next_simplify_props_ = 0;
 
   // --- width-taint tracking ---
   /// Per-var: the root-level fact on this variable was derived (transitively)

@@ -1,5 +1,6 @@
 #include "src/util/cli.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "src/util/string_utils.h"
@@ -68,6 +69,16 @@ double CliArgs::get_double_or(const std::string& flag, double fallback) const {
   double value = 0.0;
   if (!parse_double(*v, value)) {
     throw std::invalid_argument("--" + flag + ": expected a number, got '" + *v + "'");
+  }
+  return value;
+}
+
+double CliArgs::get_seconds_or(const std::string& flag, double fallback) const {
+  const double value = get_double_or(flag, fallback);
+  if (std::isnan(value) || value < 0.0) {
+    throw std::invalid_argument("--" + flag +
+                                ": expected a non-negative number of seconds, got '" +
+                                get(flag).value_or("") + "'");
   }
   return value;
 }

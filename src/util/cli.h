@@ -27,6 +27,9 @@ public:
   /// flag-naming invalid_argument as a malformed one.
   std::size_t get_size_or(const std::string& flag, std::size_t fallback) const;
   double get_double_or(const std::string& flag, double fallback) const;
+  /// get_double_or for durations in seconds: a negative or NaN value throws
+  /// the same flag-naming invalid_argument as a malformed one; inf is kept.
+  double get_seconds_or(const std::string& flag, double fallback) const;
 
 private:
   std::string program_;

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/abstraction/abstraction.h"
@@ -847,6 +848,29 @@ TEST(ExtendPrefix, TiesACoveredSegmentToItsFirstOccurrence) {
     EXPECT_EQ(csp.decode_state(3), csp.decode_state(1)) << "N=" << n;
     EXPECT_EQ(csp.decode_state(4), csp.decode_state(2)) << "N=" << n;
     EXPECT_EQ(csp.decode_state(5), csp.decode_state(9)) << "N=" << n;
+  }
+}
+
+TEST(ExtendPrefix, GrowingExtendsTheTiesToNewColumns) {
+  // The layout above, extended at N = 2 and then grown: in every newly
+  // activated column k, a labelling that puts a tied segment variable in
+  // state k and its chain variable elsewhere must be refuted. Ties are
+  // sound, so no verdict shows a missing one; pinning the labelling does.
+  CspOptions options;
+  options.state_capacity = 5;
+  AutomatonCsp csp({{0, 1}, {1, 0}, {2, 2}}, 3, 2, options);
+  csp.extend_prefix(std::vector<PredId>{0, 1, 0});
+  const std::pair<std::size_t, std::size_t> tied[] = {{3, 1}, {4, 2}, {5, 9}};
+  for (std::size_t n = 3; n <= 5; ++n) {
+    ASSERT_TRUE(csp.grow_to(n));
+    ASSERT_EQ(csp.solve(), sat::SolveResult::Sat) << "N=" << n;
+    const std::size_t k = n - 1;
+    for (const auto& [segment_sv, chain_sv] : tied) {
+      const sat::Lit pins[] = {csp.state_lit(segment_sv, k), ~csp.state_lit(chain_sv, k)};
+      EXPECT_EQ(csp.solve(Deadline::never(), pins), sat::SolveResult::Unsat)
+          << "N=" << n << ": state variable " << segment_sv << " left its tie to "
+          << chain_sv << " in column " << k;
+    }
   }
 }
 

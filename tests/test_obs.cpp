@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -349,6 +350,25 @@ TEST(Progress, DisabledUpdatesAreDropped) {
   obs::Progress::global().add_sat_calls(5);
   obs::Progress::global().enable();
   EXPECT_EQ(obs::Progress::global().snapshot().sat_calls, 0u);
+}
+
+TEST(Heartbeat, HugeIntervalClampsInsteadOfSpinning) {
+  // Regression: an interval of inf or 1e12 s wrapped to a negative clock
+  // span, and the heartbeat fired back to back (about 66,000 lines during a
+  // half-second learn).
+  const ObsQuiescent guard;
+  obs::Progress::global().enable();
+  obs::Progress::global().begin_run(Deadline::never());
+  std::atomic<int> callbacks{0};
+  Logger::instance().set_sink([](LogLevel, const std::string&) {});
+  for (const double interval : {std::numeric_limits<double>::infinity(), 1e12}) {
+    obs::Heartbeat heartbeat(interval, [&callbacks](const obs::ProgressSnapshot&) {
+      callbacks.fetch_add(1);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  }
+  Logger::instance().set_sink(nullptr);
+  EXPECT_EQ(callbacks.load(), 0);
 }
 
 TEST(Heartbeat, FiresCallbackAndInfoLine) {

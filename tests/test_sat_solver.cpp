@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "src/sat/dimacs.h"
 #include "src/sat/solver.h"
@@ -524,6 +528,199 @@ TEST(Dimacs, UnitAndEmptyClausesRoundTrip) {
   for (std::size_t i = 0; i < f.clauses.size(); ++i) {
     EXPECT_EQ(back.clauses[i], f.clauses[i]);
   }
+}
+
+// --- amortised root simplification and the heuristics reset ----------------
+
+/// A random clause of 3 literals over the variables of `hidden` that agrees
+/// with `hidden` on at least one literal, so root units drawn from `hidden`
+/// never contradict it.
+Clause planted_clause(Rng& rng, const std::vector<bool>& hidden) {
+  Clause clause;
+  for (int k = 0; k < 3; ++k) {
+    const Var v = static_cast<Var>(rng.below(hidden.size()));
+    clause.push_back(Lit(v, rng.chance(0.5)));
+  }
+  const Var v = clause[0].var();
+  clause[0] = Lit(v, !hidden[static_cast<std::size_t>(v)]);
+  return clause;
+}
+
+/// One solve on both twins: `eager` sweeps every root-satisfied clause
+/// first, `amortised` is left to solve()'s own schedule. Both must search
+/// identically: same verdict, model or core, and counters.
+void expect_same_solve(Solver& amortised, Solver& eager, std::span<const Lit> assumptions,
+                       const std::string& what) {
+  eager.simplify();
+  const SolveResult got = amortised.solve(assumptions);
+  ASSERT_EQ(got, eager.solve(assumptions)) << what;
+  EXPECT_EQ(amortised.stats().conflicts, eager.stats().conflicts) << what;
+  EXPECT_EQ(amortised.stats().decisions, eager.stats().decisions) << what;
+  EXPECT_EQ(amortised.stats().propagations, eager.stats().propagations) << what;
+  EXPECT_EQ(amortised.stats().reduces, eager.stats().reduces) << what;
+  // The learned clauses are swept at every new root fact on both.
+  EXPECT_EQ(amortised.num_learned(), eager.num_learned()) << what;
+  EXPECT_EQ(amortised.export_clauses(UINT32_MAX), eager.export_clauses(UINT32_MAX)) << what;
+  if (got == SolveResult::Sat) {
+    for (Var v = 0; v < static_cast<Var>(amortised.num_vars()); ++v) {
+      ASSERT_EQ(amortised.model_value(v), eager.model_value(v)) << what << " var " << v;
+    }
+  } else {
+    EXPECT_EQ(amortised.final_conflict(), eager.final_conflict()) << what;
+  }
+  const Status audit = amortised.check_invariants();
+  EXPECT_TRUE(audit.ok()) << what << ": " << audit.to_string();
+}
+
+TEST(SatSolver, AmortisedSimplifyLeavesTheSearchUnchanged) {
+  // The learner's incremental pattern on two twins: clauses and root units
+  // between solves, assumption solves, learned root units and heuristics
+  // resets. Sweeping root-satisfied clauses late must not move the search.
+  Rng rng(0x51a9);
+  bool deferred = false;
+  for (int trial = 0; trial < 12; ++trial) {
+    constexpr std::size_t kVars = 70;
+    std::vector<bool> hidden(kVars);
+    for (std::size_t v = 0; v < kVars; ++v) hidden[v] = rng.chance(0.5);
+    Solver amortised;
+    Solver eager;
+    amortised.new_vars(kVars);
+    eager.new_vars(kVars);
+    for (int round = 0; round < 40; ++round) {
+      const std::string what = "trial " + std::to_string(trial) + " round " +
+                               std::to_string(round);
+      for (int i = 0; i < 12; ++i) {
+        const Clause clause = planted_clause(rng, hidden);
+        amortised.add_clause(clause);
+        eager.add_clause(clause);
+      }
+      if (rng.chance(0.3)) {
+        const auto v = static_cast<Var>(rng.below(kVars));
+        const Lit unit(v, !hidden[static_cast<std::size_t>(v)]);
+        amortised.add_unit(unit);
+        eager.add_unit(unit);
+      }
+      if (rng.chance(0.15)) {
+        amortised.reset_branching_heuristics();
+        eager.reset_branching_heuristics();
+      }
+      std::vector<Lit> assumptions;
+      for (std::size_t k = rng.below(5); k > 0; --k) {
+        assumptions.push_back(Lit(static_cast<Var>(rng.below(kVars)), rng.chance(0.5)));
+      }
+      expect_same_solve(amortised, eager, assumptions, what);
+      if (amortised.num_clauses() > eager.num_clauses()) deferred = true;
+    }
+  }
+  EXPECT_TRUE(deferred) << "no sweep was ever deferred";
+}
+
+TEST(SatSolver, AmortisedSimplifySweepsOnceThePropagationsPayForIt) {
+  // 50 clauses of 3 literals (150) all satisfied by the root fact b. A solve
+  // costs about one propagation per variable, so the sweep waits a few
+  // solves, then runs once the propagations since the last one reach 150.
+  Solver s;
+  const Var b = s.new_var();
+  const Var z = s.new_var();
+  const Var x = s.new_vars(51);
+  for (Var i = 0; i < 50; ++i) s.add_ternary(pos(b), pos(x + i), pos(x + i + 1));
+  s.add_unit(pos(z));
+  const std::uint64_t swept_at = s.stats().propagations;
+  ASSERT_EQ(s.solve(), SolveResult::Sat);  // first sweep: nothing to remove
+  const std::uint64_t rounds = s.stats().simplify_rounds;
+  s.add_unit(pos(b));
+  ASSERT_EQ(s.solve(), SolveResult::Sat);
+  EXPECT_EQ(s.num_clauses(), 50u) << "a sweep ran before the propagations paid for it";
+  EXPECT_EQ(s.stats().simplify_rounds, rounds);
+  for (int i = 0; i < 10 && s.num_clauses() > 0; ++i) {
+    const std::uint64_t before = s.stats().propagations;
+    ASSERT_EQ(s.solve(), SolveResult::Sat);
+    if (s.num_clauses() == 0) {
+      EXPECT_GE(before - swept_at, 150u);
+    }
+  }
+  EXPECT_EQ(s.num_clauses(), 0u) << "the deferred sweep never ran";
+  EXPECT_EQ(s.stats().simplify_rounds, rounds + 1);
+  EXPECT_GE(s.stats().simplify_removed, 50u);
+  // simplify() itself never defers.
+  const Var c = s.new_var();
+  s.add_binary(pos(c), pos(x));
+  s.add_unit(pos(c));
+  s.simplify();
+  EXPECT_EQ(s.num_clauses(), 0u);
+}
+
+TEST(SatSolver, DeferredSweepRunsBeforeTheLearnedClauseLimit) {
+  // The learned-clause limit is 4000 plus half the problem clauses as a
+  // sweep at the solve's start leaves them. Here that sweep is deferred
+  // (the previous solve barely propagated), and the search learns past
+  // 4000 clauses and reduces: the amortised twin must catch up on the sweep
+  // first and reduce exactly when the eager one does.
+  Rng rng(0x4e7);
+  constexpr std::size_t kVars = 185;
+  const CnfFormula f = random_formula(rng, kVars, 788);
+  Solver amortised;
+  Solver eager;
+  ASSERT_TRUE(load_into_solver(f, amortised));
+  ASSERT_TRUE(load_into_solver(f, eager));
+  // A root fact on a fresh variable makes the first solve sweep and
+  // schedule the next sweep; its assumptions fail at once.
+  const Lit fresh = pos(amortised.new_var());
+  ASSERT_EQ(eager.new_var(), fresh.var());
+  amortised.add_unit(fresh);
+  eager.add_unit(fresh);
+  const Lit trap = pos(0);
+  const Lit contradictory[] = {trap, ~trap};
+  expect_same_solve(amortised, eager, contradictory, "cheap assumption failure");
+  const Lit unit = f.clauses.front().front();  // satisfies at least one clause
+  amortised.add_unit(unit);
+  eager.add_unit(unit);
+  eager.simplify();
+  ASSERT_GT(amortised.num_clauses(), eager.num_clauses());
+  expect_same_solve(amortised, eager, {}, "hard solve");
+  EXPECT_GT(amortised.stats().learned_clauses, 4000u);
+  EXPECT_GT(amortised.stats().reduces, 0u);
+  EXPECT_EQ(amortised.num_clauses(), eager.num_clauses()) << "the sweep was not caught up";
+}
+
+TEST(SatSolver, InvariantAuditCoversTheHeapAfterSatResetAndBackjumps) {
+  // check_invariants() requires every unassigned variable in the branching
+  // heap, which solve() and reset_branching_heuristics() rely on. Audit it
+  // at the states the learner leaves a solver in.
+  Rng rng(0x4ea9);
+  constexpr std::size_t kVars = 120;
+  std::vector<bool> hidden(kVars);
+  for (std::size_t v = 0; v < kVars; ++v) hidden[v] = rng.chance(0.5);
+  Solver s;
+  s.new_vars(kVars);
+  for (int i = 0; i < 480; ++i) s.add_clause(planted_clause(rng, hidden));
+  const auto audit = [&s](const char* what) {
+    const Status status = s.check_invariants();
+    EXPECT_TRUE(status.ok()) << what << ": " << status.to_string();
+  };
+  ASSERT_EQ(s.solve(), SolveResult::Sat);
+  audit("after Sat");
+  s.reset_branching_heuristics();
+  audit("after Sat and reset");
+  // Unsat under assumptions returns at the failing decision level.
+  const Lit failing[] = {Lit(0, hidden[0]), Lit(1, hidden[1]), Lit(0, !hidden[0])};
+  ASSERT_EQ(s.solve(failing), SolveResult::Unsat);
+  audit("after an assumption Unsat");
+  s.reset_branching_heuristics();
+  audit("after an assumption Unsat and reset");
+  // A budget-stopped search leaves the solver mid-search after backjumps.
+  Solver hard;
+  add_pigeonhole(hard, 7);
+  hard.set_conflict_budget(300);
+  ASSERT_EQ(hard.solve(), SolveResult::Unknown);
+  EXPECT_GE(hard.stats().conflicts, 300u);
+  Status status = hard.check_invariants();
+  EXPECT_TRUE(status.ok()) << "after backjumps: " << status.to_string();
+  hard.reset_branching_heuristics();
+  status = hard.check_invariants();
+  EXPECT_TRUE(status.ok()) << "after backjumps and reset: " << status.to_string();
+  hard.set_conflict_budget(0);
+  EXPECT_EQ(hard.solve(), SolveResult::Unsat);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <clocale>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -163,6 +164,39 @@ TEST(Deadline, NeverAndFinite) {
   EXPECT_GT(future.remaining_seconds(), 0.0);
 }
 
+TEST(Deadline, HugeAndNonFiniteCountsNeverExpire) {
+  // Regression: the double was cast straight to the clock's int64
+  // nanoseconds, so 1e12 s or inf wrapped to a deadline in the past and a
+  // `--timeout inf` learn reported a timeout after a few milliseconds.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double seconds :
+       {inf, 1e12, kMaxClockSeconds, std::numeric_limits<double>::quiet_NaN()}) {
+    const Deadline d = Deadline::after_seconds(seconds);
+    EXPECT_FALSE(d.is_finite()) << seconds;
+    EXPECT_FALSE(d.expired()) << seconds;
+  }
+  const Deadline far = Deadline::after_seconds(kMaxClockSeconds / 2);
+  EXPECT_TRUE(far.is_finite());
+  EXPECT_FALSE(far.expired());
+  EXPECT_GT(far.remaining_seconds(), kMaxClockSeconds / 4);
+  for (const double seconds : {0.0, -5.0, -inf}) {
+    EXPECT_TRUE(Deadline::after_seconds(seconds).expired()) << seconds;
+  }
+}
+
+TEST(Deadline, ClampedClockDurationStaysInRange) {
+  using Duration = Stopwatch::Clock::duration;
+  const double inf = std::numeric_limits<double>::infinity();
+  const Duration max = clamped_clock_duration(kMaxClockSeconds);
+  EXPECT_EQ(std::chrono::duration_cast<std::chrono::seconds>(max).count(), 1000000000);
+  EXPECT_EQ(clamped_clock_duration(inf), max);
+  EXPECT_EQ(clamped_clock_duration(1e300), max);
+  EXPECT_EQ(clamped_clock_duration(-1.0), Duration::zero());
+  EXPECT_EQ(clamped_clock_duration(-inf), Duration::zero());
+  EXPECT_EQ(clamped_clock_duration(std::numeric_limits<double>::quiet_NaN()), Duration::zero());
+  EXPECT_EQ(clamped_clock_duration(0.25), std::chrono::milliseconds(250));
+}
+
 TEST(Stopwatch, MonotoneElapsed) {
   Stopwatch watch;
   const double t1 = watch.elapsed_seconds();
@@ -271,6 +305,26 @@ TEST(CliArgs, SizeFlagsRejectNegativeValues) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("--window"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("-1"), std::string::npos);
+  }
+}
+
+TEST(CliArgs, SecondsFlagsRejectNegativeAndNanValues) {
+  // Regression: `--timeout -5` and `--timeout nan` silently meant "no
+  // timeout", and `--progress -1` a 1 s heartbeat.
+  const char* argv[] = {"prog",       "--timeout", "-5",  "--progress", "nan",
+                        "--infinite", "inf",       "--ok", "2.5",       "--bare"};
+  const CliArgs args(10, argv);
+  EXPECT_DOUBLE_EQ(args.get_seconds_or("ok", 0.0), 2.5);
+  EXPECT_DOUBLE_EQ(args.get_seconds_or("absent", 5.0), 5.0);
+  EXPECT_DOUBLE_EQ(args.get_seconds_or("bare", 5.0), 5.0);
+  EXPECT_EQ(args.get_seconds_or("infinite", 0.0), std::numeric_limits<double>::infinity());
+  for (const char* flag : {"timeout", "progress"}) {
+    try {
+      (void)args.get_seconds_or(flag, 0.0);
+      FAIL() << "expected invalid_argument for --" << flag;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + flag), std::string::npos);
+    }
   }
 }
 

@@ -120,7 +120,7 @@ int cmd_learn(const t2m::CliArgs& args) {
   config.window = args.get_size_or("window", 3);
   config.compliance_length = args.get_size_or("compliance", 2);
   config.segmented = !args.has("no-segment");
-  config.timeout_seconds = args.get_double_or("timeout", 0.0);
+  config.timeout_seconds = args.get_seconds_or("timeout", 0.0);
   const std::size_t max_memory_mib = args.get_size_or("max-memory", 0);
   if (max_memory_mib > (SIZE_MAX >> 20)) {
     throw std::invalid_argument("--max-memory: " + std::to_string(max_memory_mib) +
@@ -153,7 +153,7 @@ int cmd_learn(const t2m::CliArgs& args) {
     if (!args.has("log-level") && !t2m::Logger::instance().enabled(t2m::LogLevel::Info)) {
       t2m::Logger::instance().set_level(t2m::LogLevel::Info);
     }
-    heartbeat.emplace(args.get_double_or("progress", 5.0));
+    heartbeat.emplace(args.get_seconds_or("progress", 5.0));
   }
 
   const t2m::ModelLearner learner(config);
