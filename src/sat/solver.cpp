@@ -672,7 +672,7 @@ void Solver::simplify_problem(std::size_t root_end) {
   problem_literals_ -= drop_root_satisfied(problem_clauses_, root_end);
   num_problem_clauses_ -= before - problem_clauses_.size();
   problem_simplified_up_to_ = root_end;
-  next_simplify_props_ = stats_.propagations + problem_literals_;
+  simplified_at_props_ = stats_.propagations;
 }
 
 std::size_t Solver::drop_root_satisfied(std::vector<ClauseRef>& list, std::size_t root_end) {
@@ -811,7 +811,7 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
   // never become a reason or a conflict, and the watchers it moves are
   // appended, so no other watcher changes its relative order.
   const std::size_t root_end = trail_.size();
-  if (stats_.propagations >= next_simplify_props_) {
+  if (stats_.propagations - simplified_at_props_ >= problem_literals_) {
     simplify();
   } else if (root_end != simplified_up_to_) {
     T2M_SPAN("solver.simplify", "root_facts", root_end);

@@ -252,7 +252,8 @@ private:
   /// The two halves of simplify(). simplify_learned() clears the reasons of
   /// the root facts that arrived since its last call and sweeps learnts_.
   /// simplify_problem() sweeps problem_clauses_ against the root facts
-  /// trail_[0, root_end) and schedules the next amortised sweep.
+  /// trail_[0, root_end) and restarts the propagation count that pays for
+  /// the next one.
   void simplify_learned();
   void simplify_problem(std::size_t root_end);
   /// Removes the clauses of `list` satisfied by a root fact in
@@ -337,10 +338,10 @@ private:
   void set_unsat();
   std::vector<Lit> final_conflict_;    // assumption core of the last Unsat
   // Root trail sizes at the last learned and problem sweeps, and the
-  // propagation count from which solve() sweeps the problem clauses again.
+  // propagation count at the last problem sweep.
   std::size_t simplified_up_to_ = 0;
   std::size_t problem_simplified_up_to_ = 0;
-  std::uint64_t next_simplify_props_ = 0;
+  std::uint64_t simplified_at_props_ = 0;
 
   // --- width-taint tracking ---
   /// Per-var: the root-level fact on this variable was derived (transitively)
