@@ -8,7 +8,6 @@
 
 #include "src/abstraction/event_stream.h"
 #include "src/base/memory_accountant.h"
-#include "src/core/report.h"
 #include "src/obs/progress.h"
 #include "src/obs/trace.h"
 #include "src/trace/mmap_io.h"
@@ -19,9 +18,7 @@ namespace t2m {
 namespace {
 
 /// Applies LearnerConfig::max_memory_bytes to the global accountant for the
-/// duration of one public learn call, restoring the previous cap on exit
-/// (nesting-safe: learn() delegating to learn_from_sequence() re-applies the
-/// same cap and restores it in LIFO order).
+/// duration of one public learn call, restoring the previous cap on exit.
 class ScopedMemoryLimit {
 public:
   explicit ScopedMemoryLimit(std::size_t limit)
@@ -57,152 +54,124 @@ LearnResult failure_result(Status status) {
   return result;
 }
 
+/// The entry guard of every public learn call: caps accounted memory for
+/// the call, returns a structured failure or a failed allocation as a
+/// verdict, and records the accountant's peak in the run's stats.
+template <typename Body>
+LearnResult guarded(std::size_t max_memory_bytes, const Body& body) {
+  const ScopedMemoryLimit mem_limit(max_memory_bytes);
+  LearnResult result;
+  try {
+    result = body();
+  } catch (const StatusError& e) {
+    result = failure_result(e.status());
+  } catch (const std::bad_alloc&) {
+    result = failure_result(Status::ResourceExhausted("allocation failed during learn"));
+  }
+  result.stats.accounted_peak_bytes = MemoryAccountant::global().peak();
+  return result;
+}
+
 }  // namespace
 
 ModelLearner::ModelLearner(LearnerConfig config) : config_(std::move(config)) {}
 
 LearnResult ModelLearner::learn(const Trace& trace, AbstractionMode mode) const {
-  const ScopedMemoryLimit mem_limit(config_.max_memory_bytes);
-  const Stopwatch total;
-  try {
+  return guarded(config_.max_memory_bytes, [&] {
+    const Stopwatch total;
     AbstractionConfig abs_config = config_.abstraction;
     abs_config.window = config_.window;
-
-    const Stopwatch abstraction_watch;
     PredicateSequence preds = abstract_trace(trace, abs_config, mode);
-    const double abstraction_seconds = abstraction_watch.elapsed_seconds();
+    const double abstraction_seconds = total.elapsed_seconds();
 
-    LearnResult result = learn_from_sequence(std::move(preds), trace.schema());
+    LearnResult result = search_sequence(std::move(preds), trace.schema(), total);
     result.stats.abstraction_seconds = abstraction_seconds;
-    result.stats.total_seconds = total.elapsed_seconds();
     return result;
-  } catch (const StatusError& e) {
-    return failure_result(e.status());
-  } catch (const std::bad_alloc&) {
-    return failure_result(Status::ResourceExhausted("allocation failed during learn"));
-  }
+  });
 }
 
 LearnResult ModelLearner::learn_from_sequence(PredicateSequence preds,
                                               const Schema& schema) const {
-  const ScopedMemoryLimit mem_limit(config_.max_memory_bytes);
-  const Stopwatch total;
-  try {
-    const std::size_t sequence_length = preds.length();
-    std::vector<Segment> segments = config_.segmented
-                                        ? segment_sequence(preds.seq, config_.window)
-                                        : whole_sequence(preds.seq);
-
-    // The trace window set is invariant across all refinement iterations:
-    // compute it once and let every compliance check stream against it.
-    ComplianceChecker compliance_checker(preds.seq, config_.compliance_length);
-
-    // The timeout budgets the CEGIS search: the deadline starts after
-    // segmentation and P_l construction, exactly as the streaming path starts
-    // it after its ingest pass, so both paths give the search the same budget
-    // on the same trace.
-    const Deadline deadline = config_.timeout_seconds > 0
-                                  ? Deadline::after_seconds(config_.timeout_seconds)
-                                  : Deadline::never();
-    return run_search(std::move(preds), sequence_length, segments,
-                      compliance_checker, schema, deadline, total);
-  } catch (const StatusError& e) {
-    return failure_result(e.status());
-  } catch (const std::bad_alloc&) {
-    return failure_result(Status::ResourceExhausted("allocation failed during learn"));
-  }
+  return guarded(config_.max_memory_bytes, [&] {
+    return search_sequence(std::move(preds), schema, Stopwatch());
+  });
 }
 
 LearnResult ModelLearner::learn_from_stream(PredStream& stream) const {
-  const ScopedMemoryLimit mem_limit(config_.max_memory_bytes);
-  const Stopwatch total;
-  try {
-    // One pass: every pulled id goes simultaneously into the window segmenter
-    // and the compliance window builder, so P_l and the segment set come from
-    // the same stream the abstraction interns its predicates on. The full id
-    // sequence is retained only when a downstream consumer needs it.
-    const bool keep_sequence = config_.require_trace_acceptance || !config_.segmented;
-    const Stopwatch pass_watch;
-    // Non-segmented runs take their single segment from the retained sequence;
-    // feeding the segmenter would only burn CPU and memory on a discarded set.
-    std::optional<StreamingSegmenter> segmenter;
-    if (config_.segmented) segmenter.emplace(config_.window);
-    ComplianceWindowBuilder window_builder(config_.compliance_length);
-    std::vector<PredId> seq;
-    std::size_t sequence_length = 0;
-    {
-      T2M_SPAN_SCOPE(pass_span, "ingest.stream_pass");
-      while (const auto id = stream.next()) {
-        if (segmenter) segmenter->push(*id);
-        window_builder.push(*id);
-        if (keep_sequence) seq.push_back(*id);
-        ++sequence_length;
-      }
-      pass_span.arg("steps", sequence_length);
-    }
-    PredicateSequence preds = stream.take_preds();
-    preds.seq = std::move(seq);
-    std::vector<Segment> segments =
-        segmenter ? segmenter->take() : whole_sequence(preds.seq);
-    ComplianceChecker compliance_checker = window_builder.finish();
-    const double pass_seconds = pass_watch.elapsed_seconds();
-
-    // The timeout budgets the CEGIS search, starting after ingest — matching
-    // learn_from_sequence, whose deadline starts after segmentation and P_l
-    // construction — so both paths give the search the same budget.
-    const Deadline deadline = config_.timeout_seconds > 0
-                                  ? Deadline::after_seconds(config_.timeout_seconds)
-                                  : Deadline::never();
-
-    LearnResult result = run_search(std::move(preds), sequence_length, segments,
-                                    compliance_checker, stream.schema(), deadline, total);
-    result.stats.abstraction_seconds = pass_seconds;
-    result.stats.total_seconds = total.elapsed_seconds();
-    return result;
-  } catch (const StatusError& e) {
-    return failure_result(e.status());
-  } catch (const std::bad_alloc&) {
-    return failure_result(Status::ResourceExhausted("allocation failed during learn"));
-  }
+  return guarded(config_.max_memory_bytes, [&] { return search_stream(stream); });
 }
 
 LearnResult ModelLearner::learn_from_ftrace(const std::string& path,
                                             const std::string& task_filter) const {
-  const ScopedMemoryLimit mem_limit(config_.max_memory_bytes);
-  try {
+  return guarded(config_.max_memory_bytes, [&] {
     LineReader lines(path);
     FtracePredStream stream(lines, task_filter);
-    return learn_from_stream(stream);
-  } catch (const StatusError& e) {
-    return failure_result(e.status());
-  } catch (const std::bad_alloc&) {
-    return failure_result(Status::ResourceExhausted("allocation failed during learn"));
-  }
+    return search_stream(stream);
+  });
 }
 
-LearnResult ModelLearner::run_search(PredicateSequence preds, std::size_t sequence_length,
-                                     const std::vector<Segment>& segments,
-                                     const ComplianceChecker& compliance_checker,
-                                     const Schema& schema, const Deadline& deadline,
-                                     const Stopwatch& total) const {
-  // The search is the phase worth watching: arm the progress counters (when
-  // enabled) against this run's deadline and publish the final counters into
-  // the metrics registry on every exit path.
-  if (obs::Progress::global().enabled()) obs::Progress::global().begin_run(deadline);
-  T2M_SPAN_SCOPE(run_span, "learn.run", "segments", segments.size());
+LearnResult ModelLearner::search_sequence(PredicateSequence preds, const Schema& schema,
+                                          const Stopwatch& total) const {
+  const std::size_t sequence_length = preds.length();
+  std::vector<Segment> segments = config_.segmented
+                                      ? segment_sequence(preds.seq, config_.window)
+                                      : whole_sequence(preds.seq);
+
+  // The trace window set is invariant across all refinement iterations:
+  // compute it once and let every compliance check stream against it.
+  ComplianceChecker compliance_checker(preds.seq, config_.compliance_length);
+  return run_cegis(std::move(preds), sequence_length, segments, compliance_checker, schema,
+                   total);
+}
+
+LearnResult ModelLearner::search_stream(PredStream& stream) const {
+  // One pass: every pulled id goes simultaneously into the window segmenter
+  // and the compliance window builder, so P_l and the segment set come from
+  // the same stream the abstraction interns its predicates on. The full id
+  // sequence is retained only when a downstream consumer needs it.
+  const bool keep_sequence = config_.require_trace_acceptance || !config_.segmented;
+  const Stopwatch total;
+  // Non-segmented runs take their single segment from the retained sequence;
+  // feeding the segmenter would only burn CPU and memory on a discarded set.
+  std::optional<StreamingSegmenter> segmenter;
+  if (config_.segmented) segmenter.emplace(config_.window);
+  ComplianceWindowBuilder window_builder(config_.compliance_length);
+  std::vector<PredId> seq;
+  std::size_t sequence_length = 0;
+  {
+    T2M_SPAN_SCOPE(pass_span, "ingest.stream_pass");
+    while (const auto id = stream.next()) {
+      if (segmenter) segmenter->push(*id);
+      window_builder.push(*id);
+      if (keep_sequence) seq.push_back(*id);
+      ++sequence_length;
+    }
+    pass_span.arg("steps", sequence_length);
+  }
+  PredicateSequence preds = stream.take_preds();
+  preds.seq = std::move(seq);
+  std::vector<Segment> segments = segmenter ? segmenter->take() : whole_sequence(preds.seq);
+  ComplianceChecker compliance_checker = window_builder.finish();
+  const double pass_seconds = total.elapsed_seconds();
+
   LearnResult result = run_cegis(std::move(preds), sequence_length, segments,
-                                 compliance_checker, schema, deadline, total);
-  run_span.arg("success", result.success);
-  run_span.arg("states", result.states);
-  publish_learn_metrics(result);
+                                 compliance_checker, stream.schema(), total);
+  result.stats.abstraction_seconds = pass_seconds;
   return result;
 }
 
 LearnResult ModelLearner::run_cegis(PredicateSequence preds, std::size_t sequence_length,
                                     const std::vector<Segment>& segments,
                                     const ComplianceChecker& compliance_checker,
-                                    const Schema& schema, const Deadline& deadline,
-                                    const Stopwatch& total) const {
+                                    const Schema& schema, const Stopwatch& total) const {
+  const Deadline deadline = config_.timeout_seconds > 0
+                                ? Deadline::after_seconds(config_.timeout_seconds)
+                                : Deadline::never();
+  // The search is the phase worth watching: arm the progress counters (when
+  // enabled) against this run's deadline.
+  if (obs::Progress::global().enabled()) obs::Progress::global().begin_run(deadline);
+  T2M_SPAN_SCOPE(run_span, "learn.run", "segments", segments.size());
+
   LearnResult result;
   result.schema = schema;
   result.stats.sequence_length = sequence_length;
@@ -247,23 +216,9 @@ LearnResult ModelLearner::run_cegis(PredicateSequence preds, std::size_t sequenc
   };
 
   // Best-so-far salvage: the last candidate that passed compliance but could
-  // not replay the trace (and so triggered a prefix refinement). A run cut
-  // short by the deadline, the clause budget, or the memory cap hands this
-  // model back tagged `salvaged` instead of returning nothing — it is
-  // compliant for the window length it was checked at, just not a full
-  // verdict.
+  // not replay the trace (and so triggered a prefix refinement).
   std::optional<Nfa> best_model;
   std::size_t best_states = 0;
-  const auto salvage = [&] {
-    if (!best_model) return;
-    best_model->set_pred_names(preds.names_for(schema));
-    result.model = std::move(*best_model);
-    result.states = best_states;
-    result.salvaged = true;
-    best_model.reset();
-    log_info() << "learner: salvaged the best " << result.states
-               << "-state model from the aborted run";
-  };
 
   const Stopwatch construction_watch;
   std::unique_ptr<AutomatonCsp> csp;
@@ -300,153 +255,135 @@ LearnResult ModelLearner::run_cegis(PredicateSequence preds, std::size_t sequenc
     ++result.stats.csp_builds;
   };
 
-  // Abandons the run at the current point (deadline expiry or cooperative
-  // cancellation), reporting which of the two it was. A deadline abort
-  // salvages the best model so far; a cancelled run hands back nothing, since
-  // the caller who raised the stop flag asked for no verdict.
-  const auto abort_run = [&](bool was_stopped) {
-    if (csp) absorb_solver_stats(*csp);
-    result.timed_out = true;
-    result.cancelled = was_stopped;
-    if (!was_stopped) salvage();
-    result.preds = std::move(preds);
-    result.stats.construction_seconds = construction_watch.elapsed_seconds();
-    result.stats.total_seconds = total.elapsed_seconds();
-    return std::move(result);
+  // Algorithm 1 with the refinements. Each return leaves `result` holding
+  // the run's verdict flags; the one exit below completes the record.
+  const auto search = [&] {
+    for (std::size_t n = config_.initial_states; n <= config_.max_states; ++n) {
+      obs::Progress::global().set_states(n);
+      bool grown = false;
+      if (csp && config_.persistent_solver) {
+        T2M_SPAN("learn.grow", "n", n);
+        grown = csp->grow_to(n);
+      }
+      if (grown) {
+        ++result.stats.csp_grows;
+      } else {
+        build_csp(n);
+      }
+
+      bool next_n = false;
+      while (!next_n) {
+        if (deadline.expired() || stopped()) {
+          result.timed_out = true;
+          result.cancelled = stopped();
+          return;
+        }
+        ++result.stats.sat_calls;
+        obs::Progress::global().add_sat_calls(1);
+        sat::SolveResult sat_result;
+        {
+          T2M_SPAN_SCOPE(solve_span, "learn.solve", "n", n, "call",
+                         result.stats.sat_calls);
+          sat_result = csp->solve(deadline);
+          solve_span.arg("result", sat_result == sat::SolveResult::Sat     ? "sat"
+                                   : sat_result == sat::SolveResult::Unsat ? "unsat"
+                                                                           : "unknown");
+        }
+        if (sat_result == sat::SolveResult::Unknown) {
+          if (csp->overflowed()) {
+            // The encoding itself overran the clause budget: a verdict about
+            // the instance's size at this configuration, not a timeout.
+            result.budget_exceeded = true;
+          } else {
+            result.timed_out = true;
+            result.cancelled = stopped();
+          }
+          return;
+        }
+        if (sat_result == sat::SolveResult::Unsat) {
+          if (config_.core_driven_stop && csp->unsat_for_all_states()) {
+            // The assumption core names no inactive-column guard: no state
+            // count can satisfy this instance; growing N is provably futile.
+            ++result.stats.core_stops;
+            log_info() << "learner: Unsat core independent of the state count at N = "
+                       << n << "; stopping the search";
+            return;
+          }
+          // No N-state automaton: grow N (Algorithm 1, lines 34-36).
+          ++result.stats.state_increments;
+          log_debug() << "learner: no " << n << "-state automaton, growing N";
+          next_n = true;
+          continue;
+        }
+        // Candidate model: compliance check (lines 38-48).
+        Nfa candidate = csp->extract_model();
+        const ComplianceResult compliance = compliance_checker.check(candidate);
+        std::size_t replayed = preds.seq.size();
+        if (compliance.compliant && check_acceptance) {
+          T2M_SPAN("learn.acceptance", "n", n);
+          replayed = candidate.replay_length(preds.seq);
+        }
+        if (replayed < preds.seq.size()) {
+          // Prefix refinement: the candidate is deterministic and embeds the
+          // leading segment from q0, so it replays at least that segment and
+          // dead-ends at step `replayed`. Every accepting model embeds
+          // P[0..replayed] from q0; extend the leading segment to it in place.
+          if (replayed < lead_length) {
+            throw_status(ErrorCode::internal,
+                         "learner: candidate does not replay its pinned segment");
+          }
+          {
+            T2M_SPAN("learn.grow", "n", n, "prefix", replayed + 1);
+            csp->extend_prefix(std::span<const PredId>(preds.seq)
+                                   .subspan(lead_length, replayed + 1 - lead_length));
+          }
+          tails.emplace_back(lead_length, replayed + 1);
+          lead_length = replayed + 1;
+          ++result.stats.prefix_extensions;
+          // The rejected candidate is the best model seen so far — keep it
+          // for salvage if the run is cut short before a full verdict.
+          best_model = std::move(candidate);
+          best_states = n;
+          ++result.stats.refinements;
+          ++result.stats.prefix_refinements;
+          obs::Progress::global().add_refinements(1);
+          log_debug() << "learner: acceptance refinement to a " << replayed + 1
+                      << "-step prefix at N = " << n;
+          continue;
+        }
+        if (compliance.compliant) {
+          candidate.set_pred_names(preds.names_for(schema));
+          result.success = true;
+          result.model = std::move(candidate);
+          result.states = n;
+          log_info() << "learner: " << n << "-state model found after "
+                     << result.stats.sat_calls << " SAT calls";
+          return;
+        }
+        ++result.stats.refinements;
+        obs::Progress::global().add_refinements(1);
+        log_debug() << "learner: compliance failed with "
+                    << compliance.invalid_sequences.size() << " invalid sequences";
+        for (const auto& word : compliance.invalid_sequences) {
+          if (forbidden.insert(word).second) csp->add_forbidden_sequence(word);
+        }
+      }
+    }
+    // Falling out of the loop exhausted the state budget.
   };
 
   // Deadline expiry and allocation pressure anywhere inside the loop —
-  // clause emission, the compliance DFS, an arena grow —
-  // surface as structured errors; both become verdicts (with salvage)
-  // rather than unwinding out of the learn. Other taxonomies (io, parse,
-  // internal) are not this loop's to own and propagate to the entry points.
+  // clause emission, the compliance DFS, an arena grow — surface as
+  // structured errors; both become verdicts (with salvage) rather than
+  // unwinding out of the learn. Other taxonomies (io, parse, internal) are
+  // not this loop's to own and propagate to the entry guard.
   try {
-  for (std::size_t n = config_.initial_states; n <= config_.max_states; ++n) {
-    obs::Progress::global().set_states(n);
-    bool grown = false;
-    if (csp && config_.persistent_solver) {
-      T2M_SPAN("learn.grow", "n", n);
-      grown = csp->grow_to(n);
-    }
-    if (grown) {
-      ++result.stats.csp_grows;
-    } else {
-      build_csp(n);
-    }
-
-    bool next_n = false;
-    while (!next_n) {
-      if (deadline.expired() || stopped()) return abort_run(stopped());
-      ++result.stats.sat_calls;
-      obs::Progress::global().add_sat_calls(1);
-      sat::SolveResult sat_result;
-      {
-        T2M_SPAN_SCOPE(solve_span, "learn.solve", "n", n, "call",
-                       result.stats.sat_calls);
-        sat_result = csp->solve(deadline);
-        solve_span.arg("result", sat_result == sat::SolveResult::Sat     ? "sat"
-                                 : sat_result == sat::SolveResult::Unsat ? "unsat"
-                                                                         : "unknown");
-      }
-      if (sat_result == sat::SolveResult::Unknown) {
-        if (csp->overflowed()) {
-          // The encoding itself overran the clause budget: a verdict about
-          // the instance's size at this configuration, not a timeout.
-          absorb_solver_stats(*csp);
-          result.budget_exceeded = true;
-          salvage();
-          result.preds = std::move(preds);
-          result.stats.construction_seconds = construction_watch.elapsed_seconds();
-          result.stats.total_seconds = total.elapsed_seconds();
-          return result;
-        }
-        return abort_run(stopped());
-      }
-      if (sat_result == sat::SolveResult::Unsat) {
-        if (config_.core_driven_stop && csp->unsat_for_all_states()) {
-          // The assumption core names no inactive-column guard: no state
-          // count can satisfy this instance; growing N is provably futile.
-          ++result.stats.core_stops;
-          log_info() << "learner: Unsat core independent of the state count at N = "
-                     << n << "; stopping the search";
-          absorb_solver_stats(*csp);
-          result.stats.encoding_fingerprint = csp->encoding_fingerprint();
-          result.preds = std::move(preds);
-          result.stats.construction_seconds = construction_watch.elapsed_seconds();
-          result.stats.total_seconds = total.elapsed_seconds();
-          return result;
-        }
-        // No N-state automaton: grow N (Algorithm 1, lines 34-36).
-        ++result.stats.state_increments;
-        log_debug() << "learner: no " << n << "-state automaton, growing N";
-        next_n = true;
-        continue;
-      }
-      // Candidate model: compliance check (lines 38-48).
-      Nfa candidate = csp->extract_model();
-      const ComplianceResult compliance = compliance_checker.check(candidate);
-      std::size_t replayed = preds.seq.size();
-      if (compliance.compliant && check_acceptance) {
-        T2M_SPAN("learn.acceptance", "n", n);
-        replayed = candidate.replay_length(preds.seq);
-      }
-      if (replayed < preds.seq.size()) {
-        // Prefix refinement: the candidate is deterministic and embeds the
-        // leading segment from q0, so it replays at least that segment and
-        // dead-ends at step `replayed`. Every accepting model embeds
-        // P[0..replayed] from q0; extend the leading segment to it in place.
-        if (replayed < lead_length) {
-          throw_status(ErrorCode::internal,
-                       "learner: candidate does not replay its pinned segment");
-        }
-        {
-          T2M_SPAN("learn.grow", "n", n, "prefix", replayed + 1);
-          csp->extend_prefix(std::span<const PredId>(preds.seq)
-                                 .subspan(lead_length, replayed + 1 - lead_length));
-        }
-        tails.emplace_back(lead_length, replayed + 1);
-        lead_length = replayed + 1;
-        ++result.stats.prefix_extensions;
-        // The rejected candidate is the best model seen so far — keep it for
-        // salvage if the run is cut short before a full verdict.
-        best_model = std::move(candidate);
-        best_states = n;
-        ++result.stats.refinements;
-        ++result.stats.prefix_refinements;
-        obs::Progress::global().add_refinements(1);
-        log_debug() << "learner: acceptance refinement to a " << replayed + 1
-                    << "-step prefix at N = " << n;
-        continue;
-      }
-      if (compliance.compliant) {
-        absorb_solver_stats(*csp);
-        result.stats.encoding_fingerprint = csp->encoding_fingerprint();
-        candidate.set_pred_names(preds.names_for(schema));
-        result.success = true;
-        result.model = std::move(candidate);
-        result.states = n;
-        result.preds = std::move(preds);
-        result.stats.construction_seconds = construction_watch.elapsed_seconds();
-        result.stats.total_seconds = total.elapsed_seconds();
-        log_info() << "learner: " << n << "-state model found after "
-                   << result.stats.sat_calls << " SAT calls";
-        return result;
-      }
-      ++result.stats.refinements;
-      obs::Progress::global().add_refinements(1);
-      log_debug() << "learner: compliance failed with "
-                  << compliance.invalid_sequences.size() << " invalid sequences";
-      for (const auto& word : compliance.invalid_sequences) {
-        if (forbidden.insert(word).second) csp->add_forbidden_sequence(word);
-      }
-    }
-  }
+    search();
   } catch (const StatusError& e) {
     const ErrorCode code = e.status().code();
     if (code != ErrorCode::deadline_exceeded && code != ErrorCode::resource_exhausted) {
       throw;
     }
-    if (csp) absorb_solver_stats(*csp);
     result.status = e.status();
     if (code == ErrorCode::deadline_exceeded) {
       result.timed_out = true;
@@ -454,30 +391,36 @@ LearnResult ModelLearner::run_cegis(PredicateSequence preds, std::size_t sequenc
       result.resource_exhausted = true;
       log_warn() << "learner: " << e.status().to_string();
     }
-    salvage();
-    result.preds = std::move(preds);
-    result.stats.construction_seconds = construction_watch.elapsed_seconds();
-    result.stats.total_seconds = total.elapsed_seconds();
-    return result;
   } catch (const std::bad_alloc&) {
-    if (csp) absorb_solver_stats(*csp);
     result.status = Status::ResourceExhausted("allocation failed during the search");
     result.resource_exhausted = true;
-    salvage();
-    result.preds = std::move(preds);
-    result.stats.construction_seconds = construction_watch.elapsed_seconds();
-    result.stats.total_seconds = total.elapsed_seconds();
-    return result;
   }
 
-  // Exhausted the state budget.
+  // The one exit. A run that ended with a verdict (a model, an Unsat proof
+  // that stopped the search, or the state budget) records the fingerprint of
+  // the CSP that produced it. A run cut short by the deadline, the clause
+  // budget or the memory cap hands back the best model so far, tagged
+  // `salvaged`: it is compliant for the window length it was checked at,
+  // just not a full verdict. A cancelled run hands back nothing, since the
+  // caller who raised the stop flag asked for no verdict.
+  const bool cut_short = result.timed_out || result.budget_exceeded || result.resource_exhausted;
   if (csp) {
     absorb_solver_stats(*csp);
-    result.stats.encoding_fingerprint = csp->encoding_fingerprint();
+    if (!cut_short) result.stats.encoding_fingerprint = csp->encoding_fingerprint();
+  }
+  if (cut_short && !result.cancelled && best_model) {
+    best_model->set_pred_names(preds.names_for(schema));
+    result.model = std::move(*best_model);
+    result.states = best_states;
+    result.salvaged = true;
+    log_info() << "learner: salvaged the best " << result.states
+               << "-state model from the aborted run";
   }
   result.preds = std::move(preds);
   result.stats.construction_seconds = construction_watch.elapsed_seconds();
   result.stats.total_seconds = total.elapsed_seconds();
+  run_span.arg("success", result.success);
+  run_span.arg("states", result.states);
   return result;
 }
 

@@ -125,6 +125,10 @@ struct LearnStats {
   /// ended without one (timeout, clause budget, memory). Pins the emitted
   /// encoding: bench_check compares it with the baseline.
   std::uint64_t encoding_fingerprint = 0;
+  /// Process-wide MemoryAccountant peak in bytes when the public learn call
+  /// returned (arenas, CSP buffers and other accounted allocations of every
+  /// run in the process so far).
+  std::size_t accounted_peak_bytes = 0;
   /// Always false: prefix refinement never abandons trace acceptance. Kept
   /// so stats readers that consult it still compile and read "not relaxed".
   bool acceptance_relaxed = false;
@@ -225,21 +229,22 @@ public:
   const LearnerConfig& config() const { return config_; }
 
 private:
-  /// The iterative SAT search + compliance refinement shared by the
-  /// in-memory and streaming entry points. `sequence_length` is |P|;
-  /// preds.seq may be empty in streaming mode (acceptance is then skipped).
-  LearnResult run_search(PredicateSequence preds, std::size_t sequence_length,
-                         const std::vector<Segment>& segments,
-                         const ComplianceChecker& compliance_checker,
-                         const Schema& schema, const Deadline& deadline,
-                         const Stopwatch& total) const;
+  /// learn_from_sequence and learn_from_stream without the entry guard, so
+  /// a public call that delegates applies the guard once. `total` times the
+  /// whole call, abstraction included.
+  LearnResult search_sequence(PredicateSequence preds, const Schema& schema,
+                              const Stopwatch& total) const;
+  LearnResult search_stream(PredStream& stream) const;
 
-  /// run_search's CEGIS loop (Algorithm 1 plus the acceptance refinement).
+  /// The iterative SAT search and refinement loop (Algorithm 1 plus the
+  /// acceptance refinement) shared by the in-memory and streaming entry
+  /// points. `sequence_length` is |P|; preds.seq may be empty in streaming
+  /// mode (acceptance is then skipped). The timeout starts here, after
+  /// ingest, so both paths give the search the same budget.
   LearnResult run_cegis(PredicateSequence preds, std::size_t sequence_length,
                         const std::vector<Segment>& segments,
                         const ComplianceChecker& compliance_checker,
-                        const Schema& schema, const Deadline& deadline,
-                        const Stopwatch& total) const;
+                        const Schema& schema, const Stopwatch& total) const;
 
   LearnerConfig config_;
 };

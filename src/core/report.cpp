@@ -3,8 +3,6 @@
 #include <sstream>
 
 #include "src/automaton/dot.h"
-#include "src/base/memory_accountant.h"
-#include "src/obs/metrics.h"
 #include "src/util/string_utils.h"
 
 namespace t2m {
@@ -87,13 +85,7 @@ std::string format_learn_report(const LearnResult& result, const Schema& schema)
 std::string format_learn_summary(const LearnResult& result) {
   std::ostringstream os;
   if (!result.success) {
-    if (result.resource_exhausted) {
-      os << "out of memory";
-    } else if (result.timed_out) {
-      os << "timeout";
-    } else {
-      os << "no model";
-    }
+    os << failure_verdict(result);
     if (result.salvaged) os << ", salvaged " << result.states << "-state model";
     os << " (" << format_double(result.stats.total_seconds) << " s)";
     return os.str();
@@ -125,6 +117,7 @@ std::string to_json(const LearnStats& stats) {
      << ", \"sat_peak_arena_bytes\": " << stats.sat_peak_arena_bytes
      << ", \"core_stops\": " << stats.core_stops
      << ", \"encoding_fingerprint\": " << stats.encoding_fingerprint
+     << ", \"accounted_peak_bytes\": " << stats.accounted_peak_bytes
      << ", \"acceptance_relaxed\": " << json_bool(stats.acceptance_relaxed)
      << ", \"abstraction_seconds\": " << format_double(stats.abstraction_seconds, 6)
      << ", \"construction_seconds\": " << format_double(stats.construction_seconds, 6)
@@ -157,38 +150,6 @@ void write_bench_stats_fields(std::ostream& os, const LearnStats& stats) {
      << ", \"peak_clause_arena_bytes\": " << stats.sat_peak_arena_bytes
      << ", \"csp_builds\": " << stats.csp_builds
      << ", \"csp_grows\": " << stats.csp_grows;
-}
-
-void publish_learn_metrics(const LearnResult& result) {
-  if (!obs::metrics_enabled()) return;
-  const LearnStats& s = result.stats;
-  obs::count("learn.runs");
-  if (result.success) obs::count("learn.success");
-  if (result.timed_out) obs::count("learn.timeouts");
-  if (result.cancelled) obs::count("learn.cancelled");
-  if (result.budget_exceeded) obs::count("learn.budget_exceeded");
-  if (result.resource_exhausted) obs::count("learn.resource_exhausted");
-  if (result.salvaged) obs::count("learn.salvaged");
-  obs::count("learn.sat_calls", s.sat_calls);
-  obs::count("learn.refinements", s.refinements);
-  obs::count("learn.prefix_refinements", s.prefix_refinements);
-  obs::count("learn.prefix_extensions", s.prefix_extensions);
-  obs::count("learn.state_increments", s.state_increments);
-  obs::count("learn.forbidden_words", s.forbidden_words);
-  obs::count("learn.csp_builds", s.csp_builds);
-  obs::count("learn.csp_grows", s.csp_grows);
-  obs::count("learn.reseeded_clauses", s.reseeded_clauses);
-  obs::count("learn.core_stops", s.core_stops);
-  obs::count("learn.sat_conflicts", s.sat_conflicts);
-  obs::count("learn.sat_propagations", s.sat_propagations);
-  obs::count("learn.sat_learned_clauses", s.sat_learned_clauses);
-  obs::gauge_set("learn.states", static_cast<std::int64_t>(result.states));
-  obs::gauge_max("learn.peak_arena_bytes",
-                 static_cast<std::int64_t>(s.sat_peak_arena_bytes));
-  obs::gauge_max("mem.peak_bytes",
-                 static_cast<std::int64_t>(MemoryAccountant::global().peak()));
-  obs::observe("learn.run_sat_calls", s.sat_calls);
-  obs::observe("learn.run_conflicts", s.sat_conflicts);
 }
 
 }  // namespace t2m

@@ -31,12 +31,6 @@ std::string to_json(const LearnResult& result);
 /// bench emitters cannot diverge from the checker.
 void write_bench_stats_fields(std::ostream& os, const LearnStats& stats);
 
-/// Publishes a finished run's counters into the global obs metrics registry
-/// (no-op when metrics are disabled): learn.* counters from LearnStats plus
-/// memory-accountant peaks. Called once per run by the learner, which is
-/// what keeps per-event accumulation free when observability is off.
-void publish_learn_metrics(const LearnResult& result);
-
 }  // namespace t2m
 
 #endif  // T2M_CORE_REPORT_H

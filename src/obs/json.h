@@ -11,7 +11,7 @@
 namespace t2m::obs {
 
 /// Minimal JSON document tree for validating our own emitted artefacts
-/// (trace.json, metrics.json) — a strict reader for machine-written output,
+/// (trace.json, stats.json) — a strict reader for machine-written output,
 /// not a general-purpose JSON library. Objects keep insertion order and
 /// allow duplicate keys (find returns the first), matching what a
 /// streaming-emitted document can contain.

@@ -154,62 +154,4 @@ Status validate_trace_json(const std::string& text, TraceSummary* summary) {
   return Status::Ok();
 }
 
-Status validate_metrics_json(const std::string& text) {
-  JsonValue doc;
-  Status status = parse_json(text, doc);
-  if (!status.ok()) return status;
-  if (!doc.is_object()) return Status::ParseError("metrics: document is not an object");
-
-  for (const char* section : {"counters", "gauges"}) {
-    const JsonValue* map = doc.find(section);
-    if (map == nullptr || !map->is_object()) {
-      return Status::ParseError(std::string("metrics: missing \"") + section +
-                                "\" object");
-    }
-    for (const auto& [name, value] : map->object) {
-      if (!value.is_number()) {
-        return Status::ParseError("metrics: " + std::string(section) + " \"" + name +
-                                  "\" is not numeric");
-      }
-    }
-  }
-
-  const JsonValue* histograms = doc.find("histograms");
-  if (histograms == nullptr || !histograms->is_object()) {
-    return Status::ParseError("metrics: missing \"histograms\" object");
-  }
-  for (const auto& [name, hist] : histograms->object) {
-    const auto bad = [&name](const std::string& what) {
-      return Status::ParseError("metrics: histogram \"" + name + "\" " + what);
-    };
-    if (!hist.is_object()) return bad("is not an object");
-    const JsonValue* count = hist.find("count");
-    const JsonValue* sum = hist.find("sum");
-    const JsonValue* buckets = hist.find("buckets");
-    if (count == nullptr || !count->is_number()) return bad("has no numeric \"count\"");
-    if (sum == nullptr || !sum->is_number()) return bad("has no numeric \"sum\"");
-    if (buckets == nullptr || !buckets->is_array()) return bad("has no \"buckets\" array");
-    double bucket_total = 0.0;
-    double prev_floor = -1.0;
-    for (const JsonValue& entry : buckets->array) {
-      if (!entry.is_array() || entry.array.size() != 2 || !entry.array[0].is_number() ||
-          !entry.array[1].is_number()) {
-        return bad("has a malformed bucket entry (want [floor, count])");
-      }
-      const double floor = entry.array[0].number;
-      // Valid floors are 0 and exact powers of two, strictly increasing.
-      if (floor < 0 || floor <= prev_floor) return bad("has out-of-order bucket floors");
-      if (floor > 0 && std::exp2(std::round(std::log2(floor))) != floor) {
-        return bad("has a non-power-of-two bucket floor");
-      }
-      prev_floor = floor;
-      bucket_total += entry.array[1].number;
-    }
-    if (bucket_total != count->number) {
-      return bad("bucket counts do not sum to \"count\"");
-    }
-  }
-  return Status::Ok();
-}
-
 }  // namespace t2m::obs

@@ -29,11 +29,6 @@ struct TraceSummary {
 /// guarantee laminar nesting, so a violation means buffer corruption).
 Status validate_trace_json(const std::string& text, TraceSummary* summary = nullptr);
 
-/// Structural check of a MetricsRegistry JSON snapshot: counters/gauges/
-/// histograms maps with numeric leaves, and for every histogram the bucket
-/// counts summing to "count" with valid power-of-two bucket floors.
-Status validate_metrics_json(const std::string& text);
-
 }  // namespace t2m::obs
 
 #endif  // T2M_OBS_VALIDATE_H

@@ -1,5 +1,6 @@
 #include "src/util/cli.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -81,6 +82,14 @@ double CliArgs::get_seconds_or(const std::string& flag, double fallback) const {
                                 get(flag).value_or("") + "'");
   }
   return value;
+}
+
+void CliArgs::reject_unknown(std::initializer_list<std::string_view> known) const {
+  for (const auto& [flag, value] : flags_) {
+    if (std::find(known.begin(), known.end(), flag) == known.end()) {
+      throw std::invalid_argument("--" + flag + ": unknown flag");
+    }
+  }
 }
 
 }  // namespace t2m

@@ -3,9 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace t2m {
@@ -30,6 +32,10 @@ public:
   /// get_double_or for durations in seconds: a negative or NaN value throws
   /// the same flag-naming invalid_argument as a malformed one; inf is kept.
   double get_seconds_or(const std::string& flag, double fallback) const;
+  /// Throws a flag-naming invalid_argument for the first flag not in
+  /// `known`, so a misspelt flag fails instead of being ignored. Opt-in:
+  /// the constructor accepts any flag.
+  void reject_unknown(std::initializer_list<std::string_view> known) const;
 
 private:
   std::string program_;

@@ -1,6 +1,6 @@
 // Concurrency stress for the annotated sync layer (docs/concurrency.md):
 // the components the thread-safety audit certifies — logger sink swaps,
-// metrics registry, heartbeat, tracer, the caller's stop flag — hammered
+// heartbeat, tracer, the caller's stop flag — hammered
 // together from plain threads under the sanitizer jobs (TSan is where these
 // tests earn their keep; on plain builds they are fast smoke checks).
 
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/core/learner.h"
-#include "src/obs/metrics.h"
 #include "src/obs/progress.h"
 #include "src/obs/trace.h"
 #include "src/obs/validate.h"
@@ -41,7 +40,6 @@ void fan_out(int tasks, Body body, During during) {
 struct ObsQuiescent {
   ~ObsQuiescent() {
     obs::Tracer::instance().stop();
-    obs::MetricsRegistry::global().disable();
     obs::Progress::global().disable();
     Logger::instance().set_sink(nullptr);
     Logger::instance().set_level(LogLevel::Warn);
@@ -50,12 +48,11 @@ struct ObsQuiescent {
 
 TEST(ConcurrencyStress, LearnUnderFullObservability) {
   // The worst-case lock interleaving the library offers: a learn with the
-  // tracer, metrics, progress and a fast heartbeat thread all live, plus a
+  // tracer, progress and a fast heartbeat thread all live, plus a
   // capturing logger sink — every capability in the lock hierarchy is
   // exercised concurrently.
   const ObsQuiescent guard;
   obs::Tracer::instance().start();
-  obs::MetricsRegistry::global().enable();
   obs::Progress::global().enable();
   Logger::instance().set_level(LogLevel::Info);
   Mutex lines_mutex;
@@ -103,40 +100,6 @@ TEST(ConcurrencyStress, LoggerSinkSwapsDuringConcurrentWrites) {
   // Some writes land on the stderr default mid-swap; whatever the sink saw
   // arrived whole (the counter only counts non-empty formatted lines).
   EXPECT_GT(delivered.load(), 0u);
-}
-
-TEST(ConcurrencyStress, MetricsRegistryConcurrentRegisterAndSnapshot) {
-  // Instrument registration (map insert under the registry mutex) racing
-  // updates on already-registered instruments and full snapshots.
-  const ObsQuiescent guard;
-  for (int i = 0; i < 7; ++i) {
-    obs::MetricsRegistry::global().counter("stress.counter." + std::to_string(i)).reset();
-  }
-  obs::MetricsRegistry::global().histogram("stress.histogram").reset();
-  obs::MetricsRegistry::global().enable();
-  fan_out(
-      8,
-      [](int task) {
-        for (int i = 0; i < 300; ++i) {
-          obs::count(("stress.counter." + std::to_string(i % 7)).c_str());
-          obs::gauge_max("stress.gauge", task * 1000 + i);
-          obs::observe("stress.histogram", static_cast<std::uint64_t>(i));
-          if (i % 64 == 0) {
-            std::ostringstream os;
-            obs::MetricsRegistry::global().write_json(os);
-          }
-        }
-      },
-      [] {});
-  std::uint64_t total = 0;
-  for (int i = 0; i < 7; ++i) {
-    total += obs::MetricsRegistry::global()
-                 .counter("stress.counter." + std::to_string(i))
-                 .value();
-  }
-  EXPECT_EQ(total, 8u * 300u);
-  EXPECT_EQ(obs::MetricsRegistry::global().histogram("stress.histogram").count(),
-            8u * 300u);
 }
 
 TEST(ConcurrencyStress, HeartbeatStartStopChurn) {

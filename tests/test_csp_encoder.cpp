@@ -15,6 +15,7 @@
 #include "src/automaton/dot.h"
 #include "src/core/csp_encoder.h"
 #include "src/core/learner.h"
+#include "src/core/report.h"
 #include "src/sat/proof_log.h"
 #include "src/sim/basic/counter.h"
 #include "src/sim/rtlinux/workloads.h"
@@ -567,6 +568,10 @@ TEST(ClauseBudget, LearnerReportsBudgetExceeded) {
   EXPECT_FALSE(r.success);
   EXPECT_TRUE(r.budget_exceeded);
   EXPECT_FALSE(r.timed_out);
+  // The one-line summary names the same verdict as the full report.
+  EXPECT_EQ(format_learn_summary(r).rfind("hit the clause budget", 0), 0u)
+      << format_learn_summary(r);
+  EXPECT_EQ(format_learn_report(r, r.schema).rfind("learning hit the clause budget", 0), 0u);
 }
 
 TEST(ReseedAcrossRebuilds, ImportsClausesAndPreservesVerdicts) {

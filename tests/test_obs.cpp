@@ -1,9 +1,8 @@
 // The observability layer: span tracer (lock-free buffers, nesting, per-thread
-// tracks), metrics registry (counters/gauges/log-scale histograms), the
-// progress heartbeat, the upgraded logger — and the two identity guarantees
-// the design hinges on: metrics are the same with tracing on or off, and
-// the learn's artefacts (clause fingerprint, conflict counts) are the same
-// with observability on or off.
+// tracks), the run record's JSON (to_json of LearnResult/LearnStats), the
+// progress heartbeat, the upgraded logger — and the identity guarantee the
+// design hinges on: the learn's artefacts (every LearnStats count, the
+// clause fingerprint) are the same with observability on or off.
 
 #include <gtest/gtest.h>
 
@@ -21,8 +20,8 @@
 
 #include "src/core/csp_encoder.h"
 #include "src/core/learner.h"
+#include "src/core/report.h"
 #include "src/obs/json.h"
-#include "src/obs/metrics.h"
 #include "src/obs/progress.h"
 #include "src/obs/trace.h"
 #include "src/obs/validate.h"
@@ -34,11 +33,10 @@ namespace t2m {
 namespace {
 
 /// Restores global observability state on scope exit so tests cannot leak
-/// an enabled tracer/metrics/progress into their neighbours.
+/// an enabled tracer/progress into their neighbours.
 struct ObsQuiescent {
   ~ObsQuiescent() {
     obs::Tracer::instance().stop();
-    obs::MetricsRegistry::global().disable();
     obs::Progress::global().disable();
     Logger::instance().set_sink(nullptr);
     Logger::instance().set_level(LogLevel::Warn);
@@ -176,77 +174,6 @@ TEST(Json, ParsesStructuresAndRejectsGarbage) {
   EXPECT_FALSE(obs::parse_json("{\"a\": 1} trailing", v).ok());
 }
 
-// --- metrics ---------------------------------------------------------------
-
-TEST(Histogram, LogScaleBucketEdges) {
-  // bucket_of(v) = bit_width(v): 0 -> 0, 1 -> 1, 2..3 -> 2, 4..7 -> 3, ...
-  EXPECT_EQ(obs::Histogram::bucket_of(0), 0u);
-  EXPECT_EQ(obs::Histogram::bucket_of(1), 1u);
-  EXPECT_EQ(obs::Histogram::bucket_of(2), 2u);
-  EXPECT_EQ(obs::Histogram::bucket_of(3), 2u);
-  EXPECT_EQ(obs::Histogram::bucket_of(4), 3u);
-  EXPECT_EQ(obs::Histogram::bucket_of(7), 3u);
-  EXPECT_EQ(obs::Histogram::bucket_of(8), 4u);
-  EXPECT_EQ(obs::Histogram::bucket_of(~std::uint64_t{0}), 64u);
-
-  EXPECT_EQ(obs::Histogram::bucket_floor(0), 0u);
-  EXPECT_EQ(obs::Histogram::bucket_floor(1), 1u);
-  EXPECT_EQ(obs::Histogram::bucket_floor(2), 2u);
-  EXPECT_EQ(obs::Histogram::bucket_floor(3), 4u);
-  EXPECT_EQ(obs::Histogram::bucket_floor(64), std::uint64_t{1} << 63);
-
-  obs::Histogram h;
-  for (const std::uint64_t v : {0u, 1u, 2u, 3u, 4u}) h.observe(v);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.sum(), 10u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(2), 2u);
-  EXPECT_EQ(h.bucket(3), 1u);
-}
-
-TEST(Metrics, RegistryJsonRoundTrips) {
-  const ObsQuiescent guard;
-  obs::MetricsRegistry::global().reset();
-  obs::MetricsRegistry::global().enable();
-  obs::count("test.counter", 3);
-  obs::gauge_set("test.gauge", -7);
-  obs::gauge_max("test.peak", 10);
-  obs::gauge_max("test.peak", 4);  // lower: must not regress the peak
-  obs::observe("test.histogram", 5);
-  obs::observe("test.histogram", 0);
-
-  std::ostringstream os;
-  obs::MetricsRegistry::global().write_json(os);
-  const Status status = obs::validate_metrics_json(os.str());
-  ASSERT_TRUE(status.ok()) << status.to_string() << "\n" << os.str();
-
-  obs::JsonValue v;
-  ASSERT_TRUE(obs::parse_json(os.str(), v).ok());
-  EXPECT_EQ(v.find("counters")->find("test.counter")->number, 3.0);
-  EXPECT_EQ(v.find("gauges")->find("test.gauge")->number, -7.0);
-  EXPECT_EQ(v.find("gauges")->find("test.peak")->number, 10.0);
-  EXPECT_EQ(v.find("histograms")->find("test.histogram")->find("count")->number, 2.0);
-}
-
-TEST(Metrics, DisabledEmittersAreNoOps) {
-  const ObsQuiescent guard;
-  obs::MetricsRegistry::global().reset();
-  obs::MetricsRegistry::global().disable();
-  obs::count("test.should_not_exist");
-  EXPECT_EQ(obs::MetricsRegistry::global().counter_values().count("test.should_not_exist"),
-            0u);
-}
-
-TEST(MetricsValidation, RejectsMalformedSnapshots) {
-  EXPECT_FALSE(obs::validate_metrics_json("").ok());
-  EXPECT_FALSE(obs::validate_metrics_json("{\"counters\": 3}").ok());
-  // Bucket counts not summing to "count".
-  EXPECT_FALSE(obs::validate_metrics_json(
-                   R"({"histograms": {"h": {"count": 5, "sum": 1, "buckets": [[0, 1]]}}})")
-                   .ok());
-}
-
 // --- identity guarantees ---------------------------------------------------
 
 LearnResult run_small_learn() {
@@ -256,38 +183,25 @@ LearnResult run_small_learn() {
   return learner.learn(sim::generate_counter_trace({}));
 }
 
-TEST(ObsIdentity, MetricsIdenticalWithTracingOnAndOff) {
-  const ObsQuiescent guard;
-  obs::MetricsRegistry::global().reset();
-  obs::MetricsRegistry::global().enable();
-  obs::Tracer::instance().stop();
-  const LearnResult off = run_small_learn();
-  const auto counters_off = obs::MetricsRegistry::global().counter_values();
-
-  obs::MetricsRegistry::global().reset();
-  obs::Tracer::instance().start();
-  const LearnResult on = run_small_learn();
-  obs::Tracer::instance().stop();
-  const auto counters_on = obs::MetricsRegistry::global().counter_values();
-
-  ASSERT_TRUE(off.success);
-  ASSERT_TRUE(on.success);
-  EXPECT_EQ(counters_off, counters_on);
-  EXPECT_GT(counters_on.at("learn.sat_calls"), 0u);
-  EXPECT_EQ(counters_on.at("learn.runs"), 1u);
+/// Every LearnStats field but the timings, in declaration order.
+std::vector<std::uint64_t> untimed_stats(const LearnStats& s) {
+  return {s.sequence_length,     s.vocabulary_size,      s.segments,
+          s.encoded_transitions, s.sat_calls,            s.refinements,
+          s.prefix_refinements,  s.prefix_extensions,    s.state_increments,
+          s.forbidden_words,     s.csp_builds,           s.csp_grows,
+          s.reseeded_clauses,    s.sat_conflicts,        s.sat_propagations,
+          s.sat_learned_clauses, s.sat_peak_arena_bytes, s.core_stops,
+          s.encoding_fingerprint, s.accounted_peak_bytes, s.acceptance_relaxed};
 }
 
 TEST(ObsIdentity, LearnArtefactsIdenticalWithObservabilityOnAndOff) {
   const ObsQuiescent guard;
   // Fully dark run.
   obs::Tracer::instance().stop();
-  obs::MetricsRegistry::global().disable();
   const LearnResult dark = run_small_learn();
 
-  // Fully lit run: tracing, metrics and progress all live.
+  // Fully lit run: tracing and progress live.
   obs::Tracer::instance().start();
-  obs::MetricsRegistry::global().reset();
-  obs::MetricsRegistry::global().enable();
   obs::Progress::global().enable();
   const LearnResult lit = run_small_learn();
   obs::Tracer::instance().stop();
@@ -295,9 +209,72 @@ TEST(ObsIdentity, LearnArtefactsIdenticalWithObservabilityOnAndOff) {
   ASSERT_TRUE(dark.success);
   ASSERT_TRUE(lit.success);
   EXPECT_EQ(dark.states, lit.states);
-  EXPECT_EQ(dark.stats.sat_calls, lit.stats.sat_calls);
-  EXPECT_EQ(dark.stats.sat_conflicts, lit.stats.sat_conflicts);
-  EXPECT_EQ(dark.stats.refinements, lit.stats.refinements);
+  EXPECT_EQ(untimed_stats(dark.stats), untimed_stats(lit.stats));
+  EXPECT_GT(lit.stats.sat_calls, 0u);
+  EXPECT_NE(lit.stats.encoding_fingerprint, 0u);
+}
+
+TEST(RunRecord, StatsJsonMatchesLearnStats) {
+  LearnResult result = run_small_learn();
+  ASSERT_TRUE(result.success);
+  EXPECT_GT(result.stats.accounted_peak_bytes, 0u);
+
+  obs::JsonValue doc;
+  ASSERT_TRUE(obs::parse_json(to_json(result), doc).ok()) << to_json(result);
+  EXPECT_TRUE(doc.find("success")->boolean);
+  EXPECT_EQ(doc.find("states")->number, static_cast<double>(result.states));
+  EXPECT_EQ(doc.find("error"), nullptr);
+  const obs::JsonValue* stats = doc.find("stats");
+  ASSERT_NE(stats, nullptr);
+  const LearnStats& s = result.stats;
+  const std::pair<const char*, std::uint64_t> counts[] = {
+      {"sequence_length", s.sequence_length},
+      {"vocabulary_size", s.vocabulary_size},
+      {"segments", s.segments},
+      {"encoded_transitions", s.encoded_transitions},
+      {"sat_calls", s.sat_calls},
+      {"refinements", s.refinements},
+      {"prefix_refinements", s.prefix_refinements},
+      {"prefix_extensions", s.prefix_extensions},
+      {"state_increments", s.state_increments},
+      {"forbidden_words", s.forbidden_words},
+      {"csp_builds", s.csp_builds},
+      {"csp_grows", s.csp_grows},
+      {"reseeded_clauses", s.reseeded_clauses},
+      {"sat_conflicts", s.sat_conflicts},
+      {"sat_propagations", s.sat_propagations},
+      {"sat_learned_clauses", s.sat_learned_clauses},
+      {"sat_peak_arena_bytes", s.sat_peak_arena_bytes},
+      {"core_stops", s.core_stops},
+      {"accounted_peak_bytes", s.accounted_peak_bytes},
+  };
+  for (const auto& [key, value] : counts) {
+    const obs::JsonValue* field = stats->find(key);
+    ASSERT_NE(field, nullptr) << key;
+    EXPECT_EQ(field->number, static_cast<double>(value)) << key;
+  }
+  // The 64-bit fingerprint does not survive a double; its digits must.
+  EXPECT_NE(to_json(s).find("\"encoding_fingerprint\": " +
+                            std::to_string(s.encoding_fingerprint) + ","),
+            std::string::npos);
+  EXPECT_FALSE(stats->find("acceptance_relaxed")->boolean);
+  const std::pair<const char*, double> seconds[] = {
+      {"abstraction_seconds", s.abstraction_seconds},
+      {"construction_seconds", s.construction_seconds},
+      {"total_seconds", s.total_seconds},
+  };
+  for (const auto& [key, value] : seconds) {
+    ASSERT_NE(stats->find(key), nullptr) << key;
+    EXPECT_NEAR(stats->find(key)->number, value, 1e-6) << key;  // six decimals
+  }
+
+  // An error message is escaped: a quote and a newline still parse back.
+  result.success = false;
+  result.status = Status::Internal("bad \"value\"\nsecond line");
+  ASSERT_TRUE(obs::parse_json(to_json(result), doc).ok()) << to_json(result);
+  EXPECT_FALSE(doc.find("success")->boolean);
+  ASSERT_NE(doc.find("error"), nullptr);
+  EXPECT_EQ(doc.find("error")->string, result.status.to_string());
 }
 
 TEST(ObsIdentity, EncodingFingerprintUnaffectedByTracing) {

@@ -328,5 +328,24 @@ TEST(CliArgs, SecondsFlagsRejectNegativeAndNanValues) {
   }
 }
 
+TEST(CliArgs, RejectUnknownNamesTheFirstUnknownFlag) {
+  // Regression: `t2m learn --timout 5` ran without a timeout and exited 0,
+  // because the parser accepts any flag.
+  const char* argv[] = {"prog", "learn", "--trace", "t.txt", "--timout", "5", "--verbose"};
+  const CliArgs args(7, argv);
+  EXPECT_NO_THROW(args.reject_unknown({"trace", "timout", "verbose"}));
+  try {
+    args.reject_unknown({"trace", "timeout", "verbose"});
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--timout"), std::string::npos);
+  }
+  // Positionals and `--flag=value` spellings are checked by name only.
+  const char* eq_argv[] = {"prog", "learn", "--window=5", "--bogus-flag=1"};
+  const CliArgs eq_args(4, eq_argv);
+  EXPECT_NO_THROW(eq_args.reject_unknown({"window", "bogus-flag"}));
+  EXPECT_THROW(eq_args.reject_unknown({"window"}), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace t2m

@@ -20,7 +20,6 @@
 #include "src/base/status.h"
 #include "src/core/learner.h"
 #include "src/core/report.h"
-#include "src/obs/metrics.h"
 #include "src/obs/progress.h"
 #include "src/obs/trace.h"
 #include "src/sim/basic/counter.h"
@@ -46,7 +45,7 @@ int usage() {
       "            [--no-segment] [--encoding pairwise|successor]\n"
       "            [--timeout SEC] [--max-memory MB]\n"
       "            [--task NAME] [--dot FILE] [--verbose]\n"
-      "            [--trace-out FILE] [--metrics-out FILE] [--stats-out FILE]\n"
+      "            [--trace-out FILE] [--stats-out FILE]\n"
       "            [--progress [SEC]] [--log-level LEVEL]\n"
       "  t2m info  --trace FILE\n"
       "\n"
@@ -57,8 +56,6 @@ int usage() {
       "\n"
       "  --trace-out F    write a Chrome trace-event / Perfetto JSON span\n"
       "                   timeline of the learn to F (docs/observability.md)\n"
-      "  --metrics-out F  write the metrics registry snapshot (counters,\n"
-      "                   gauges, histograms) as JSON to F\n"
       "  --stats-out F    write the run verdict + LearnStats as JSON to F\n"
       "  --progress [S]   heartbeat: an Info progress line every S seconds\n"
       "                   (default 5) with N, SAT calls, conflicts, memory\n"
@@ -98,6 +95,7 @@ t2m::Trace generate(const std::string& example, std::int64_t length) {
 }
 
 int cmd_gen(const t2m::CliArgs& args) {
+  args.reject_unknown({"example", "length", "out", "log-level", "verbose"});
   const auto example = args.get("example");
   if (!example) return usage();
   const t2m::Trace trace = generate(*example, args.get_int_or("length", 0));
@@ -112,6 +110,9 @@ int cmd_gen(const t2m::CliArgs& args) {
 }
 
 int cmd_learn(const t2m::CliArgs& args) {
+  args.reject_unknown({"trace", "ftrace", "window", "compliance", "input", "no-segment",
+                       "encoding", "timeout", "max-memory", "task", "dot", "trace-out",
+                       "stats-out", "progress", "log-level", "verbose"});
   const auto path = args.get("trace");
   const auto ftrace_path = args.get("ftrace");
   if (!path && !ftrace_path) return usage();
@@ -127,24 +128,23 @@ int cmd_learn(const t2m::CliArgs& args) {
                                 " MiB overflows a byte count");
   }
   config.max_memory_bytes = max_memory_mib << 20;
-  if (args.get_or("encoding", "successor") == "pairwise") {
+  const std::string encoding = args.get_or("encoding", "successor");
+  if (encoding == "pairwise") {
     config.encoding = t2m::DeterminismEncoding::Pairwise;
+  } else if (encoding != "successor") {
+    throw std::invalid_argument("--encoding: expected pairwise|successor, got '" + encoding +
+                                "'");
   }
   for (const auto& name : t2m::split(args.get_or("input", ""), ',')) {
     if (!name.empty()) config.abstraction.input_vars.push_back(name);
   }
 
-  // Observability: all three sinks are opt-in and independent. Tracing and
-  // metrics must be live before the learn starts so the ingest/abstraction
-  // spans and the per-run publish are captured.
+  // Observability: the trace, the stats record and the heartbeat are opt-in
+  // and independent. Tracing must be live before the learn starts so the
+  // ingest/abstraction spans are captured.
   const auto trace_out = args.get("trace-out");
-  const auto metrics_out = args.get("metrics-out");
   const auto stats_out = args.get("stats-out");
   if (trace_out && !trace_out->empty()) t2m::obs::Tracer::instance().start();
-  if (metrics_out && !metrics_out->empty()) {
-    t2m::obs::MetricsRegistry::global().reset();
-    t2m::obs::MetricsRegistry::global().enable();
-  }
   std::optional<t2m::obs::Heartbeat> heartbeat;
   if (args.has("progress")) {
     t2m::obs::Progress::global().enable();
@@ -172,14 +172,6 @@ int cmd_learn(const t2m::CliArgs& args) {
       std::cout << "wrote trace to " << *trace_out << "\n";
     } else {
       std::cerr << "t2m: io_error: could not write " << *trace_out << "\n";
-      return t2m::error_code_exit_status(t2m::ErrorCode::io_error);
-    }
-  }
-  if (metrics_out && !metrics_out->empty()) {
-    if (t2m::obs::MetricsRegistry::global().write_file(*metrics_out)) {
-      std::cout << "wrote metrics to " << *metrics_out << "\n";
-    } else {
-      std::cerr << "t2m: io_error: could not write " << *metrics_out << "\n";
       return t2m::error_code_exit_status(t2m::ErrorCode::io_error);
     }
   }
@@ -219,6 +211,7 @@ int cmd_learn(const t2m::CliArgs& args) {
 }
 
 int cmd_info(const t2m::CliArgs& args) {
+  args.reject_unknown({"trace", "log-level", "verbose"});
   const auto path = args.get("trace");
   if (!path) return usage();
   const t2m::Trace trace = t2m::read_trace_file(*path);

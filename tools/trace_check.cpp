@@ -1,9 +1,7 @@
-// trace_check: structural validator for the observability artefacts t2m
-// emits — Chrome trace-event / Perfetto span timelines (--trace-out) and
-// metrics registry snapshots (--metrics-out).
+// trace_check: structural validator for the Chrome trace-event / Perfetto
+// span timelines t2m emits (--trace-out).
 //
 //   trace_check --trace FILE [--require-track SUB1,SUB2] [--require-span S1,S2]
-//   trace_check --metrics FILE
 //   trace_check --self-test
 //
 // --require-track / --require-span assert that at least one track name /
@@ -11,9 +9,9 @@
 // an instrumented learn actually produced its per-phase spans, not just an
 // empty-but-valid document.
 //
-// --self-test exercises the whole obs pipeline in-process: it runs a traced
-// + metered workload across two threads, writes both artefacts through the
-// production serializers, and validates them (registered in ctest).
+// --self-test exercises the tracer in-process: it runs a traced workload
+// across two threads, writes the trace through the production serializer,
+// and validates it (registered in ctest).
 //
 // exit codes: 0 ok, 1 validation failed, 2 usage/io error.
 
@@ -23,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/obs/validate.h"
 #include "src/util/cli.h"
@@ -35,7 +32,6 @@ namespace {
 int usage() {
   std::cerr << "usage: trace_check --trace FILE [--require-track SUBSTR,...]\n"
                "                   [--require-span SUBSTR,...]\n"
-               "       trace_check --metrics FILE\n"
                "       trace_check --self-test\n";
   return 2;
 }
@@ -96,26 +92,9 @@ int check_trace(const std::string& path, const std::vector<std::string>& require
   return failures == 0 ? 0 : 1;
 }
 
-int check_metrics(const std::string& path) {
-  std::string text;
-  if (!read_file(path, text)) {
-    std::cerr << "trace_check: cannot open " << path << "\n";
-    return 2;
-  }
-  const t2m::Status status = t2m::obs::validate_metrics_json(text);
-  if (!status.ok()) {
-    std::cerr << "trace_check: " << path << ": " << status.to_string() << "\n";
-    return 1;
-  }
-  std::cout << "trace_check: " << path << ": metrics snapshot ok\n";
-  return 0;
-}
-
 int self_test() {
   using namespace t2m;
   obs::Tracer::instance().start();
-  obs::MetricsRegistry::global().reset();
-  obs::MetricsRegistry::global().enable();
   {
     T2M_SPAN("selftest.run", "items", 64);
     // 8 chunks of 8 items, dealt round-robin to 2 threads.
@@ -125,8 +104,7 @@ int self_test() {
         for (std::size_t c = t; c < 8; c += 2) {
           T2M_SPAN("selftest.chunk", "chunk", c);
           for (std::size_t i = c * 8; i < (c + 1) * 8; ++i) {
-            obs::count("selftest.items");
-            obs::observe("selftest.values", i);
+            T2M_SPAN("selftest.item", "i", i);
           }
         }
       });
@@ -134,7 +112,6 @@ int self_test() {
     for (Thread& thread : threads) thread.join();
     T2M_INSTANT("selftest.marker");
     T2M_TRACE_COUNTER("selftest.counter", 42);
-    obs::gauge_max("selftest.peak", 7);
   }
   obs::Tracer::instance().stop();
 
@@ -158,22 +135,6 @@ int self_test() {
   }
 #endif
 
-  std::ostringstream metrics_os;
-  obs::MetricsRegistry::global().write_json(metrics_os);
-  obs::MetricsRegistry::global().disable();
-  const Status metrics_status = obs::validate_metrics_json(metrics_os.str());
-  if (!metrics_status.ok()) {
-    std::cerr << "trace_check self-test: metrics invalid: " << metrics_status.to_string()
-              << "\n";
-    return 1;
-  }
-  const auto counters = obs::MetricsRegistry::global().counter_values();
-  const auto it = counters.find("selftest.items");
-  if (it == counters.end() || it->second != 64) {
-    std::cerr << "trace_check self-test: expected selftest.items == 64\n";
-    return 1;
-  }
-
   // Corrupted input must be rejected, not crash.
   if (obs::validate_trace_json("{\"traceEvents\": [{\"ph\": \"X\"}]}").ok()) {
     std::cerr << "trace_check self-test: accepted an event without required fields\n";
@@ -181,10 +142,6 @@ int self_test() {
   }
   if (obs::validate_trace_json("not json").ok()) {
     std::cerr << "trace_check self-test: accepted malformed JSON\n";
-    return 1;
-  }
-  if (obs::validate_metrics_json("{\"counters\": 3}").ok()) {
-    std::cerr << "trace_check self-test: accepted malformed metrics\n";
     return 1;
   }
 
@@ -206,18 +163,7 @@ int main(int argc, char** argv) {
   const t2m::CliArgs args(argc, argv);
   if (args.has("self-test")) return self_test();
   const auto trace = args.get("trace");
-  const auto metrics = args.get("metrics");
-  if (!trace && !metrics) return usage();
-  int rc = 0;
-  if (trace) {
-    rc = check_trace(*trace, split_requirements(args.get_or("require-track", "")),
+  if (!trace) return usage();
+  return check_trace(*trace, split_requirements(args.get_or("require-track", "")),
                      split_requirements(args.get_or("require-span", "")));
-    if (rc == 2) return 2;
-  }
-  if (metrics) {
-    const int mrc = check_metrics(*metrics);
-    if (mrc == 2) return 2;
-    rc = std::max(rc, mrc);
-  }
-  return rc;
 }
