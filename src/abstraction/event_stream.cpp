@@ -1,9 +1,9 @@
 #include "src/abstraction/event_stream.h"
 
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
-#include "src/trace/ftrace_io.h"
 #include "src/trace/text_io.h"
 
 namespace t2m {
@@ -62,6 +62,57 @@ std::optional<PredId> EventStreamAbstractor::push(const Schema& schema, const Va
 
 PredicateSequence EventStreamAbstractor::take() { return std::move(preds_); }
 
+std::uint64_t FtracePredStream::SpellingMemo::hash(std::string_view spelling) {
+  // Eight bytes per multiply-mix step; the tail is zero-padded. Lengths
+  // are folded in first, so "a" and "a\0" differ.
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ spelling.size();
+  const char* p = spelling.data();
+  std::size_t n = spelling.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, 8);
+    h = (h ^ word) * 0xbf58476d1ce4e5b9ULL;
+  }
+  if (n > 0) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, n);
+    h = (h ^ word) * 0xbf58476d1ce4e5b9ULL;
+  }
+  return hash_mix(h);
+}
+
+const PredId* FtracePredStream::SpellingMemo::find(std::string_view spelling,
+                                                   std::uint64_t h) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = h & mask; slots_[i].id != kEmpty; i = (i + 1) & mask) {
+    const Slot& s = slots_[i];
+    if (s.hash == h && std::string_view(bytes_).substr(s.offset, s.length) == spelling) {
+      return &s.id;
+    }
+  }
+  return nullptr;
+}
+
+void FtracePredStream::SpellingMemo::insert(std::string_view spelling, std::uint64_t h,
+                                            PredId id) {
+  if (2 * (size_ + 1) > slots_.size()) {
+    // Double and re-place every slot by its stored hash.
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    for (const Slot& s : old) {
+      if (s.id == kEmpty) continue;
+      std::size_t i = s.hash & (slots_.size() - 1);
+      while (slots_[i].id != kEmpty) i = (i + 1) & (slots_.size() - 1);
+      slots_[i] = s;
+    }
+  }
+  std::size_t i = h & (slots_.size() - 1);
+  while (slots_[i].id != kEmpty) i = (i + 1) & (slots_.size() - 1);
+  slots_[i] = Slot{h, bytes_.size(), spelling.size(), id};
+  bytes_.append(spelling);
+  ++size_;
+}
+
 FtracePredStream::FtracePredStream(LineReader& lines, std::string task_filter)
     : lines_(lines), task_filter_(std::move(task_filter)) {
   ev_ = schema_.add_cat("event", {}, std::nullopt);
@@ -71,10 +122,20 @@ std::optional<PredId> FtracePredStream::next() {
   if (done_) return std::nullopt;
   std::string_view line;
   while (lines_.next(line)) {
-    if (!parse_ftrace_line(line, task_, event_)) continue;
-    if (!task_filter_.empty() && task_ != task_filter_) continue;
-    const auto id = abstractor_.push_symbol(schema_, schema_.sym_id_intern(ev_, event_));
-    if (id) return id;
+    if (!parser_.parse(line)) continue;
+    if (!task_filter_.empty() && parser_.task() != task_filter_) continue;
+    const std::string_view event = parser_.event();
+    const std::uint64_t h = SpellingMemo::hash(event);
+    if (const PredId* id = memo_.find(event, h)) return *id;
+    // First sighting of this event as a step's destination. The first
+    // observation of the trace ends no step and is not memoised, so the
+    // abstractor sees it and counts it; a memo hit implies at least two
+    // observations, so the count check below stays exact.
+    const auto id = abstractor_.push_symbol(schema_, schema_.sym_id_intern(ev_, event));
+    if (id) {
+      memo_.insert(event, h, *id);
+      return id;
+    }
   }
   done_ = true;
   if (abstractor_.observations() < 2) {

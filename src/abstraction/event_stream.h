@@ -1,12 +1,15 @@
 #ifndef T2M_ABSTRACTION_EVENT_STREAM_H
 #define T2M_ABSTRACTION_EVENT_STREAM_H
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "src/abstraction/pred_stream.h"
+#include "src/trace/ftrace_io.h"
 #include "src/trace/mmap_io.h"
 #include "src/util/hash.h"
 
@@ -79,14 +82,41 @@ public:
   const Schema& schema() const override { return schema_; }
 
 private:
+  /// Event spelling → PredId of the step ending on that event, for events
+  /// already abstracted once: an open-addressing table (linear probing,
+  /// power-of-two capacity, load at most 1/2) whose slots hold the
+  /// spelling's hash, its bytes' place in one shared buffer and the id. A
+  /// repeated event costs one hash of its bytes and one probe; the schema
+  /// and the abstractor see only first sightings, so they intern in the
+  /// same order as read_ftrace + abstract_event_trace.
+  class SpellingMemo {
+  public:
+    static std::uint64_t hash(std::string_view spelling);
+    /// The id stored for `spelling` (whose hash() is `h`), or nullptr.
+    const PredId* find(std::string_view spelling, std::uint64_t h) const;
+    /// Stores a spelling find() has just missed.
+    void insert(std::string_view spelling, std::uint64_t h, PredId id);
+
+  private:
+    struct Slot {
+      std::uint64_t hash = 0;
+      std::size_t offset = 0;  ///< into bytes_
+      std::size_t length = 0;
+      PredId id = kEmpty;
+    };
+    static constexpr PredId kEmpty = static_cast<PredId>(-1);
+    std::vector<Slot> slots_ = std::vector<Slot>(16);
+    std::size_t size_ = 0;
+    std::string bytes_;  ///< every stored spelling, back to back
+  };
+
   LineReader& lines_;
   std::string task_filter_;
   Schema schema_;
   VarIndex ev_ = 0;
   EventStreamAbstractor abstractor_;
-  // Parse buffers reused across next() calls — one allocation amortised
-  // over the million-event loop, as the batch reader's loop-hoisted locals.
-  std::string task_, event_;
+  FtraceLineParser parser_;  ///< its buffers are reused across lines
+  SpellingMemo memo_;
   bool done_ = false;
 };
 

@@ -35,51 +35,57 @@ std::size_t positive_length(std::size_t l) {
 
 }  // namespace
 
-void ComplianceChecker::init_packing(PredId max_pred) {
+ComplianceChecker::ComplianceChecker(const std::vector<PredId>& seq, std::size_t l)
+    : l_(positive_length(l)) {
+  build_windows(std::span<const std::vector<PredId>>(&seq, 1));
+}
+
+ComplianceChecker ComplianceChecker::from_windows(
+    const std::vector<std::vector<PredId>>& windows, std::size_t l) {
+  ComplianceChecker checker(positive_length(l));
+  checker.build_windows(windows);
+  return checker;
+}
+
+void ComplianceChecker::build_windows(std::span<const std::vector<PredId>> windows) {
+  // Mirror the original subsequences() edge case: no windows inside a
+  // window shorter than l. With none at all, the empty window set is served
+  // by the generic hashed-vector path; every model word is missing.
+  PredId max_pred = 0;
+  std::size_t count = 0;  // length-l windows, duplicates included
+  for (const auto& window : windows) {
+    if (window.size() < l_) continue;
+    count += window.size() - l_ + 1;
+    for (const PredId p : window) max_pred = std::max(max_pred, p);
+  }
+  if (count == 0) return;
+
+  // The representation follows the largest id: packed when l ids fit in
+  // 64 bits, hashed vectors otherwise.
   bits_ = std::max(1u, static_cast<std::uint32_t>(std::bit_width(
                            static_cast<std::uint64_t>(max_pred))));
   packed_ = bits_ < 64 && l_ * bits_ <= 64;
   if (packed_) {
     const std::uint32_t width = static_cast<std::uint32_t>(l_) * bits_;
     mask_ = width == 64 ? ~0ULL : (1ULL << width) - 1;
-  }
-}
-
-std::uint64_t ComplianceChecker::pack_word(const std::vector<PredId>& word) const {
-  std::uint64_t key = 0;
-  for (const PredId p : word) {
-    key = ((key << bits_) | static_cast<std::uint64_t>(p)) & mask_;
-  }
-  return key;
-}
-
-ComplianceChecker::ComplianceChecker(const std::vector<PredId>& seq, std::size_t l)
-    : l_(positive_length(l)) {
-  // Mirror the original subsequences() edge case: no windows for a sequence
-  // shorter than l. The empty window set is served by the generic
-  // hashed-vector path; every model word is missing.
-  if (seq.size() < l_) return;
-
-  PredId max_pred = 0;
-  for (const PredId p : seq) max_pred = std::max(max_pred, p);
-  init_packing(max_pred);
-
-  if (packed_) {
-    packed_windows_.reserve(seq.size());
-    // Rolling pack: shift each predicate in and mask to the window width;
-    // one pass, no per-window allocation.
-    std::uint64_t key = 0;
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-      key = ((key << bits_) | static_cast<std::uint64_t>(seq[i])) & mask_;
-      if (i + 1 >= l_) packed_windows_.insert(key);
+    packed_windows_.reserve(count);
+    for (const auto& window : windows) {
+      // Rolling pack: shift each predicate in and mask to the window width;
+      // one pass, no per-window allocation.
+      std::uint64_t key = 0;
+      for (std::size_t i = 0; i < window.size(); ++i) {
+        key = ((key << bits_) | static_cast<std::uint64_t>(window[i])) & mask_;
+        if (i + 1 >= l_) packed_windows_.insert(key);
+      }
     }
     trace_windows_ = packed_windows_.size();
   } else {
-    vec_windows_.reserve(seq.size());
-    for (std::size_t i = 0; i + l_ <= seq.size(); ++i) {
-      vec_windows_.insert(std::vector<PredId>(
-          seq.begin() + static_cast<std::ptrdiff_t>(i),
-          seq.begin() + static_cast<std::ptrdiff_t>(i + l_)));
+    vec_windows_.reserve(count);
+    for (const auto& window : windows) {
+      for (std::size_t i = 0; i + l_ <= window.size(); ++i) {
+        vec_windows_.emplace(window.begin() + static_cast<std::ptrdiff_t>(i),
+                             window.begin() + static_cast<std::ptrdiff_t>(i + l_));
+      }
     }
     trace_windows_ = vec_windows_.size();
   }
@@ -179,33 +185,9 @@ ComplianceResult ComplianceChecker::check(const Nfa& model) const {
 ComplianceWindowBuilder::ComplianceWindowBuilder(std::size_t l)
     : l_(positive_length(l)), dedup_(l) {}
 
-void ComplianceWindowBuilder::push(PredId p) {
-  max_pred_ = std::max(max_pred_, p);
-  dedup_.push(p);
-}
-
 ComplianceChecker ComplianceWindowBuilder::finish() {
-  ComplianceChecker checker(l_);
-  // Mirror the batch constructor's edge case: a stream shorter than l leaves
-  // an empty window set served by the generic path.
-  if (dedup_.pushed() < l_) return checker;
-  // Every stream element is covered by at least one window once count >= l,
-  // so the maximum over pushed ids equals the batch path's maximum over the
-  // whole sequence — the packed-representation decision is identical.
-  checker.init_packing(max_pred_);
-  std::vector<std::vector<PredId>> windows = dedup_.take_windows();
-  if (checker.packed_) {
-    checker.packed_windows_.reserve(windows.size());
-    for (const auto& window : windows) {
-      checker.packed_windows_.insert(checker.pack_word(window));
-    }
-  } else {
-    checker.vec_windows_.reserve(windows.size());
-    for (auto& window : windows) checker.vec_windows_.insert(std::move(window));
-  }
-  checker.trace_windows_ =
-      checker.packed_ ? checker.packed_windows_.size() : checker.vec_windows_.size();
-  return checker;
+  // A stream shorter than l completed no window: the empty window set.
+  return ComplianceChecker::from_windows(dedup_.take_windows(), l_);
 }
 
 ComplianceResult check_compliance(const Nfa& model, const std::vector<PredId>& seq,

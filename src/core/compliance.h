@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -35,8 +36,17 @@ struct ComplianceResult {
 /// transition_sequences/subsequences/set_difference pipeline.
 class ComplianceChecker {
 public:
-  /// Throws StatusError(parse_error) for l == 0.
+  /// P_l of `seq`. Throws StatusError(parse_error) for l == 0.
   ComplianceChecker(const std::vector<PredId>& seq, std::size_t l);
+
+  /// P_l as the length-l windows lying inside `windows`; a window shorter
+  /// than l holds none. For l <= w the distinct length-w windows of P (the
+  /// segment set, or P itself when |P| < w) hold every length-l window of
+  /// P, so the learner builds P_l from its segments instead of from P. The
+  /// sequence constructor is this over the one window P. Throws
+  /// StatusError(parse_error) for l == 0.
+  static ComplianceChecker from_windows(const std::vector<std::vector<PredId>>& windows,
+                                        std::size_t l);
 
   ComplianceResult check(const Nfa& model) const;
 
@@ -50,16 +60,11 @@ public:
   std::size_t trace_sequences() const { return trace_windows_; }
 
 private:
-  friend class ComplianceWindowBuilder;
   explicit ComplianceChecker(std::size_t l) : l_(l) {}
 
-  /// Decides the window representation from the largest predicate id seen:
-  /// sets bits_, packed_ and mask_. One definition shared by the batch
-  /// constructor and ComplianceWindowBuilder::finish(), so the two
-  /// construction paths cannot drift apart.
-  void init_packing(PredId max_pred);
-  /// Folds a window into its packed 64-bit key (requires packed_).
-  std::uint64_t pack_word(const std::vector<PredId>& word) const;
+  /// The one build routine of P_l: collects the length-l windows inside
+  /// each of `windows`, packed when the largest id they hold allows.
+  void build_windows(std::span<const std::vector<PredId>> windows);
 
   bool packed_usable(const Nfa& model) const;
 
@@ -86,26 +91,23 @@ private:
 
 /// Streaming construction of the trace window set P_l: push one PredId per
 /// step and finish() yields a ComplianceChecker identical to constructing
-/// one from the materialised sequence. Windows are collected by the same
-/// StreamingWindowDedup mechanism the segmenter uses (O(1) rolling-hash
-/// updates, in-ring compares, allocation-free duplicates — see
-/// src/util/window_dedup.h). The packed/hashed representation decision
-/// needs the stream's maximum predicate id, which is only known at the end,
-/// so the distinct windows (O(distinct) memory) are re-packed into 64-bit
-/// keys at finish() when they fit.
+/// one from the materialised sequence. The distinct length-l windows are
+/// collected by the same StreamingWindowDedup the segmenter uses (see
+/// src/util/window_dedup.h) and handed to ComplianceChecker::from_windows.
+/// The learner itself takes P_l from its segment set; this builder serves
+/// callers that want P_l alone from a stream.
 class ComplianceWindowBuilder {
 public:
   /// Throws StatusError(parse_error) for l == 0.
   explicit ComplianceWindowBuilder(std::size_t l);
 
-  void push(PredId p);
+  void push(PredId p) { dedup_.push(p); }
 
   /// Finalises and surrenders the checker. The builder is spent afterwards.
   ComplianceChecker finish();
 
 private:
   std::size_t l_;
-  PredId max_pred_ = 0;
   StreamingWindowDedup<PredId> dedup_;
 };
 

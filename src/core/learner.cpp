@@ -54,22 +54,42 @@ LearnResult failure_result(Status status) {
   return result;
 }
 
-/// The entry guard of every public learn call: caps accounted memory for
-/// the call, returns a structured failure or a failed allocation as a
-/// verdict, and records the accountant's peak in the run's stats.
+/// The entry guard of every public learn call: owns the run's one
+/// Stopwatch and hands it to `body`, caps accounted memory for the call,
+/// returns a structured failure or a failed allocation as a verdict, and
+/// records the accountant's peak and the call's total time on every exit,
+/// failures included.
 template <typename Body>
 LearnResult guarded(std::size_t max_memory_bytes, const Body& body) {
+  const Stopwatch total;
   const ScopedMemoryLimit mem_limit(max_memory_bytes);
   LearnResult result;
   try {
-    result = body();
+    result = body(total);
   } catch (const StatusError& e) {
     result = failure_result(e.status());
   } catch (const std::bad_alloc&) {
     result = failure_result(Status::ResourceExhausted("allocation failed during learn"));
   }
   result.stats.accounted_peak_bytes = MemoryAccountant::global().peak();
+  result.stats.total_seconds = total.elapsed_seconds();
   return result;
+}
+
+/// The trace window set P_l, built once per run: it is invariant across
+/// all refinement iterations, and every compliance check streams against
+/// it. It comes from the segment set whenever that holds every length-l
+/// window of P: the unsegmented run's one segment is P itself, and for
+/// l <= w every length-l window of P lies inside a length-w window of P,
+/// hence inside a distinct one (or inside P when |P| < w). Only for l > w
+/// is it built from `seq`, which is then P.
+ComplianceChecker trace_window_checker(const LearnerConfig& config,
+                                       const std::vector<Segment>& segments,
+                                       const std::vector<PredId>& seq) {
+  if (!config.segmented || config.compliance_length <= config.window) {
+    return ComplianceChecker::from_windows(segments, config.compliance_length);
+  }
+  return ComplianceChecker(seq, config.compliance_length);
 }
 
 }  // namespace
@@ -77,14 +97,13 @@ LearnResult guarded(std::size_t max_memory_bytes, const Body& body) {
 ModelLearner::ModelLearner(LearnerConfig config) : config_(std::move(config)) {}
 
 LearnResult ModelLearner::learn(const Trace& trace, AbstractionMode mode) const {
-  return guarded(config_.max_memory_bytes, [&] {
-    const Stopwatch total;
+  return guarded(config_.max_memory_bytes, [&](const Stopwatch& total) {
     AbstractionConfig abs_config = config_.abstraction;
     abs_config.window = config_.window;
     PredicateSequence preds = abstract_trace(trace, abs_config, mode);
     const double abstraction_seconds = total.elapsed_seconds();
 
-    LearnResult result = search_sequence(std::move(preds), trace.schema(), total);
+    LearnResult result = search_sequence(std::move(preds), trace.schema());
     result.stats.abstraction_seconds = abstraction_seconds;
     return result;
   });
@@ -92,57 +111,53 @@ LearnResult ModelLearner::learn(const Trace& trace, AbstractionMode mode) const 
 
 LearnResult ModelLearner::learn_from_sequence(PredicateSequence preds,
                                               const Schema& schema) const {
-  return guarded(config_.max_memory_bytes, [&] {
-    return search_sequence(std::move(preds), schema, Stopwatch());
+  return guarded(config_.max_memory_bytes, [&](const Stopwatch&) {
+    return search_sequence(std::move(preds), schema);
   });
 }
 
 LearnResult ModelLearner::learn_from_stream(PredStream& stream) const {
-  return guarded(config_.max_memory_bytes, [&] { return search_stream(stream); });
+  return guarded(config_.max_memory_bytes,
+                 [&](const Stopwatch& total) { return search_stream(stream, total); });
 }
 
 LearnResult ModelLearner::learn_from_ftrace(const std::string& path,
                                             const std::string& task_filter) const {
-  return guarded(config_.max_memory_bytes, [&] {
+  return guarded(config_.max_memory_bytes, [&](const Stopwatch& total) {
     LineReader lines(path);
     FtracePredStream stream(lines, task_filter);
-    return search_stream(stream);
+    return search_stream(stream, total);
   });
 }
 
-LearnResult ModelLearner::search_sequence(PredicateSequence preds, const Schema& schema,
-                                          const Stopwatch& total) const {
+LearnResult ModelLearner::search_sequence(PredicateSequence preds, const Schema& schema) const {
   const std::size_t sequence_length = preds.length();
   std::vector<Segment> segments = config_.segmented
                                       ? segment_sequence(preds.seq, config_.window)
                                       : whole_sequence(preds.seq);
 
-  // The trace window set is invariant across all refinement iterations:
-  // compute it once and let every compliance check stream against it.
-  ComplianceChecker compliance_checker(preds.seq, config_.compliance_length);
-  return run_cegis(std::move(preds), sequence_length, segments, compliance_checker, schema,
-                   total);
+  const ComplianceChecker compliance_checker =
+      trace_window_checker(config_, segments, preds.seq);
+  return run_cegis(std::move(preds), sequence_length, segments, compliance_checker, schema);
 }
 
-LearnResult ModelLearner::search_stream(PredStream& stream) const {
-  // One pass: every pulled id goes simultaneously into the window segmenter
-  // and the compliance window builder, so P_l and the segment set come from
-  // the same stream the abstraction interns its predicates on. The full id
-  // sequence is retained only when a downstream consumer needs it.
-  const bool keep_sequence = config_.require_trace_acceptance || !config_.segmented;
-  const Stopwatch total;
+LearnResult ModelLearner::search_stream(PredStream& stream, const Stopwatch& total) const {
+  // One pass: every pulled id goes into the window segmenter, and P_l is
+  // then taken from the segments it kept. The full id sequence is retained
+  // only when a downstream consumer needs it: trace acceptance, the
+  // unsegmented run's one segment, or P_l when l > w.
+  const bool keep_sequence = config_.require_trace_acceptance || !config_.segmented ||
+                             config_.compliance_length > config_.window;
   // Non-segmented runs take their single segment from the retained sequence;
   // feeding the segmenter would only burn CPU and memory on a discarded set.
   std::optional<StreamingSegmenter> segmenter;
   if (config_.segmented) segmenter.emplace(config_.window);
-  ComplianceWindowBuilder window_builder(config_.compliance_length);
   std::vector<PredId> seq;
   std::size_t sequence_length = 0;
   {
     T2M_SPAN_SCOPE(pass_span, "ingest.stream_pass");
     while (const auto id = stream.next()) {
       if (segmenter) segmenter->push(*id);
-      window_builder.push(*id);
       if (keep_sequence) seq.push_back(*id);
       ++sequence_length;
     }
@@ -151,11 +166,12 @@ LearnResult ModelLearner::search_stream(PredStream& stream) const {
   PredicateSequence preds = stream.take_preds();
   preds.seq = std::move(seq);
   std::vector<Segment> segments = segmenter ? segmenter->take() : whole_sequence(preds.seq);
-  ComplianceChecker compliance_checker = window_builder.finish();
+  const ComplianceChecker compliance_checker =
+      trace_window_checker(config_, segments, preds.seq);
   const double pass_seconds = total.elapsed_seconds();
 
   LearnResult result = run_cegis(std::move(preds), sequence_length, segments,
-                                 compliance_checker, stream.schema(), total);
+                                 compliance_checker, stream.schema());
   result.stats.abstraction_seconds = pass_seconds;
   return result;
 }
@@ -163,7 +179,7 @@ LearnResult ModelLearner::search_stream(PredStream& stream) const {
 LearnResult ModelLearner::run_cegis(PredicateSequence preds, std::size_t sequence_length,
                                     const std::vector<Segment>& segments,
                                     const ComplianceChecker& compliance_checker,
-                                    const Schema& schema, const Stopwatch& total) const {
+                                    const Schema& schema) const {
   const Deadline deadline = config_.timeout_seconds > 0
                                 ? Deadline::after_seconds(config_.timeout_seconds)
                                 : Deadline::never();
@@ -418,7 +434,6 @@ LearnResult ModelLearner::run_cegis(PredicateSequence preds, std::size_t sequenc
   }
   result.preds = std::move(preds);
   result.stats.construction_seconds = construction_watch.elapsed_seconds();
-  result.stats.total_seconds = total.elapsed_seconds();
   run_span.arg("success", result.success);
   run_span.arg("states", result.states);
   return result;

@@ -212,11 +212,13 @@ public:
   LearnResult learn_from_sequence(PredicateSequence preds, const Schema& schema) const;
 
   /// Streaming path for traces too long to materialise: one pass over
-  /// `stream` feeds the unique-window segmenter and the compliance window
-  /// builder directly, so peak memory is O(window + dedup set) instead of
-  /// O(trace). The compact id sequence is additionally retained only when
-  /// the configuration needs it (trace acceptance on, or non-segmented
-  /// encoding). The CEGIS search then runs on byte-identical artefacts to
+  /// `stream` feeds the unique-window segmenter directly, and the
+  /// compliance window set P_l is built from the segments it keeps, so peak
+  /// memory is O(window + dedup set) instead of O(trace). The compact id
+  /// sequence is additionally retained only when the configuration needs it
+  /// (trace acceptance on, non-segmented encoding, or a compliance length
+  /// above the window, whose windows the segments do not hold). The CEGIS
+  /// search then runs on byte-identical artefacts to
   /// the in-memory path, so both produce the same model
   /// (differential-tested in tests/test_stream_pipeline.cpp).
   LearnResult learn_from_stream(PredStream& stream) const;
@@ -230,11 +232,10 @@ public:
 
 private:
   /// learn_from_sequence and learn_from_stream without the entry guard, so
-  /// a public call that delegates applies the guard once. `total` times the
-  /// whole call, abstraction included.
-  LearnResult search_sequence(PredicateSequence preds, const Schema& schema,
-                              const Stopwatch& total) const;
-  LearnResult search_stream(PredStream& stream) const;
+  /// a public call that delegates applies the guard once. `total` is the
+  /// guard's clock, started when the public call was entered.
+  LearnResult search_sequence(PredicateSequence preds, const Schema& schema) const;
+  LearnResult search_stream(PredStream& stream, const Stopwatch& total) const;
 
   /// The iterative SAT search and refinement loop (Algorithm 1 plus the
   /// acceptance refinement) shared by the in-memory and streaming entry
@@ -244,7 +245,7 @@ private:
   LearnResult run_cegis(PredicateSequence preds, std::size_t sequence_length,
                         const std::vector<Segment>& segments,
                         const ComplianceChecker& compliance_checker,
-                        const Schema& schema, const Stopwatch& total) const;
+                        const Schema& schema) const;
 
   LearnerConfig config_;
 };

@@ -2,32 +2,19 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "src/obs/trace.h"
-#include "src/util/hash.h"
 
 namespace t2m {
 
 std::vector<Segment> segment_sequence(const std::vector<PredId>& seq, std::size_t w) {
   if (w == 0) throw std::invalid_argument("segment_sequence: window must be positive");
   T2M_SPAN("segment.sequence", "length", seq.size(), "window", w);
-  std::vector<Segment> out;
-  if (seq.empty()) return out;
-  if (seq.size() <= w) {
-    out.push_back(seq);
-    return out;
-  }
-  // Hashed window dedup: O(n * w) over million-event traces, versus the
-  // O(n * w * log n) of an ordered set. Output keeps first-occurrence order.
-  std::unordered_set<Segment, VectorHash> seen;
-  seen.reserve(seq.size() - w + 1);
-  for (std::size_t i = 0; i + w <= seq.size(); ++i) {
-    Segment window(seq.begin() + static_cast<std::ptrdiff_t>(i),
-                   seq.begin() + static_cast<std::ptrdiff_t>(i + w));
-    if (seen.insert(window).second) out.push_back(std::move(window));
-  }
-  return out;
+  // The batch form of the one window dedup: O(w + distinct windows) memory
+  // and allocation-free duplicates, in first-occurrence order.
+  StreamingSegmenter segmenter(w);
+  for (const PredId p : seq) segmenter.push(p);
+  return segmenter.take();
 }
 
 std::vector<Segment> whole_sequence(const std::vector<PredId>& seq) {

@@ -15,19 +15,21 @@ using Segment = std::vector<PredId>;
 /// All unique sliding windows of `seq` of length `w` in first-occurrence
 /// order. When seq is shorter than w the whole sequence forms one segment.
 /// Uniqueness is the scalability lever evaluated in Table I / Fig. 7:
-/// repeating trace patterns are processed once.
+/// repeating trace patterns are processed once. A loop over
+/// StreamingSegmenter, so the batch and the streaming learner share one
+/// window dedup.
 std::vector<Segment> segment_sequence(const std::vector<PredId>& seq, std::size_t w);
 
 /// The non-segmented encoding: one segment spanning the entire sequence.
 std::vector<Segment> whole_sequence(const std::vector<PredId>& seq);
 
-/// One-pass counterpart of segment_sequence for streams too long to
-/// materialise: a StreamingWindowDedup (w-slot ring, O(1) rolling-hash
+/// The unique-window segmenter, fed one id at a time, for streams too long
+/// to materialise: a StreamingWindowDedup (w-slot ring, O(1) rolling-hash
 /// updates, in-ring compares, windows materialised only when new — see
 /// src/util/window_dedup.h) holds O(w + dedup set) memory independent of
-/// stream length. take() finalises and returns segments byte-identical to
-/// segment_sequence over the full sequence, including the short-stream case
-/// (≤ w events form one whole-sequence segment) and first-occurrence order.
+/// stream length. take() finalises and returns the segments in
+/// first-occurrence order, including the short-stream case (≤ w events
+/// form one whole-sequence segment).
 class StreamingSegmenter {
 public:
   explicit StreamingSegmenter(std::size_t w);

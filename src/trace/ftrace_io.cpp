@@ -1,5 +1,7 @@
 #include "src/trace/ftrace_io.h"
 
+#include <array>
+#include <cstdint>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -10,6 +12,41 @@ namespace t2m {
 
 namespace {
 
+/// Byte classes of the line scan: one table load per byte replaces the
+/// chain of comparisons is_ascii_space / is_ascii_digit make.
+enum ByteClass : std::uint8_t { kSpace = 1, kDigit = 2, kDot = 4, kPercent = 8, kOther = 16 };
+
+constexpr std::array<std::uint8_t, 256> make_byte_classes() {
+  std::array<std::uint8_t, 256> classes{};
+  for (std::size_t b = 0; b < classes.size(); ++b) {
+    const char c = static_cast<char>(b);
+    classes[b] = is_ascii_space(c)   ? kSpace
+                 : is_ascii_digit(c) ? kDigit
+                 : c == '.'          ? kDot
+                 : c == '%'          ? kPercent
+                                     : kOther;
+  }
+  return classes;
+}
+
+constexpr std::array<std::uint8_t, 256> kByteClass = make_byte_classes();
+
+std::uint8_t byte_class(char c) { return kByteClass[static_cast<unsigned char>(c)]; }
+
+/// A token whose bytes' classes OR to `classes` is a timestamp — "12",
+/// "0.5", "100.000001": at least one digit, nothing but digits and dots.
+bool is_timestamp_classes(std::uint8_t classes) {
+  return (classes & kDigit) != 0 && (classes & ~(kDigit | kDot)) == 0;
+}
+
+/// A whole field that is a timestamp: the full-shape anchor's last field
+/// before the first ": ".
+bool is_timestamp_field(std::string_view field) {
+  std::uint8_t classes = 0;
+  for (const char c : field) classes |= byte_class(c);
+  return is_timestamp_classes(classes);
+}
+
 /// "[000]", "[12]": a bracketed cpu number, the anchor of the full shape.
 bool is_cpu_field(std::string_view field) {
   if (field.size() < 3 || field.front() != '[' || field.back() != ']') return false;
@@ -17,29 +54,6 @@ bool is_cpu_field(std::string_view field) {
     if (!is_ascii_digit(field[i])) return false;
   }
   return true;
-}
-
-/// Length of the leading whitespace-delimited token of `text` when it is a
-/// timestamp — "12", "0.5", "100.000001": at least one digit, nothing but
-/// digits and dots — else 0. Checks the token while scanning it, so the
-/// simplified shape reads its first field in one pass.
-std::size_t timestamp_token_length(std::string_view text) {
-  bool has_digit = false;
-  std::size_t i = 0;
-  for (; i < text.size() && !is_ascii_space(text[i]); ++i) {
-    if (is_ascii_digit(text[i])) {
-      has_digit = true;
-    } else if (text[i] != '.') {
-      return 0;
-    }
-  }
-  return has_digit ? i : 0;
-}
-
-/// A whole field that is a timestamp: the full-shape anchor's last field
-/// before the first ": ".
-bool is_timestamp_field(std::string_view field) {
-  return !field.empty() && timestamp_token_length(field) == field.size();
 }
 
 /// "comm-123", "<idle>-0": the full shape's head always carries a -pid
@@ -52,18 +66,6 @@ bool has_pid_suffix(std::string_view head) {
     if (!is_ascii_digit(head[i])) return false;
   }
   return true;
-}
-
-/// Mirror of take_ws_token from the back: splits off the last token of
-/// `text` and leaves `text` holding everything before it.
-std::string_view take_last_ws_token(std::string_view& text) {
-  std::size_t j = text.size();
-  while (j > 0 && is_ascii_space(text[j - 1])) --j;
-  std::size_t i = j;
-  while (i > 0 && !is_ascii_space(text[i - 1])) --i;
-  const std::string_view token = text.substr(i, j - i);
-  text.remove_suffix(text.size() - i);
-  return token;
 }
 
 /// Assigns `text` to `out` with every whitespace run collapsed to one
@@ -91,9 +93,60 @@ int hex_digit(char c) {
 
 }  // namespace
 
-bool parse_ftrace_line(std::string_view line, std::string& task, std::string& event) {
-  const std::string_view trimmed = trim(line);
-  if (trimmed.empty() || trimmed[0] == '#') return false;
+bool FtraceLineParser::parse(std::string_view line) {
+  // The trimmed line is [p, end): trailing whitespace is dropped from the
+  // back (LineReader has already cut the line end), leading whitespace by
+  // the scan itself.
+  const char* p = line.data();
+  const char* end = p + line.size();
+  while (end != p && (byte_class(end[-1]) & kSpace) != 0) --end;
+  while (p != end && (byte_class(*p) & kSpace) != 0) ++p;
+  if (p == end || *p == '#') return false;
+  const char* const start = p;
+
+  // One forward scan splits the line into whitespace-delimited tokens up to
+  // the first ": ". The simplified shape needs the first two tokens (and
+  // the byte classes each holds); the full shape's anchor needs the last
+  // three tokens before that ": " and how many there are.
+  const auto scan_token = [&p, end](std::uint8_t& classes) {
+    const char* const begin = p;
+    for (; p != end; ++p) {
+      const std::uint8_t c = byte_class(*p);
+      if ((c & kSpace) != 0) break;
+      classes |= c;
+    }
+    return std::string_view(begin, static_cast<std::size_t>(p - begin));
+  };
+  std::string_view anchor[3];  // anchor[0] is the last token before ": "
+  std::size_t anchor_tokens = 0;
+  const char* colon = nullptr;  // the first ": " inside the trimmed line
+  // Files `token` as an anchor field and steps to the next token; true when
+  // the scan is over: the token ended on the first ": " or the line ended.
+  // ':' followed by ' ' can only end a token, and the anchor's fields are
+  // the tokens before that colon, so a token of ":" alone is none.
+  const auto end_token = [&](std::string_view token) {
+    const bool at_colon = p != end && *p == ' ' && p[-1] == ':';
+    if (at_colon) token.remove_suffix(1);
+    if (!token.empty()) {
+      anchor[2] = anchor[1];
+      anchor[1] = anchor[0];
+      anchor[0] = token;
+      ++anchor_tokens;
+    }
+    if (at_colon) colon = p - 1;
+    while (p != end && (byte_class(*p) & kSpace) != 0) ++p;
+    return at_colon || p == end;
+  };
+  std::uint8_t first_classes = 0, second_classes = 0;
+  std::uint8_t details_classes = 0;  // scanned, never read
+  std::string_view second;
+  if (!end_token(scan_token(first_classes))) {
+    second = scan_token(second_classes);
+    if (!end_token(second)) {
+      while (!end_token(scan_token(details_classes))) {
+      }
+    }
+  }
 
   // Full shape: "comm-123 [000] d..2 12.345678: event: details" (ftrace
   // raw) or "comm-123 [000] 12.345678: event: details" (trace-cmd report,
@@ -106,54 +159,48 @@ bool parse_ftrace_line(std::string_view line, std::string& task, std::string& ev
   // [0] d..2 2.0: note") in the simplified branch. A genuinely ambiguous
   // line (a simplified event named "x-1" with such details) parses as the
   // full shape; the grammars overlap there and the full shape wins.
-  const auto first_colon = trimmed.find(": ");
-  if (first_colon != std::string_view::npos) {
-    // The three pre-colon fields the anchor looks at, taken from the back.
-    std::string_view before = trimmed.substr(0, first_colon);
-    const std::string_view ts = take_last_ws_token(before);
-    const std::string_view f2 = take_last_ws_token(before);
-    const std::string_view f3 = take_last_ws_token(before);
-    std::string_view cpu;  // empty = no anchor; a comm must precede the cpu field
-    if (!f3.empty() && is_timestamp_field(ts)) {
-      if (!trim(before).empty() && is_cpu_field(f3)) {
-        cpu = f3;  // [cpu] flags timestamp
-      } else if (is_cpu_field(f2)) {
-        cpu = f2;  // [cpu] timestamp
-      }
+  if (colon != nullptr && anchor_tokens >= 3 && is_timestamp_field(anchor[0])) {
+    // A comm must precede the cpu field.
+    std::string_view cpu;
+    if (anchor_tokens >= 4 && is_cpu_field(anchor[2])) {
+      cpu = anchor[2];  // [cpu] flags timestamp
+    } else if (is_cpu_field(anchor[1])) {
+      cpu = anchor[1];  // [cpu] timestamp
     }
     if (!cpu.empty()) {
-      // The comm-pid head is everything before the cpu field; `trimmed`
-      // starts on it, so only trailing whitespace needs dropping.
+      // The comm-pid head is everything before the cpu field; `start`
+      // is on it, so only trailing whitespace needs dropping.
       const std::string_view head =
-          trim(trimmed.substr(0, static_cast<std::size_t>(cpu.data() - trimmed.data())));
+          trim(std::string_view(start, static_cast<std::size_t>(cpu.data() - start)));
       if (has_pid_suffix(head)) {
         // Spaces inside the comm read back as single spaces.
-        assign_ws_collapsed(task, head.substr(0, head.rfind('-')));
-        std::string_view rest = trimmed.substr(first_colon + 2);
-        const auto second_colon = rest.find(':');
-        const std::string_view ev = trim(
-            second_colon == std::string_view::npos ? rest : rest.substr(0, second_colon));
-        event.assign(ev.data(), ev.size());
-        return !event.empty();
+        assign_ws_collapsed(task_buffer_, head.substr(0, head.rfind('-')));
+        task_ = task_buffer_;
+        const std::string_view rest(colon + 2, static_cast<std::size_t>(end - colon - 2));
+        event_ = trim(rest.substr(0, rest.find(':')));
+        return !event_.empty();
       }
     }
   }
 
   // Simplified shape: "<timestamp> <event> [details]". The first field must
-  // look like a number ("." or "..." are data, not timestamps). Only the
-  // two leading tokens are extracted — no per-detail-field allocations on
-  // the streaming hot path.
-  const std::size_t ts_length = timestamp_token_length(trimmed);
-  if (ts_length == 0) return false;
-  std::string_view rest = trimmed.substr(ts_length);
-  const std::string_view ev = take_ws_token(rest);
-  if (ev.empty()) return false;
-  task.clear();
-  if (ev.find('%') == std::string_view::npos) {
-    event.assign(ev.data(), ev.size());  // reuse the caller's buffer
+  // look like a number ("." or "..." are data, not timestamps).
+  if (!is_timestamp_classes(first_classes) || second.empty()) return false;
+  task_ = {};
+  if ((second_classes & kPercent) == 0) {
+    event_ = second;
   } else {
-    event = unescape_ftrace_symbol(ev);
+    event_buffer_ = unescape_ftrace_symbol(second);
+    event_ = event_buffer_;
   }
+  return true;
+}
+
+bool parse_ftrace_line(std::string_view line, std::string& task, std::string& event) {
+  FtraceLineParser parser;
+  if (!parser.parse(line)) return false;
+  task.assign(parser.task());
+  event.assign(parser.event());
   return true;
 }
 
@@ -201,11 +248,12 @@ Trace read_ftrace(std::istream& is, const std::string& task_filter) {
   const VarIndex ev = schema.add_cat("event", {}, std::nullopt);
   Trace trace(std::move(schema));
 
-  std::string line, task, event;
+  std::string line;
+  FtraceLineParser parser;
   while (std::getline(is, line)) {
-    if (!parse_ftrace_line(line, task, event)) continue;
-    if (!task_filter.empty() && task != task_filter) continue;
-    const auto sym = trace.mutable_schema().sym_id_intern(ev, event);
+    if (!parser.parse(line)) continue;
+    if (!task_filter.empty() && parser.task() != task_filter) continue;
+    const auto sym = trace.mutable_schema().sym_id_intern(ev, parser.event());
     trace.append({Value::of_sym(sym)});
   }
   return trace;

@@ -9,8 +9,10 @@
 
 namespace t2m {
 
-/// Extracts (task, event) from one ftrace-style line. Returns false for
-/// comments, blank lines and lines matching neither accepted shape:
+/// The ftrace line parser behind parse_ftrace_line, read_ftrace and
+/// FtracePredStream. parse() extracts (task, event) from one line and
+/// returns false for comments, blank lines and lines matching neither
+/// accepted shape:
 ///
 ///   <task>-<pid> [<cpu>] <flags> <timestamp>: <event>: <details>
 ///   <task>-<pid> [<cpu>] <timestamp>: <event>: <details>
@@ -25,6 +27,34 @@ namespace t2m {
 /// leading timestamp to contain at least one digit (digit-free tokens such
 /// as "." are data, not timestamps) and %XX escapes in the event field are
 /// decoded (see escape_ftrace_symbol).
+///
+/// The line is scanned once, front to back, through a byte-class table;
+/// the tokens before the first ": " are kept as views, so both shapes are
+/// decided from that one scan. task() and event() view the line itself
+/// when it spells the field verbatim (the simplified line copies nothing),
+/// or a buffer this parser owns when the field is decoded (a %XX-escaped
+/// event, a comm whose whitespace runs collapse to single spaces). The
+/// views stay valid until the next parse() and while the line's storage
+/// lives; the parser is not copyable, so no copy can hold views into
+/// another parser's buffers.
+class FtraceLineParser {
+public:
+  FtraceLineParser() = default;
+  FtraceLineParser(const FtraceLineParser&) = delete;
+  FtraceLineParser& operator=(const FtraceLineParser&) = delete;
+
+  bool parse(std::string_view line);
+
+  /// The comm of a full-shape line; empty for the simplified shape.
+  std::string_view task() const { return task_; }
+  std::string_view event() const { return event_; }
+
+private:
+  std::string_view task_, event_;
+  std::string task_buffer_, event_buffer_;
+};
+
+/// FtraceLineParser::parse into caller-owned strings.
 bool parse_ftrace_line(std::string_view line, std::string& task, std::string& event);
 
 /// Escapes an event symbol for the simplified `<timestamp> <event>` shape:
@@ -41,7 +71,7 @@ std::string escape_ftrace_symbol(std::string_view symbol);
 std::string unescape_ftrace_symbol(std::string_view field);
 
 /// Parses a simplified ftrace-style event log into a single-variable
-/// categorical trace (shapes as in parse_ftrace_line). Only the event name
+/// categorical trace (shapes as in FtraceLineParser). Only the event name
 /// is retained; task filtering selects lines whose task field matches
 /// `task_filter` (empty = keep all). Lines that do not match either shape
 /// are skipped.

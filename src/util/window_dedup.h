@@ -12,9 +12,12 @@ namespace t2m {
 
 /// One-pass dedup of the sliding length-w windows of a stream: push one
 /// element at a time; each completed window is checked against the distinct
-/// windows seen so far and materialised only when genuinely new. The
-/// mechanism shared by StreamingSegmenter (w = segmentation window) and
-/// ComplianceWindowBuilder (w = compliance length l):
+/// windows seen so far and materialised only when genuinely new. The one
+/// per-event window dedup of the learn path is StreamingSegmenter's
+/// (w = segmentation window), which segment_sequence and the streaming
+/// learner both drive; the learner builds P_l from the segments it keeps.
+/// ComplianceWindowBuilder (w = compliance length l) uses it off the learn
+/// path, for callers that want P_l alone from a stream.
 ///
 /// - a mirrored ring holds the current window: element k of the stream is
 ///   written to slots k mod w and k mod w + w, so the last w elements always

@@ -4,6 +4,8 @@
 
 #include "src/core/compliance.h"
 #include "src/core/learner.h"
+#include "src/core/report.h"
+#include "src/obs/json.h"
 #include "src/sim/basic/counter.h"
 #include "src/trace/recorder.h"
 #include "src/util/stopwatch.h"
@@ -186,6 +188,23 @@ TEST(Learner, ZeroComplianceLengthIsAParseErrorVerdict) {
   EXPECT_FALSE(r.timed_out);
   EXPECT_EQ(r.status.code(), ErrorCode::parse_error);
   EXPECT_EQ(r.stats.sat_calls, 0u);
+}
+
+TEST(Learner, FailedRunRecordsItsTotalTime) {
+  // The entry guard owns the run's clock, so a failure that reaches it
+  // still reports how long the call took: here the ftrace file cannot be
+  // opened, before any ingest or search.
+  const LearnResult r =
+      ModelLearner().learn_from_ftrace("/tmp/definitely_missing_t2m_learner_file.log");
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.status.code(), ErrorCode::io_error);
+  obs::JsonValue doc;
+  ASSERT_TRUE(obs::parse_json(to_json(r), doc).ok());
+  const obs::JsonValue* stats = doc.find("stats");
+  ASSERT_NE(stats, nullptr);
+  const obs::JsonValue* total = stats->find("total_seconds");
+  ASSERT_NE(total, nullptr);
+  EXPECT_GT(total->number, 0.0);
 }
 
 TEST(Learner, StopFlagCancelsLearn) {

@@ -7,11 +7,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/abstraction/abstraction.h"
+#include "src/abstraction/event_abstraction.h"
 #include "src/abstraction/event_stream.h"
 #include "src/core/compliance.h"
 #include "src/core/learner.h"
@@ -211,24 +214,64 @@ TEST(ComplianceWindowBuilder, WidePredicatesFallBackToVectorSet) {
   EXPECT_EQ(a.invalid_sequences, b.invalid_sequences);
 }
 
-/// Writes `trace` as an ftrace log and drives both learn paths over it; the
-/// learned artefacts must match byte for byte.
-void expect_stream_matches_in_memory(const Trace& trace, const LearnerConfig& config) {
+TEST(ComplianceChecker, FromSegmentsMatchesSequenceWhenLAtMostW) {
+  // For l <= w every length-l window of P lies inside a distinct length-w
+  // window (or inside P when |P| < w), so P_l built from the segment set is
+  // P_l built from P. The unsegmented run's one segment is P itself, so
+  // there any l works.
+  Rng rng(31);
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t w = 1 + rng.below(5);
+    const std::size_t l = 1 + rng.below(w);
+    const std::size_t alphabet = 1 + rng.below(5);
+    const auto seq = random_sequence(rng, rng.below(40), alphabet);
+    const ComplianceChecker batch(seq, l);
+    const ComplianceChecker from_segments =
+        ComplianceChecker::from_windows(segment_sequence(seq, w), l);
+    const ComplianceChecker from_whole =
+        ComplianceChecker::from_windows(whole_sequence(seq), 1 + rng.below(6));
+    const ComplianceChecker whole_batch(seq, from_whole.window_length());
+    ASSERT_EQ(from_segments.trace_sequences(), batch.trace_sequences());
+    ASSERT_EQ(from_whole.trace_sequences(), whole_batch.trace_sequences());
+
+    Nfa model(1 + rng.below(3));
+    const std::size_t edges = rng.below(6);
+    for (std::size_t e = 0; e < edges; ++e) {
+      model.add_transition(rng.below(model.num_states()),
+                           static_cast<PredId>(rng.below(alphabet + 1)),
+                           rng.below(model.num_states()));
+    }
+    EXPECT_EQ(from_segments.check(model).invalid_sequences,
+              batch.check(model).invalid_sequences);
+    EXPECT_EQ(from_whole.check(model).invalid_sequences,
+              whole_batch.check(model).invalid_sequences);
+  }
+}
+
+/// Writes `trace` as an ftrace log and learns it through both paths: the
+/// in-memory reference (read the whole file back, abstract, learn) and the
+/// stream (mmap line cursor + one-pass abstraction). Returns {reference,
+/// streamed}.
+std::pair<LearnResult, LearnResult> learn_in_memory_and_streamed(const Trace& trace,
+                                                                 const LearnerConfig& config) {
   std::ostringstream os;
   write_ftrace(os, trace);
   const TempFile file(os.str());
-
-  // In-memory reference: read the whole file back, abstract, learn.
   std::ifstream is(file.path());
   const Trace read_back = read_ftrace(is);
   const ModelLearner learner(config);
-  const LearnResult reference = learner.learn(read_back);
-
-  // Streaming path: mmap line cursor + one-pass abstraction.
+  LearnResult reference = learner.learn(read_back);
   LineReader lines(file.path());
-  ASSERT_TRUE(lines.mapped());
+  EXPECT_TRUE(lines.mapped());
   FtracePredStream stream(lines);
-  const LearnResult streamed = learner.learn_from_stream(stream);
+  LearnResult streamed = learner.learn_from_stream(stream);
+  return {std::move(reference), std::move(streamed)};
+}
+
+/// Drives both learn paths over `trace`; the learned artefacts must match
+/// byte for byte.
+void expect_stream_matches_in_memory(const Trace& trace, const LearnerConfig& config) {
+  const auto [reference, streamed] = learn_in_memory_and_streamed(trace, config);
 
   ASSERT_EQ(streamed.success, reference.success);
   ASSERT_EQ(streamed.timed_out, reference.timed_out);
@@ -299,6 +342,81 @@ TEST(StreamPipeline, DifferentialWithAcceptanceOffDropsSequence) {
   // not have materialised it.
   EXPECT_TRUE(streamed.preds.seq.empty());
   EXPECT_EQ(streamed.stats.sequence_length, reference.stats.sequence_length);
+}
+
+TEST(StreamPipeline, ComplianceLongerThanWindowBuildsTraceWindowsFromSequence) {
+  // For l > w the segments do not hold every length-l window of P, so P_l
+  // is built from P and the stream keeps P even with acceptance off. Both
+  // paths must learn the same model against the same P_l.
+  sim::PatternEventConfig gen;
+  gen.events = 2000;
+  gen.bursts = 1;
+  gen.burst_length = 2;
+  gen.burst_prob = 0.05;
+  const Trace trace = sim::generate_pattern_event_trace(gen);
+  for (const bool acceptance : {false, true}) {
+    SCOPED_TRACE(acceptance ? "acceptance on" : "acceptance off");
+    LearnerConfig config;
+    config.window = 2;
+    config.compliance_length = 4;
+    config.require_trace_acceptance = acceptance;
+    config.initial_states = sim::pattern_generator_states(gen);
+    const auto [reference, streamed] = learn_in_memory_and_streamed(trace, config);
+    ASSERT_TRUE(reference.success);
+    ASSERT_TRUE(streamed.success);
+    EXPECT_EQ(streamed.states, reference.states);
+    EXPECT_EQ(streamed.model.transitions(), reference.model.transitions());
+    EXPECT_EQ(streamed.stats.sat_calls, reference.stats.sat_calls);
+    ASSERT_FALSE(streamed.preds.seq.empty());
+    EXPECT_EQ(streamed.preds.seq, reference.preds.seq);
+    const ComplianceChecker reference_windows(reference.preds.seq, config.compliance_length);
+    const ComplianceChecker streamed_windows(streamed.preds.seq, config.compliance_length);
+    EXPECT_EQ(streamed_windows.trace_sequences(), reference_windows.trace_sequences());
+    EXPECT_TRUE(reference_windows.check(streamed.model).compliant);
+    EXPECT_TRUE(reference_windows.check(reference.model).compliant);
+  }
+}
+
+TEST(StreamPipeline, ComplianceUpToWindowDropsSequenceWithAcceptanceOff) {
+  // For l <= w P_l comes from the segments, so with acceptance off nothing
+  // needs P and the stream must not keep it, l == w included.
+  sim::PatternEventConfig gen;
+  gen.events = 2000;
+  const Trace trace = sim::generate_pattern_event_trace(gen);
+  for (const std::size_t l : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+    SCOPED_TRACE("l = " + std::to_string(l));
+    LearnerConfig config;
+    config.window = 3;
+    config.compliance_length = l;
+    config.require_trace_acceptance = false;
+    config.initial_states = sim::pattern_generator_states(gen);
+    const auto [reference, streamed] = learn_in_memory_and_streamed(trace, config);
+    ASSERT_TRUE(reference.success);
+    ASSERT_TRUE(streamed.success);
+    EXPECT_TRUE(streamed.preds.seq.empty());
+    EXPECT_EQ(streamed.states, reference.states);
+    EXPECT_EQ(streamed.model.transitions(), reference.model.transitions());
+    EXPECT_EQ(streamed.stats.sequence_length, reference.stats.sequence_length);
+  }
+}
+
+TEST(StreamPipeline, UnsegmentedStreamKeepsSequenceWithAcceptanceOff) {
+  // The unsegmented run's one segment is P itself, so the stream keeps P
+  // whatever the acceptance setting, and P_l comes from that segment.
+  sim::PatternEventConfig gen;
+  gen.events = 300;
+  LearnerConfig config;
+  config.segmented = false;
+  config.require_trace_acceptance = false;
+  config.initial_states = sim::pattern_generator_states(gen);
+  const auto [reference, streamed] =
+      learn_in_memory_and_streamed(sim::generate_pattern_event_trace(gen), config);
+  ASSERT_TRUE(reference.success);
+  ASSERT_TRUE(streamed.success);
+  EXPECT_EQ(streamed.states, reference.states);
+  EXPECT_EQ(streamed.model.transitions(), reference.model.transitions());
+  EXPECT_EQ(streamed.preds.seq, reference.preds.seq);
+  EXPECT_EQ(streamed.stats.segments, 1u);
 }
 
 TEST(StreamPipeline, DifferentialOnRtlinuxTrace) {
@@ -389,6 +507,90 @@ TEST(StreamPipeline, FtraceStreamHonoursTaskFilter) {
   EXPECT_EQ(seq, reference.seq);
   const PredicateSequence streamed = stream.take_preds();
   EXPECT_EQ(streamed.display_names, reference.display_names);
+}
+
+/// One random line of a hostile ftrace document: every shape the parser
+/// accepts, the near misses it must reject, and the noise around them.
+/// Events come from a small pool, so spellings repeat (the memo's hit
+/// path) and the same symbol arrives spelled raw, %-escaped and in both
+/// shapes.
+std::string hostile_ftrace_line(Rng& rng) {
+  static const char* const kEvents[] = {"sched_waking", "sched_switch", "irq", "a b",
+                                        "c:d",          "50%",          "%20", "x-1"};
+  static const char* const kComms[] = {"pi_stress", "Web Content", "Web \t  Content",
+                                       "kworker/0:1", "<idle>", "a-b"};
+  const std::string event = kEvents[rng.below(std::size(kEvents))];
+  const std::string comm = kComms[rng.below(std::size(kComms))];
+  const std::string pid = std::to_string(rng.below(5000));
+  const std::string cpu = "[00" + std::to_string(rng.below(4)) + "]";
+  const std::string ts =
+      std::to_string(rng.below(1000)) + "." + std::to_string(rng.below(1000000));
+  switch (rng.below(13)) {
+    case 0:
+      return comm + "-" + pid + " " + cpu + " d..2 " + ts + ": " + event + ": comm=x pid=9";
+    case 1:  // trace-cmd report: no flags column
+      return comm + "-" + pid + " " + cpu + " " + ts + ": " + event + ": prev=y";
+    case 2:
+      return ts + " " + escape_ftrace_symbol(event);
+    case 3:  // details faking the full shape's tail geometry
+      return ts + " " + escape_ftrace_symbol(event) + " [0] d..2 2.0: note";
+    case 4:
+      return ts + " " + escape_ftrace_symbol(event) + " [k=v] more: detail: x";
+    case 5:  // digit-free timestamps are data
+      return ". " + escape_ftrace_symbol(event);
+    case 6:
+      return "... " + escape_ftrace_symbol(event) + " detail";
+    case 7:
+      return "# tracer: nop";
+    case 8:
+      return "";
+    case 9:
+      return " \t ";
+    case 10:  // raw spelling, surrounding whitespace
+      return "  " + ts + "\t" + event + "  ";
+    case 11:  // a timestamp-led line whose head carries a -pid suffix
+      return "1.5 " + comm + "-" + pid + " " + cpu + " 2.0: " + event;
+    default:  // an empty full-shape event
+      return comm + "-" + pid + " " + cpu + " " + ts + ": : detail";
+  }
+}
+
+TEST(StreamPipeline, FtraceStreamMatchesBatchReaderOnHostileDocuments) {
+  // The stream (LineReader + the line parser + the spelling memo) must give
+  // the ids, symbol table and display names of read_ftrace +
+  // abstract_event_trace, task filter or none, on every document.
+  Rng rng(4242);
+  for (int round = 0; round < 300; ++round) {
+    std::string doc;
+    const std::size_t lines = rng.below(60);
+    for (std::size_t i = 0; i < lines; ++i) {
+      doc += hostile_ftrace_line(rng);
+      if (i + 1 < lines || rng.below(2) == 0) doc += rng.below(3) == 0 ? "\r\n" : "\n";
+    }
+    static const char* const kFilters[] = {"", "", "pi_stress", "Web Content", "a-b"};
+    const std::string filter = kFilters[rng.below(std::size(kFilters))];
+    SCOPED_TRACE("round " + std::to_string(round) + ", filter '" + filter + "'");
+
+    std::istringstream is(doc);
+    const Trace trace = read_ftrace(is, filter);
+    LineReader reader(doc, LineReader::from_memory);
+    FtracePredStream stream(reader, filter);
+    std::vector<PredId> seq;
+    const auto drain = [&] {
+      while (const auto id = stream.next()) seq.push_back(*id);
+    };
+    if (trace.size() < 2) {
+      EXPECT_THROW(drain(), std::invalid_argument);
+      continue;
+    }
+    const PredicateSequence reference = abstract_event_trace(trace, {});
+    drain();
+    EXPECT_EQ(seq, reference.seq);
+    EXPECT_EQ(stream.schema().var(0).symbols, trace.schema().var(0).symbols);
+    const PredicateSequence streamed = stream.take_preds();
+    EXPECT_EQ(streamed.display_names, reference.display_names);
+    EXPECT_EQ(streamed.vocab.size(), reference.vocab.size());
+  }
 }
 
 }  // namespace
