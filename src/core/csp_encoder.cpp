@@ -9,7 +9,6 @@
 
 #include "src/base/status.h"
 #include "src/obs/trace.h"
-#include "src/sat/var_remap.h"
 #include "src/util/log.h"
 
 namespace t2m {
@@ -34,14 +33,12 @@ public:
   ClauseSink(sat::Solver& solver, std::size_t max_clauses)
       : solver_(solver), max_clauses_(max_clauses) {}
 
-  void emit(std::initializer_list<sat::Lit> lits, bool tainted = false) {
-    emit_span({lits.begin(), lits.size()}, tainted);
-  }
-  void emit_span(std::span<const sat::Lit> lits, bool tainted = false) {
+  void emit(std::initializer_list<sat::Lit> lits) { emit_span({lits.begin(), lits.size()}); }
+  void emit_span(std::span<const sat::Lit> lits) {
     if (!within_budget()) return;
     sorted_.assign(lits.begin(), lits.end());
     std::sort(sorted_.begin(), sorted_.end());
-    solver_.add_clause_presorted(sorted_, tainted);
+    solver_.add_clause_presorted(sorted_);
   }
   void emit_normalised(std::initializer_list<sat::Lit> lits) {
     if (!within_budget()) return;
@@ -182,21 +179,19 @@ AutomatonCsp::AutomatonCsp(const std::vector<Segment>& segments, std::size_t num
 }
 
 void AutomatonCsp::encode_at_least_one(std::size_t sv_lo, std::size_t guard_lo) {
-  // At-least-one over the full block width (tainted: it is the one clause
-  // of the encoding whose literal set depends on the capacity, so nothing
-  // derived from it may be re-seeded into a differently-sized rebuild). In
-  // persistent mode the guard binaries (act_k | ~x) restrict it to the
-  // active columns under the per-solve assumptions; in fixed mode the width
-  // IS the state count. Guard binaries only for columns that can ever be
-  // inactive: N only grows, so columns below guard_lo never need
-  // deactivating.
+  // At-least-one over the full block width, the one clause of the encoding
+  // whose literal set depends on the capacity. In persistent mode the guard
+  // binaries (act_k | ~x) restrict it to the active columns under the
+  // per-solve assumptions; in fixed mode the width IS the state count.
+  // Guard binaries only for columns that can ever be inactive: N only
+  // grows, so columns below guard_lo never need deactivating.
   const std::size_t cap = capacity_;
   std::vector<sat::Lit> alo(cap);
   if (!run_emission(solver_, options_.max_clauses, num_state_vars_ - sv_lo, options_.deadline,
                     [&](std::size_t i, ClauseSink& sink) {
                       const std::size_t sv = sv_lo + i;
                       for (std::size_t k = 0; k < cap; ++k) alo[k] = state_lit(sv, k);
-                      sink.emit_span(alo, /*tainted=*/true);
+                      sink.emit_span(alo);
                       if (!act_.empty()) {
                         for (std::size_t k = guard_lo; k < cap; ++k) {
                           sink.emit({sat::pos(act_[k]), ~state_lit(sv, k)});
@@ -892,74 +887,6 @@ void AutomatonCsp::encode_word(std::size_t w, std::size_t t_lo) {
     if (overflowed_) return;  // an equality variable's clauses hit the budget
     solver_.add_clause(clause);
   }
-}
-
-std::size_t AutomatonCsp::reseed_from(const AutomatonCsp& old) {
-  // Only meaningful across a capacity rebuild over the same layout: the
-  // same transitions between the same state variables, cut into the same
-  // precedence groups. Equal sizes alone would rename learned clauses onto
-  // the wrong state variables.
-  const auto same_groups = [&] {
-    return old.base_state_vars_ == base_state_vars_ &&
-           std::equal(old.ext_groups_.begin(), old.ext_groups_.end(), ext_groups_.begin(),
-                      ext_groups_.end(), [](const ExtGroup& a, const ExtGroup& b) {
-                        return a.first == b.first;
-                      });
-  };
-  if (old.num_state_vars_ != num_state_vars_ || old.num_preds_ != num_preds_ ||
-      old.preds_of_transition_ != preds_of_transition_ || old.src_var_ != src_var_ ||
-      old.dst_var_ != dst_var_ || !same_groups()) {
-    return 0;
-  }
-  sat::VarRemap remap;
-  const std::size_t kmin = std::min(old.capacity_, capacity_);
-  for (std::size_t sv = 0; sv < num_state_vars_; ++sv) {
-    for (std::size_t k = 0; k < kmin; ++k) {
-      remap.map(old.block_base_[sv] + static_cast<sat::Var>(k),
-                block_base_[sv] + static_cast<sat::Var>(k));
-    }
-  }
-  for (std::size_t c = 1; c < kmin; ++c) {
-    for (std::size_t g = 0; g < num_chain_groups(); ++g) {
-      const sat::Var from = old.chain_var(g, c);
-      const sat::Var to = chain_var(g, c);
-      if (from != kVarUndef && to != kVarUndef) remap.map(from, to);
-    }
-  }
-  for (std::size_t k = 0; k < std::min({old.act_.size(), act_.size()}); ++k) {
-    remap.map(old.act_[k], act_[k]);
-  }
-  for (std::size_t p = 0; p < num_preds_; ++p) {
-    if (old.succ_base_[p] == kVarUndef || succ_base_[p] == kVarUndef) continue;
-    for (std::size_t k = 0; k < kmin; ++k) {
-      for (std::size_t k2 = 0; k2 < kmin; ++k2) {
-        remap.map(old.succ_base_[p] + static_cast<sat::Var>(k * old.capacity_ + k2),
-                  succ_base_[p] + static_cast<sat::Var>(k * capacity_ + k2));
-      }
-    }
-  }
-  for (const auto& [key, e_old] : old.equality_list_) {
-    const auto it = equality_cache_.find(key);
-    if (it != equality_cache_.end()) remap.map(e_old, it->second);
-  }
-  for (const auto& [key, old_idx] : old.star_index_) {
-    const auto it = star_index_.find(key);
-    if (it == star_index_.end()) continue;
-    const sat::Var old_base = old.star_blocks_[old_idx].base;
-    const sat::Var new_base = star_blocks_[it->second].base;
-    for (std::size_t k = 0; k < kmin; ++k) {
-      remap.map(old_base + static_cast<sat::Var>(k), new_base + static_cast<sat::Var>(k));
-    }
-  }
-
-  std::size_t imported = 0;
-  sat::Clause mapped;
-  for (const sat::Clause& c : old.solver_.export_clauses(/*max_lbd=*/2)) {
-    if (!remap.map_clause(c, mapped)) continue;
-    solver_.add_clause(mapped);
-    ++imported;
-  }
-  return imported;
 }
 
 sat::SolveResult AutomatonCsp::solve(const Deadline& deadline,

@@ -159,6 +159,9 @@ class ClauseSink;
 ///    ~act_N..~act_{C-1}} force the inactive columns false, restricting it
 ///    to exactly the active width. Clauses learned under those assumptions
 ///    carry ~act_k antecedents and become vacuous once column k activates.
+///  - Past the capacity grow_to() refuses, and the learner builds a new CSP
+///    from scratch at a larger capacity. Only the forbidden-word chain
+///    cache carries over; the old solver's learned clauses do not.
 ///
 /// Prefix extension (extend_prefix) appends the state variables of a tail of
 /// the leading segment to the live CSP, the acceptance refinement of the
@@ -189,7 +192,7 @@ class ClauseSink;
 ///    N = 9 proof of a 12-state random-DFA walk took 16 times the conflicts.
 ///  - Building over the same segments and replaying the same tails in order
 ///    gives the same state variables, transitions, precedence groups and
-///    ties.
+///    ties, so a capacity rebuild can share the chain cache.
 class AutomatonCsp {
 public:
   AutomatonCsp(const std::vector<Segment>& segments, std::size_t num_preds,
@@ -258,17 +261,6 @@ public:
   /// incomplete and solve() reports Unknown. The learner surfaces this as
   /// LearnResult::budget_exceeded rather than a timeout.
   bool overflowed() const { return overflowed_; }
-
-  /// Imports the re-usable learned clauses of a previous (smaller-capacity)
-  /// CSP over the same layout: width-independent (untainted) learned
-  /// clauses and root facts are renamed through a VarRemap built from the
-  /// structural correspondence (state bits, guards, successor slots,
-  /// precedence chains, equality and star variables); clauses mentioning
-  /// anything without a counterpart are dropped. Call after re-adding the
-  /// forbidden words, so the equality/star layouts exist. Returns the
-  /// number imported: 0 when the layouts differ in any transition (predicate,
-  /// source or destination state variable) or precedence group boundary.
-  std::size_t reseed_from(const AutomatonCsp& old);
 
   /// Structural hash of the emitted problem clauses + root facts (see
   /// Solver::clause_fingerprint); proves emission determinism in tests.

@@ -238,15 +238,17 @@ LearnResult ModelLearner::run_cegis(PredicateSequence preds, std::size_t sequenc
 
   const Stopwatch construction_watch;
   std::unique_ptr<AutomatonCsp> csp;
-  // (Re)builds the CSP at state count n over the current layout. Persistent
-  // mode allocates headroom columns beyond n so subsequent increments are
-  // in-place grows; the shared chain cache keeps re-adding the accumulated
-  // forbidden words cheap, and a live CSP's width-independent learned
-  // clauses are carried over (reseed_from) before it is dropped.
+  // Builds the CSP from scratch at state count n over the current layout.
+  // Persistent mode allocates headroom columns beyond n so subsequent
+  // increments are in-place grows; the shared chain cache keeps re-adding
+  // the accumulated forbidden words cheap. A live CSP is absorbed into the
+  // stats and freed first, so two clause arenas are never resident at once.
   const auto build_csp = [&](std::size_t n) {
     T2M_SPAN("learn.build_csp", "n", n);
-    std::unique_ptr<AutomatonCsp> old = std::move(csp);
-    if (old) absorb_solver_stats(*old);
+    if (csp) {
+      absorb_solver_stats(*csp);
+      csp.reset();
+    }
     CspOptions options;
     options.encoding = config_.encoding;
     options.solver = config_.solver;
@@ -262,12 +264,7 @@ LearnResult ModelLearner::run_cegis(PredicateSequence preds, std::size_t sequenc
     for (const auto& [b, e] : tails) {
       csp->extend_prefix(std::span<const PredId>(preds.seq).subspan(b, e - b));
     }
-    // Forbidden words before reseeding: the import needs the new CSP's
-    // equality/star variable layout in place to rename against.
     for (const auto& word : forbidden) csp->add_forbidden_sequence(word);
-    if (old && config_.persistent_solver && !csp->overflowed()) {
-      result.stats.reseeded_clauses += csp->reseed_from(*old);
-    }
     ++result.stats.csp_builds;
   };
 

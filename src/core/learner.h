@@ -53,7 +53,8 @@ struct LearnerConfig {
   bool persistent_solver = true;
   /// Persistent mode: one-hot columns allocated beyond the starting N, so
   /// the first `state_headroom` increments are assumption flips. Growing
-  /// past the headroom rebuilds the CSP once with a larger capacity.
+  /// past the headroom rebuilds the CSP from scratch with a larger
+  /// capacity; the old solver's learned clauses are not carried over.
   std::size_t state_headroom = 6;
   /// Assumption-core-driven early stop: when a persistent-mode Unsat core
   /// names no inactive-column guard (AutomatonCsp::unsat_for_all_states),
@@ -108,9 +109,6 @@ struct LearnStats {
   /// capacity rebuild on the persistent path.
   std::size_t csp_builds = 0;
   std::size_t csp_grows = 0;   ///< in-place state-count growths (persistent path)
-  /// Learned clauses carried across capacity rebuilds via
-  /// AutomatonCsp::reseed_from (persistent path only).
-  std::size_t reseeded_clauses = 0;
   // Aggregated over every CSP solver the run constructed (the perf
   // trajectory counters the bench JSON emitter records).
   std::uint64_t sat_conflicts = 0;

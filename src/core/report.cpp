@@ -1,5 +1,7 @@
 #include "src/core/report.h"
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "src/automaton/dot.h"
@@ -46,13 +48,24 @@ std::string json_escape(const std::string& text) {
 
 const char* json_bool(bool value) { return value ? "true" : "false"; }
 
+/// Seconds for the human-readable lines: three decimals, but a nonzero
+/// duration below a millisecond keeps two significant digits, so a run that
+/// fails at once does not read "0 s".
+std::string format_seconds(double seconds) {
+  int digits = 3;
+  if (seconds > 0 && seconds < 1e-3) {
+    digits = std::min(9, 1 - static_cast<int>(std::floor(std::log10(seconds))));
+  }
+  return format_double(seconds, digits);
+}
+
 }  // namespace
 
 std::string format_learn_report(const LearnResult& result, const Schema& schema) {
   std::ostringstream os;
   if (!result.success) {
     os << "learning " << failure_verdict(result) << " after "
-       << format_double(result.stats.total_seconds) << " s\n";
+       << format_seconds(result.stats.total_seconds) << " s\n";
     if (!result.status.ok()) os << "error: " << result.status.to_string() << "\n";
     if (result.salvaged) {
       os << "salvaged best-so-far model: " << result.states << " states, "
@@ -75,9 +88,9 @@ std::string format_learn_report(const LearnResult& result, const Schema& schema)
   os << "SAT calls = " << result.stats.sat_calls << ", refinements = "
      << result.stats.refinements << ", state increments = "
      << result.stats.state_increments << "\n";
-  os << "time: abstraction " << format_double(result.stats.abstraction_seconds)
-     << " s, construction " << format_double(result.stats.construction_seconds)
-     << " s, total " << format_double(result.stats.total_seconds) << " s\n";
+  os << "time: abstraction " << format_seconds(result.stats.abstraction_seconds)
+     << " s, construction " << format_seconds(result.stats.construction_seconds)
+     << " s, total " << format_seconds(result.stats.total_seconds) << " s\n";
   os << to_text(result.model);
   return os.str();
 }
@@ -87,12 +100,12 @@ std::string format_learn_summary(const LearnResult& result) {
   if (!result.success) {
     os << failure_verdict(result);
     if (result.salvaged) os << ", salvaged " << result.states << "-state model";
-    os << " (" << format_double(result.stats.total_seconds) << " s)";
+    os << " (" << format_seconds(result.stats.total_seconds) << " s)";
     return os.str();
   }
   os << result.states << " states, " << result.model.num_transitions()
      << " transitions, " << result.preds.vocab.size() << " predicates, "
-     << format_double(result.stats.total_seconds) << " s";
+     << format_seconds(result.stats.total_seconds) << " s";
   return os.str();
 }
 
@@ -110,7 +123,6 @@ std::string to_json(const LearnStats& stats) {
      << ", \"forbidden_words\": " << stats.forbidden_words
      << ", \"csp_builds\": " << stats.csp_builds
      << ", \"csp_grows\": " << stats.csp_grows
-     << ", \"reseeded_clauses\": " << stats.reseeded_clauses
      << ", \"sat_conflicts\": " << stats.sat_conflicts
      << ", \"sat_propagations\": " << stats.sat_propagations
      << ", \"sat_learned_clauses\": " << stats.sat_learned_clauses

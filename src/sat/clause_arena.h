@@ -24,16 +24,9 @@ inline constexpr ClauseRef kClauseRefUndef = 0xFFFFFFFFu;
 /// Layout per clause (32-bit words):
 ///
 ///   [header]              size << 4 | learned(1) | deleted(2) | reloced(4)
-///                                   | tainted(8)
 ///   [activity]  (learned) IEEE float, bit_cast
 ///   [lbd]       (learned) literal-block distance at learn time
 ///   [lit 0..size-1]       Lit codes
-///
-/// The `tainted` bit marks clauses whose derivation (transitively) used a
-/// width-dependent input clause — the persistent encoder's at-least-one
-/// clause is the only one — so the learned-clause re-seeding across capacity
-/// rebuilds can refuse to export them (see AutomatonCsp::reseed_from in
-/// src/core/csp_encoder.h).
 ///
 /// Deleted clauses stay in place (their watchers are dropped lazily) until
 /// garbage_collect() copies the live clauses into a fresh arena. During that
@@ -46,14 +39,13 @@ public:
   static constexpr std::uint32_t kLearnedBit = 1u;
   static constexpr std::uint32_t kDeletedBit = 2u;
   static constexpr std::uint32_t kRelocedBit = 4u;
-  static constexpr std::uint32_t kTaintedBit = 8u;
 
-  ClauseRef alloc(std::span<const Lit> lits, bool learned, bool tainted = false) {
+  ClauseRef alloc(std::span<const Lit> lits, bool learned) {
     T2M_INJECT_STATUS("arena.alloc", ErrorCode::resource_exhausted,
                       "clause arena allocation failed");
     const auto cref = static_cast<ClauseRef>(mem_.size());
     mem_.push_back((static_cast<std::uint32_t>(lits.size()) << 4) |
-                   (learned ? kLearnedBit : 0u) | (tainted ? kTaintedBit : 0u));
+                   (learned ? kLearnedBit : 0u));
     if (learned) {
       mem_.push_back(std::bit_cast<std::uint32_t>(0.0f));  // activity
       mem_.push_back(0);                                   // lbd
@@ -70,7 +62,6 @@ public:
   std::size_t size(ClauseRef c) const { return mem_[c] >> 4; }
   bool learned(ClauseRef c) const { return (mem_[c] & kLearnedBit) != 0; }
   bool deleted(ClauseRef c) const { return (mem_[c] & kDeletedBit) != 0; }
-  bool tainted(ClauseRef c) const { return (mem_[c] & kTaintedBit) != 0; }
 
   /// Marks the clause dead; its words are reclaimed at the next GC.
   void mark_deleted(ClauseRef c) {

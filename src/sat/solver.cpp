@@ -88,7 +88,6 @@ Var Solver::new_vars(std::size_t count) {
     activity_.reserve(cap);
     heap_index_.reserve(cap);
     seen_.reserve(cap);
-    root_taint_.reserve(cap);
     watches_.reserve(2 * cap);
     heap_.reserve(cap);
   }
@@ -99,7 +98,6 @@ Var Solver::new_vars(std::size_t count) {
   activity_.resize(n, 0.0);
   heap_index_.resize(n, -1);
   seen_.resize(n, 0);
-  root_taint_.resize(n, 0);
   watches_.resize(2 * n);
   for (Var v = first; v < static_cast<Var>(n); ++v) {
     heap_index_[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(heap_.size());
@@ -109,14 +107,14 @@ Var Solver::new_vars(std::size_t count) {
   return first;
 }
 
-ClauseRef Solver::alloc_clause(std::span<const Lit> lits, bool learned, bool tainted) {
-  const ClauseRef cref = arena_.alloc(lits, learned, tainted);
+ClauseRef Solver::alloc_clause(std::span<const Lit> lits, bool learned) {
+  const ClauseRef cref = arena_.alloc(lits, learned);
   stats_.arena_bytes = arena_.size_bytes();
   stats_.peak_arena_bytes = arena_.peak_bytes();
   return cref;
 }
 
-bool Solver::add_clause(std::span<const Lit> lits, bool tainted) {
+bool Solver::add_clause(std::span<const Lit> lits) {
   if (!ok_) return false;
   record_axiom(lits);
   // Incremental use: always add at the root level.
@@ -139,19 +137,16 @@ bool Solver::add_clause(std::span<const Lit> lits, bool tainted) {
     const LBool v = value(l);
     if (v == LBool::True) return true;  // already satisfied at root
     if (v == LBool::False) {
-      // Dropping a root-false literal resolves the clause with that root
-      // fact, so the stored clause inherits the fact's width-taint.
-      if (root_tainted(l.var())) tainted = true;
       prev = l;
       continue;
     }
     norm.push_back(l);
     prev = l;
   }
-  return finish_add_clause(norm, tainted);
+  return finish_add_clause(norm);
 }
 
-bool Solver::add_clause_presorted(std::span<const Lit> lits, bool tainted) {
+bool Solver::add_clause_presorted(std::span<const Lit> lits) {
   if (!ok_) return false;
   record_axiom(lits);
   if (decision_level() > 0) backtrack(0);
@@ -166,16 +161,13 @@ bool Solver::add_clause_presorted(std::span<const Lit> lits, bool tainted) {
     }
     const LBool v = value(l);
     if (v == LBool::True) return true;
-    if (v == LBool::False) {
-      if (root_tainted(l.var())) tainted = true;
-      continue;
-    }
+    if (v == LBool::False) continue;
     norm.push_back(l);
   }
-  return finish_add_clause(norm, tainted);
+  return finish_add_clause(norm);
 }
 
-bool Solver::finish_add_clause(std::span<const Lit> lits, bool tainted) {
+bool Solver::finish_add_clause(std::span<const Lit> lits) {
   if (lits.empty()) {
     set_unsat();
     return false;
@@ -183,12 +175,11 @@ bool Solver::finish_add_clause(std::span<const Lit> lits, bool tainted) {
   if (lits.size() == 1) {
     // Propagation must see every clause added before the unit.
     if (batch_open_) attach_pending();
-    if (tainted) root_taint_[static_cast<std::size_t>(lits[0].var())] = 1;
     enqueue(lits[0], kNoReason);
     if (propagate() != kNoReason) set_unsat();
     return ok_;
   }
-  const ClauseRef cref = alloc_clause(lits, /*learned=*/false, tainted);
+  const ClauseRef cref = alloc_clause(lits, /*learned=*/false);
   problem_clauses_.push_back(cref);
   ++num_problem_clauses_;
   problem_literals_ += lits.size();
@@ -267,19 +258,6 @@ void Solver::enqueue(Lit l, ClauseRef reason) {
   level_[v] = decision_level();
   reason_[v] = reason;
   trail_.push_back(l);
-  // Root-level facts are permanent; record whether this one's derivation
-  // used a width-tainted clause so conflict analysis can consult it after
-  // simplify() clears the root reasons. Callers enqueueing at the root with
-  // kNoReason set root_taint_ themselves beforehand.
-  if (trail_lim_.empty() && reason != kNoReason && !root_taint_[v]) {
-    bool t = arena_.tainted(reason);
-    const std::size_t size = arena_.size(reason);
-    for (std::size_t i = 0; i < size && !t; ++i) {
-      const Var qv = arena_.lit(reason, i).var();
-      if (qv != l.var() && root_tainted(qv)) t = true;
-    }
-    if (t) root_taint_[v] = 1;
-  }
 }
 
 ClauseRef Solver::propagate() {
@@ -405,7 +383,6 @@ std::uint32_t Solver::compute_lbd(std::span<const Lit> lits) {
 void Solver::analyze(ClauseRef conflict, std::vector<Lit>& learnt, int& backtrack_level) {
   learnt.clear();
   learnt.push_back(Lit::undef());  // slot for the asserting literal
-  analyze_taint_ = false;
 
   int counter = 0;
   Lit p = Lit::undef();
@@ -415,18 +392,12 @@ void Solver::analyze(ClauseRef conflict, std::vector<Lit>& learnt, int& backtrac
   do {
     assert(reason != kNoReason);
     if (arena_.learned(reason)) bump_clause(reason);
-    if (arena_.tainted(reason)) analyze_taint_ = true;
     const std::size_t size = arena_.size(reason);
     const std::size_t start = p.is_undef() ? 0 : 1;
     for (std::size_t i = start; i < size; ++i) {
       const Lit q = arena_.lit(reason, i);
       const auto qv = static_cast<std::size_t>(q.var());
-      if (seen_[qv] || level_of(q.var()) == 0) {
-        // Skipping a level-0 literal resolves against that root fact, so the
-        // learnt clause inherits its width-taint.
-        if (level_of(q.var()) == 0 && root_taint_[qv] != 0) analyze_taint_ = true;
-        continue;
-      }
+      if (seen_[qv] || level_of(q.var()) == 0) continue;
       seen_[qv] = 1;
       bump_var(q.var());
       if (level_of(q.var()) >= decision_level()) {
@@ -514,9 +485,6 @@ bool Solver::literal_redundant(Lit l, std::uint32_t abstract_levels) {
   analyze_stack_.clear();
   analyze_stack_.push_back(l);
   std::vector<Var> cleared;
-  // Taint picked up on this walk only matters if the literal really is
-  // redundant (only then are these reasons resolved into the learnt clause).
-  bool taint = false;
   while (!analyze_stack_.empty()) {
     const Lit cur = analyze_stack_.back();
     analyze_stack_.pop_back();
@@ -525,15 +493,11 @@ bool Solver::literal_redundant(Lit l, std::uint32_t abstract_levels) {
       for (const Var v : cleared) seen_[static_cast<std::size_t>(v)] = 0;
       return false;
     }
-    if (arena_.tainted(r)) taint = true;
     const std::size_t size = arena_.size(r);
     for (std::size_t i = 1; i < size; ++i) {
       const Lit q = arena_.lit(r, i);
       const auto qv = static_cast<std::size_t>(q.var());
-      if (seen_[qv] || level_of(q.var()) == 0) {
-        if (level_of(q.var()) == 0 && root_taint_[qv] != 0) taint = true;
-        continue;
-      }
+      if (seen_[qv] || level_of(q.var()) == 0) continue;
       const bool level_plausible =
           (abstract_levels & (1u << (static_cast<std::uint32_t>(level_of(q.var())) & 31u))) != 0;
       if (reason_[qv] != kNoReason && level_plausible) {
@@ -549,7 +513,6 @@ bool Solver::literal_redundant(Lit l, std::uint32_t abstract_levels) {
   // Keep the transient marks: they are cleared by the caller's loop only for
   // kept literals, so clear them here for safety.
   for (const Var v : cleared) seen_[static_cast<std::size_t>(v)] = 0;
-  if (taint) analyze_taint_ = true;
   return true;
 }
 
@@ -805,7 +768,7 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
   // problem clauses are swept once the propagations since their last sweep
   // reach their literal count, so a few new root facts do not rescan a
   // database of millions of clauses. The learned list is short and swept at
-  // every new root fact, which keeps reduce_learned() and export_clauses()
+  // every new root fact, which keeps reduce_learned() and learned_clauses()
   // seeing the same list as an eager sweep would. Leaving root-satisfied
   // problem clauses attached changes no search decision: such a clause can
   // never become a reason or a conflict, and the watchers it moves are
@@ -873,12 +836,9 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
       if (plog_ != nullptr) plog_->add(learnt);
       backtrack(backtrack_level);
       if (learnt.size() == 1) {
-        if (analyze_taint_) {
-          root_taint_[static_cast<std::size_t>(learnt[0].var())] = 1;
-        }
         enqueue(learnt[0], kNoReason);
       } else {
-        const ClauseRef cref = alloc_clause(learnt, /*learned=*/true, analyze_taint_);
+        const ClauseRef cref = alloc_clause(learnt, /*learned=*/true);
         arena_.set_activity(cref, static_cast<float>(clause_inc_));
         arena_.set_lbd(cref, compute_lbd(learnt));
         learnts_.push_back(cref);
@@ -1033,7 +993,7 @@ Status Solver::check_invariants() const {
   if (batch_open_) return fail("clause batch still open");
   const std::size_t n = assign_.size();
   if (level_.size() != n || reason_.size() != n || saved_phase_.size() != n ||
-      root_taint_.size() != n || seen_.size() != n || activity_.size() != n ||
+      seen_.size() != n || activity_.size() != n ||
       heap_index_.size() != n || watches_.size() != 2 * n) {
     return fail("per-variable array sizes disagree");
   }
@@ -1160,17 +1120,10 @@ Status Solver::check_invariants() const {
   return Status::Ok();
 }
 
-std::vector<Clause> Solver::export_clauses(std::uint32_t max_lbd) const {
+std::vector<Clause> Solver::learned_clauses() const {
   std::vector<Clause> out;
-  // Root facts first: permanent, width-independent unless tainted.
-  for (const Lit l : trail_) {
-    if (level_of(l.var()) != 0) break;  // trail is level-ordered
-    if (root_tainted(l.var())) continue;
-    out.push_back(Clause{l});
-  }
   for (const ClauseRef c : learnts_) {
-    if (arena_.deleted(c) || arena_.tainted(c)) continue;
-    if (arena_.lbd(c) > max_lbd) continue;
+    if (arena_.deleted(c)) continue;
     Clause lits;
     const std::size_t size = arena_.size(c);
     lits.reserve(size);
@@ -1182,7 +1135,7 @@ std::vector<Clause> Solver::export_clauses(std::uint32_t max_lbd) const {
 
 std::uint64_t Solver::clause_fingerprint() const {
   // FNV-1a over the structural content: variable count, the root trail in
-  // assignment order, and every live problem clause's header + literals in
+  // assignment order, and every live problem clause's size + literals in
   // database order. Order-sensitive by design — byte-identical emission is
   // the property under test.
   std::uint64_t h = 1469598103934665603ULL;
@@ -1199,7 +1152,6 @@ std::uint64_t Solver::clause_fingerprint() const {
     if (arena_.deleted(c)) continue;
     const std::size_t size = arena_.size(c);
     mix(size);
-    mix(arena_.tainted(c) ? 1 : 0);
     for (std::size_t i = 0; i < size; ++i) {
       mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(arena_.lit(c, i).code())));
     }

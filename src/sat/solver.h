@@ -83,10 +83,8 @@ public:
   std::size_t num_learned() const { return learnts_.size(); }
 
   /// Adds a clause; returns false if the instance is already unsatisfiable
-  /// at the root level (e.g. conflicting unit clauses). `tainted` marks the
-  /// clause width-dependent (see ClauseArena): conflicts derived from it
-  /// propagate the mark, and export_clauses() refuses tainted clauses.
-  bool add_clause(std::span<const Lit> lits, bool tainted = false);
+  /// at the root level (e.g. conflicting unit clauses).
+  bool add_clause(std::span<const Lit> lits);
   bool add_clause(std::initializer_list<Lit> lits) {
     return add_clause(std::span<const Lit>(lits.begin(), lits.size()));
   }
@@ -94,7 +92,7 @@ public:
   /// add_clause for callers that already sorted the literals (the CSP
   /// encoder's clause emission): skips the sort, duplicate and tautology
   /// handling but still filters against the live root-level assignment.
-  bool add_clause_presorted(std::span<const Lit> lits, bool tainted = false);
+  bool add_clause_presorted(std::span<const Lit> lits);
 
   /// Convenience helpers for the encoders.
   bool add_unit(Lit a) { return add_clause({a}); }
@@ -194,10 +192,8 @@ public:
   /// toggle (checked at solve() boundaries), not for production loops.
   Status check_invariants() const;
 
-  /// Exports problem + learned clauses suitable for re-seeding a rebuilt
-  /// solver: learned clauses with LBD <= `max_lbd` and root-level facts,
-  /// skipping anything tainted by a width-dependent input clause.
-  std::vector<Clause> export_clauses(std::uint32_t max_lbd) const;
+  /// The live learned clauses in database order (for tests).
+  std::vector<Clause> learned_clauses() const;
 
   /// A cheap structural fingerprint of the clause database (order-sensitive
   /// hash over every live clause's literals plus the root trail). Used by
@@ -232,13 +228,12 @@ private:
   }
   LBool value(Var v) const { return assign_[static_cast<std::size_t>(v)]; }
 
-  ClauseRef alloc_clause(std::span<const Lit> lits, bool learned,
-                         bool tainted = false);
+  ClauseRef alloc_clause(std::span<const Lit> lits, bool learned);
   void attach_clause(ClauseRef cref);
   /// Attaches the open batch's pending clauses, advancing batch_begin_ past
   /// each one (see begin_batch()).
   void attach_pending();
-  bool finish_add_clause(std::span<const Lit> lits, bool tainted);
+  bool finish_add_clause(std::span<const Lit> lits);
   void enqueue(Lit l, ClauseRef reason);
   ClauseRef propagate();
   void analyze(ClauseRef conflict, std::vector<Lit>& learnt, int& backtrack_level);
@@ -342,15 +337,6 @@ private:
   std::size_t simplified_up_to_ = 0;
   std::size_t problem_simplified_up_to_ = 0;
   std::uint64_t simplified_at_props_ = 0;
-
-  // --- width-taint tracking ---
-  /// Per-var: the root-level fact on this variable was derived (transitively)
-  /// from a tainted clause. Consulted when analyze() skips level-0 literals.
-  std::vector<char> root_taint_;
-  bool analyze_taint_ = false;  // accumulator for the conflict being analyzed
-  bool root_tainted(Var v) const {
-    return root_taint_[static_cast<std::size_t>(v)] != 0;
-  }
 
   SolverStats stats_;
 };

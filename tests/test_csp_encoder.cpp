@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -420,8 +419,8 @@ std::uint64_t full_trace_fingerprint(const Trace& trace, std::size_t num_states,
 // clauses, their order or the root facts changes these fingerprints.
 // Attaching a proof log must not change the database either.
 TEST(EmissionFingerprint, PinnedAcrossEveryEmissionPath) {
-  EXPECT_EQ(bulky_fingerprint(DeterminismEncoding::Pairwise), 415432048013445638ULL);
-  EXPECT_EQ(bulky_fingerprint(DeterminismEncoding::Successor), 7140674501887821982ULL);
+  EXPECT_EQ(bulky_fingerprint(DeterminismEncoding::Pairwise), 2153662339225377216ULL);
+  EXPECT_EQ(bulky_fingerprint(DeterminismEncoding::Successor), 14317481841079027714ULL);
 }
 
 TEST(EmissionFingerprint, PinnedOnFullTraceEncodingsWithAndWithoutProofLog) {
@@ -433,9 +432,9 @@ TEST(EmissionFingerprint, PinnedOnFullTraceEncodingsWithAndWithoutProofLog) {
   };
   const Case cases[] = {
       {sim::generate_counter_trace({}), 4, DeterminismEncoding::Pairwise,
-       17479926036897211424ULL},
+       4767573967288439090ULL},
       {sim::generate_full_coverage_sched_trace(20165), 8, DeterminismEncoding::Successor,
-       14636807701303943517ULL},
+       6483070379096423874ULL},
   };
   for (const Case& c : cases) {
     EXPECT_EQ(full_trace_fingerprint(c.trace, c.num_states, c.encoding, nullptr), c.want);
@@ -574,119 +573,43 @@ TEST(ClauseBudget, LearnerReportsBudgetExceeded) {
   EXPECT_EQ(format_learn_report(r, r.schema).rfind("learning hit the clause budget", 0), 0u);
 }
 
-TEST(ReseedAcrossRebuilds, ImportsClausesAndPreservesVerdicts) {
-  // A capacity rebuild with reseed_from must (a) import something — at
-  // minimum the root facts, which include precedence facts over chain
-  // variables — and (b) agree with a fresh CSP at every N.
+TEST(CapacityRebuild, AgreesWithFreshAtEveryN) {
+  // The learner's capacity rebuild: a persistent CSP grown to its capacity,
+  // then a bigger one built from scratch at that N. Both must agree with a
+  // fresh CSP at every N they cover.
   const std::vector<Segment> segments = bulky_segments();
-  CspOptions small_options;
-  small_options.state_capacity = 6;
-  auto old_csp = std::make_unique<AutomatonCsp>(segments, 4, 2, small_options);
-  old_csp->add_forbidden_sequence({0, 1});
-  old_csp->add_forbidden_sequence({1, 2, 3});
-  // Burn some search so learned clauses exist to export. At N = 6 the first
-  // chain group cannot hold state 4 (precedence bars state k from the first
-  // k state variables), a root fact over a chain variable.
-  for (std::size_t n = 2; n <= 6; ++n) {
-    EXPECT_TRUE(old_csp->grow_to(n));
-    (void)old_csp->solve();
-  }
-
-  // The rebuilt CSP logs every clause it is handed as an `i` axiom, so the
-  // imported clauses can be read back from the proof stream.
-  std::ostringstream proof_stream;
-  sat::ProofLog log(proof_stream);
-  CspOptions big_options;
-  big_options.state_capacity = 8;
-  big_options.solver.proof_log = &log;
-  AutomatonCsp rebuilt(segments, 4, 6, big_options);
-  rebuilt.add_forbidden_sequence({0, 1});
-  rebuilt.add_forbidden_sequence({1, 2, 3});
-  const std::size_t encoded_bytes = proof_stream.str().size();
-  const std::size_t imported = rebuilt.reseed_from(*old_csp);
-  EXPECT_GT(imported, 0u);
-  old_csp.reset();
-
-  std::set<sat::Var> chain_vars;
-  for (std::size_t c = 1; c < 8; ++c) {
-    if (rebuilt.chain_var(0, c) == -1) continue;
-    for (std::size_t g = 0; g < rebuilt.num_chain_groups(); ++g) {
-      chain_vars.insert(rebuilt.chain_var(g, c));
-    }
-  }
-  std::istringstream imports(proof_stream.str().substr(encoded_bytes));
-  std::size_t imports_naming_chains = 0;
-  for (std::string line; std::getline(imports, line);) {
-    if (line.rfind("i ", 0) != 0) continue;
-    std::istringstream lits(line.substr(2));
-    bool names_chain = false;
-    for (long dimacs = 0; lits >> dimacs && dimacs != 0;) {
-      names_chain = names_chain || chain_vars.count(static_cast<sat::Var>(
-                                       (dimacs < 0 ? -dimacs : dimacs) - 1)) > 0;
-    }
-    if (names_chain) ++imports_naming_chains;
-  }
-  EXPECT_GT(imports_naming_chains, 0u) << "no imported clause names a chain variable";
-
-  for (std::size_t n = 6; n <= 8; ++n) {
-    ASSERT_TRUE(rebuilt.grow_to(n));
+  const auto fresh_verdict = [&](std::size_t n) {
     AutomatonCsp fresh(segments, 4, n);
     fresh.add_forbidden_sequence({0, 1});
     fresh.add_forbidden_sequence({1, 2, 3});
-    const sat::SolveResult got = rebuilt.solve();
-    EXPECT_EQ(got, fresh.solve()) << "N=" << n;
-    if (got == sat::SolveResult::Sat) {
-      validate_model(rebuilt.extract_model(), segments);
-    }
-  }
-}
+    return fresh.solve();
+  };
+  const auto check = [&](AutomatonCsp& csp, std::size_t n) {
+    const sat::SolveResult got = csp.solve();
+    EXPECT_EQ(got, fresh_verdict(n)) << "N=" << n << " capacity " << csp.state_capacity();
+    if (got == sat::SolveResult::Sat) validate_model(csp.extract_model(), segments);
+  };
 
-TEST(ReseedAcrossRebuilds, RefusesASameSizeDifferentLayout) {
-  // Reversing the segment order keeps the state-variable, predicate and
-  // transition counts but moves the transitions onto other state variables:
-  // a learned clause renamed across that would speak about the wrong ones.
-  const std::vector<Segment> segments = bulky_segments();
-  const std::vector<Segment> reversed(segments.rbegin(), segments.rend());
-  ASSERT_NE(segments, reversed);
   CspOptions small_options;
   small_options.state_capacity = 6;
   AutomatonCsp old_csp(segments, 4, 2, small_options);
   old_csp.add_forbidden_sequence({0, 1});
+  old_csp.add_forbidden_sequence({1, 2, 3});
   for (std::size_t n = 2; n <= 6; ++n) {
     ASSERT_TRUE(old_csp.grow_to(n));
-    (void)old_csp.solve();
+    check(old_csp, n);
   }
+  EXPECT_FALSE(old_csp.grow_to(7));
+
   CspOptions big_options;
   big_options.state_capacity = 8;
-  AutomatonCsp same(segments, 4, 6, big_options);
-  same.add_forbidden_sequence({0, 1});
-  EXPECT_GT(same.reseed_from(old_csp), 0u);
-  AutomatonCsp other(reversed, 4, 6, big_options);
-  other.add_forbidden_sequence({0, 1});
-  EXPECT_EQ(other.reseed_from(old_csp), 0u);
-}
-
-TEST(ReseedAcrossRebuilds, RefusesDifferentPrecedenceGroups) {
-  // {0,1} extended by {2,0,1,2} has the transition table of the single
-  // segment {0,1,2,0,1,2}, but its appended state variables start a
-  // precedence group of their own, so the chain variables differ.
-  const std::vector<PredId> tail = {2, 0, 1, 2};
-  CspOptions small_options;
-  small_options.state_capacity = 4;
-  AutomatonCsp old_csp({{0, 1}}, 3, 2, small_options);
-  old_csp.extend_prefix(tail);
-  for (std::size_t n = 2; n <= 4; ++n) {
-    ASSERT_TRUE(old_csp.grow_to(n));
-    (void)old_csp.solve();
+  AutomatonCsp rebuilt(segments, 4, 6, big_options);
+  rebuilt.add_forbidden_sequence({0, 1});
+  rebuilt.add_forbidden_sequence({1, 2, 3});
+  for (std::size_t n = 6; n <= 8; ++n) {
+    ASSERT_TRUE(rebuilt.grow_to(n));
+    check(rebuilt, n);
   }
-  CspOptions big_options;
-  big_options.state_capacity = 6;
-  AutomatonCsp replayed({{0, 1}}, 3, 4, big_options);
-  replayed.extend_prefix(tail);
-  EXPECT_GT(replayed.reseed_from(old_csp), 0u);
-  AutomatonCsp single({{0, 1, 2, 0, 1, 2}}, 3, 4, big_options);
-  ASSERT_EQ(single.num_state_vars(), replayed.num_state_vars());
-  EXPECT_EQ(single.reseed_from(old_csp), 0u);
 }
 
 /// A random word of length 1-3 over `num_preds` predicates.
@@ -779,11 +702,11 @@ TEST(ExtendPrefix, MatchesADirectBuildAtEveryN) {
   }
 }
 
-TEST(ExtendPrefix, ReplayedRebuildSharesTheCacheAndReseeds) {
+TEST(ExtendPrefix, ReplayedRebuildSharesTheCache) {
   // The learner's capacity rebuild: a live CSP extended twice, then a
   // bigger one built over the same segments, replaying both tails and
-  // re-adding the words through the shared chain cache. The rebuild reseeds
-  // from the live CSP and agrees with a direct build at every N.
+  // re-adding the words through the shared chain cache. The rebuild agrees
+  // with a direct build at every N.
   const std::vector<Segment> segments = bulky_segments();
   const Segment tail1 = {1, 2, 3, 0, 1};
   const Segment tail2 = {2, 2, 0};
@@ -816,7 +739,6 @@ TEST(ExtendPrefix, ReplayedRebuildSharesTheCacheAndReseeds) {
     rebuilt.extend_prefix(tail1);
     rebuilt.extend_prefix(tail2);
     for (const auto& word : words) rebuilt.add_forbidden_sequence(word);
-    EXPECT_GT(rebuilt.reseed_from(live), 0u);
     EXPECT_EQ(cache.size(), 2u);  // the triples; both pairs are star-compressed
 
     Segment tail = tail1;

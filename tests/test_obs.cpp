@@ -189,9 +189,9 @@ std::vector<std::uint64_t> untimed_stats(const LearnStats& s) {
           s.encoded_transitions, s.sat_calls,            s.refinements,
           s.prefix_refinements,  s.prefix_extensions,    s.state_increments,
           s.forbidden_words,     s.csp_builds,           s.csp_grows,
-          s.reseeded_clauses,    s.sat_conflicts,        s.sat_propagations,
-          s.sat_learned_clauses, s.sat_peak_arena_bytes, s.core_stops,
-          s.encoding_fingerprint, s.accounted_peak_bytes, s.acceptance_relaxed};
+          s.sat_conflicts,       s.sat_propagations,     s.sat_learned_clauses,
+          s.sat_peak_arena_bytes, s.core_stops,          s.encoding_fingerprint,
+          s.accounted_peak_bytes, s.acceptance_relaxed};
 }
 
 TEST(ObsIdentity, LearnArtefactsIdenticalWithObservabilityOnAndOff) {
@@ -240,7 +240,6 @@ TEST(RunRecord, StatsJsonMatchesLearnStats) {
       {"forbidden_words", s.forbidden_words},
       {"csp_builds", s.csp_builds},
       {"csp_grows", s.csp_grows},
-      {"reseeded_clauses", s.reseeded_clauses},
       {"sat_conflicts", s.sat_conflicts},
       {"sat_propagations", s.sat_propagations},
       {"sat_learned_clauses", s.sat_learned_clauses},
@@ -275,6 +274,21 @@ TEST(RunRecord, StatsJsonMatchesLearnStats) {
   EXPECT_FALSE(doc.find("success")->boolean);
   ASSERT_NE(doc.find("error"), nullptr);
   EXPECT_EQ(doc.find("error")->string, result.status.to_string());
+}
+
+TEST(RunRecord, FailedRunReportsSubMillisecondTime) {
+  // A learn that fails at once (say, on a missing trace file) ends in well
+  // under a millisecond; neither human-readable line may call that "0 s".
+  LearnResult result;
+  result.success = false;
+  result.status = Status::IoError("cannot open missing.log");
+  result.stats.total_seconds = 0.000113;
+  const std::string report = format_learn_report(result, result.schema);
+  const std::string summary = format_learn_summary(result);
+  EXPECT_EQ(report.find(" 0 s"), std::string::npos) << report;
+  EXPECT_EQ(summary.find("(0 s)"), std::string::npos) << summary;
+  EXPECT_NE(report.find("after 0.00011 s"), std::string::npos) << report;
+  EXPECT_NE(summary.find("(0.00011 s)"), std::string::npos) << summary;
 }
 
 TEST(ObsIdentity, EncodingFingerprintUnaffectedByTracing) {
