@@ -4,7 +4,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <memory>
 #include <set>
+#include <sstream>
 
 #include "src/abstraction/abstraction.h"
 #include "src/automaton/ops.h"
@@ -12,6 +15,7 @@
 #include "src/core/csp_encoder.h"
 #include "src/core/learner.h"
 #include "src/core/segmentation.h"
+#include "src/sat/proof_log.h"
 #include "src/sat/solver.h"
 #include "src/sim/basic/counter.h"
 #include "src/sim/basic/integrator.h"
@@ -245,6 +249,102 @@ void BM_EncodeGrowLongChain(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_EncodeGrowLongChain)->Arg(2)->Arg(7)->Unit(benchmark::kMillisecond);
+
+// The attach share of clause emission. The rtlinux/full clause database
+// (the chain of BM_EncodeGrowLongChain built at N = 2 and grown to 7, as the
+// learner ends it) is replayed into a fresh solver one step at a time, the
+// build and each grow in its own clause batch, and only the batch closes
+// are timed: they push every clause's two watchers. Spreading the pushes
+// over the steps scatters the watch lists' heap blocks as the learner does.
+// Each step's units go in before its batch opens, so that none of them
+// attaches the batch early.
+struct ClauseStream {
+  std::size_t vars = 0;
+  std::vector<sat::Lit> lits;
+  std::vector<std::size_t> ends;        // one past each clause's last literal
+  std::vector<std::size_t> step_ends;   // one past each step's last clause
+};
+
+/// The problem clauses the encoder hands the solver, read back from the
+/// axiom lines of its proof log.
+const ClauseStream& rtlinux_full_clauses() {
+  static const ClauseStream stream = [] {
+    const auto& preds = learn_bench::fixture().sched_preds;
+    std::ostringstream log;
+    sat::ProofLog proof(log);
+    CspOptions options;
+    options.state_capacity = 8;
+    options.solver.proof_log = &proof;
+    std::vector<std::uint64_t> step_events;  // log lines written by each step's end
+    AutomatonCsp csp(whole_sequence(preds.seq), preds.vocab.size(), 2, options);
+    step_events.push_back(proof.events());
+    for (std::size_t n = 3; n <= 7; ++n) {
+      csp.grow_to(n);
+      step_events.push_back(proof.events());
+    }
+    ClauseStream out;
+    out.vars = csp.num_vars();
+    const std::string text = log.str();
+    const char* p = text.c_str();
+    std::uint64_t line = 0;
+    for (const std::uint64_t step_end : step_events) {
+      for (; line < step_end; ++line) {
+        const bool axiom = p[0] == 'i' && p[1] == ' ';
+        if (axiom) {
+          p += 2;
+          while (true) {
+            char* next = nullptr;
+            const long dimacs = std::strtol(p, &next, 10);
+            p = next;
+            if (dimacs == 0) break;
+            out.lits.emplace_back(static_cast<sat::Var>(std::labs(dimacs) - 1), dimacs < 0);
+          }
+          out.ends.push_back(out.lits.size());
+        }
+        while (*p != '\0' && *p++ != '\n') {
+        }
+      }
+      out.step_ends.push_back(out.ends.size());
+    }
+    return out;
+  }();
+  return stream;
+}
+
+void BM_SolverBatchAttach(benchmark::State& state) {
+  const ClauseStream& stream = rtlinux_full_clauses();
+  std::unique_ptr<sat::Solver> solver;
+  const auto add_clauses = [&](std::size_t first, std::size_t last, bool units) {
+    for (std::size_t c = first; c < last; ++c) {
+      const std::size_t begin = c == 0 ? 0 : stream.ends[c - 1];
+      if ((stream.ends[c] - begin == 1) != units) continue;
+      solver->add_clause_presorted(
+          std::span<const sat::Lit>(stream.lits).subspan(begin, stream.ends[c] - begin));
+    }
+  };
+  for (auto _ : state) {
+    state.PauseTiming();
+    solver = std::make_unique<sat::Solver>();  // frees the last one untimed
+    solver->new_vars(stream.vars);
+    std::size_t first = 0;
+    for (const std::size_t last : stream.step_ends) {
+      add_clauses(first, last, /*units=*/true);
+      sat::ClauseBatch batch(*solver);
+      add_clauses(first, last, /*units=*/false);
+      state.ResumeTiming();
+      batch.close();
+      benchmark::ClobberMemory();
+      state.PauseTiming();
+      first = last;
+    }
+    state.ResumeTiming();
+  }
+  const auto clauses = static_cast<double>(solver->num_clauses());
+  state.counters["clauses"] = clauses;
+  state.counters["per_clause"] = benchmark::Counter(
+      clauses, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SolverBatchAttach)->Unit(benchmark::kMillisecond);
 
 void BM_SynthIncrement(benchmark::State& state) {
   Schema schema;

@@ -59,6 +59,12 @@ public:
   std::size_t used() const { return used_.load(std::memory_order_relaxed); }
   std::size_t peak() const { return peak_.load(std::memory_order_relaxed); }
 
+  /// Restarts the peak from the current usage, so that peak() covers only
+  /// what is charged from here on (the learner calls this as each learn
+  /// starts).
+  // order: relaxed — see set_limit().
+  void rebase_peak() { peak_.store(used(), std::memory_order_relaxed); }
+
   /// Test hook: clears usage/peak and the limit. Only meaningful when no
   /// tracked structure is alive.
   void reset_for_test();

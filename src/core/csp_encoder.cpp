@@ -23,7 +23,9 @@ constexpr std::uint32_t kNoDecodedState = std::numeric_limits<std::uint32_t>::ma
 /// the solver's open clause batch:
 /// - emit() sorts the clause and hands it to Solver::add_clause_presorted,
 ///   which keeps the root-assignment filter but neither deduplicates nor
-///   drops tautologies;
+///   drops tautologies. Every shape but the at-least-one clause has at most
+///   kSmallClause literals and is insertion-sorted in a stack buffer;
+///   wider clauses go through std::sort;
 /// - emit_normalised() hands the clause to Solver::add_clause as given, for
 ///   shapes that may repeat a literal or be a tautology.
 /// Once the solver holds `max_clauses` problem clauses, further clauses are
@@ -36,9 +38,20 @@ public:
   void emit(std::initializer_list<sat::Lit> lits) { emit_span({lits.begin(), lits.size()}); }
   void emit_span(std::span<const sat::Lit> lits) {
     if (!within_budget()) return;
-    sorted_.assign(lits.begin(), lits.end());
-    std::sort(sorted_.begin(), sorted_.end());
-    solver_.add_clause_presorted(sorted_);
+    if (lits.size() > kSmallClause) {
+      wide_.assign(lits.begin(), lits.end());
+      std::sort(wide_.begin(), wide_.end());
+      solver_.add_clause_presorted(wide_);
+      return;
+    }
+    std::array<sat::Lit, kSmallClause> sorted;
+    std::size_t n = 0;
+    for (const sat::Lit l : lits) {
+      std::size_t i = n++;
+      for (; i > 0 && l < sorted[i - 1]; --i) sorted[i] = sorted[i - 1];
+      sorted[i] = l;
+    }
+    solver_.add_clause_presorted({sorted.data(), n});
   }
   void emit_normalised(std::initializer_list<sat::Lit> lits) {
     if (!within_budget()) return;
@@ -47,6 +60,10 @@ public:
   bool overflowed() const { return overflowed_; }
 
 private:
+  /// The widest precedence clause: its lead, the previous group's chain
+  /// literal and one literal per state variable of the group.
+  static constexpr std::size_t kSmallClause = AutomatonCsp::kChainStride + 2;
+
   bool within_budget() {
     if (overflowed_) return false;
     if (solver_.num_clauses() >= max_clauses_) {
@@ -59,7 +76,7 @@ private:
   sat::Solver& solver_;
   std::size_t max_clauses_;
   bool overflowed_ = false;
-  std::vector<sat::Lit> sorted_;
+  std::vector<sat::Lit> wide_;
 };
 
 namespace {
@@ -346,15 +363,6 @@ void AutomatonCsp::encode_ties(std::size_t from, std::size_t lo, std::size_t hi)
                     })) {
     set_overflowed("segment tie");
   }
-}
-
-sat::Lit AutomatonCsp::state_lit(std::size_t sv, std::size_t k) const {
-  return sat::pos(block_base_.at(sv) + static_cast<sat::Var>(k));
-}
-
-sat::Lit AutomatonCsp::chain_lit(std::size_t g, std::size_t c) const {
-  if (g < base_groups()) return sat::pos(chain_base_.at(c) + static_cast<sat::Var>(g));
-  return sat::pos(ext_groups_[g - base_groups()].chain_base + static_cast<sat::Var>(c - 1));
 }
 
 sat::Var AutomatonCsp::chain_var(std::size_t g, std::size_t c) const {

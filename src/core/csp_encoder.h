@@ -1,6 +1,7 @@
 #ifndef T2M_CORE_CSP_ENCODER_H
 #define T2M_CORE_CSP_ENCODER_H
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -285,8 +286,12 @@ public:
   std::size_t num_clauses() const { return solver_.num_clauses(); }
   std::size_t num_vars() const { return solver_.num_vars(); }
 
-  /// SAT literal for "state variable `sv` equals state `k`".
-  sat::Lit state_lit(std::size_t sv, std::size_t k) const;
+  /// SAT literal for "state variable `sv` equals state `k`". Unchecked
+  /// (the emission loops call it per literal); bounds are asserted.
+  sat::Lit state_lit(std::size_t sv, std::size_t k) const {
+    assert(sv < block_base_.size() && k < capacity_);
+    return sat::pos(block_base_[sv] + static_cast<sat::Var>(k));
+  }
 
 private:
   /// Fills decoded_ with the assigned state of every one-hot block in one
@@ -316,7 +321,15 @@ private:
   /// activates [N, n).
   void activate_columns(std::size_t lo, std::size_t hi);
   /// Chain variable m(g, c): "some state variable in groups <= g is state c".
-  sat::Lit chain_lit(std::size_t g, std::size_t c) const;
+  /// Unchecked like state_lit(); the chain must be allocated.
+  sat::Lit chain_lit(std::size_t g, std::size_t c) const {
+    if (g < base_groups()) {
+      assert(c < chain_base_.size() && chain_base_[c] != kVarUndef);
+      return sat::pos(chain_base_[c] + static_cast<sat::Var>(g));
+    }
+    assert(g - base_groups() < ext_groups_.size() && c >= 1 && c + 2 <= capacity_);
+    return sat::pos(ext_groups_[g - base_groups()].chain_base + static_cast<sat::Var>(c - 1));
+  }
   /// Emits the value-precedence clauses of state variables [sv_lo, end)
   /// over columns [lo, hi) (class doc).
   void encode_precedence_columns(std::size_t lo, std::size_t hi, std::size_t sv_lo = 0);

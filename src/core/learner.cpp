@@ -11,6 +11,7 @@
 #include "src/obs/progress.h"
 #include "src/obs/trace.h"
 #include "src/trace/mmap_io.h"
+#include "src/util/failpoint.h"
 #include "src/util/log.h"
 
 namespace t2m {
@@ -33,12 +34,11 @@ private:
   std::size_t prev_;
 };
 
-/// Folds a structured failure into the verdict the public entry points
-/// return instead of unwinding: deadline expiry reports as a timeout,
-/// allocation pressure as resource exhaustion; every other code keeps its
-/// taxonomy in `status` with no verdict flag beyond !success.
-LearnResult failure_result(Status status) {
-  LearnResult result;
+/// Folds a structured failure into a run's record instead of unwinding:
+/// deadline expiry reports as a timeout, allocation pressure as resource
+/// exhaustion; every other code keeps its taxonomy in `status` with no
+/// verdict flag beyond !success. What the record already counted stays.
+void fold_failure(LearnResult& result, Status status) {
   switch (status.code()) {
     case ErrorCode::deadline_exceeded:
       result.timed_out = true;
@@ -49,27 +49,29 @@ LearnResult failure_result(Status status) {
     default:
       break;
   }
-  log_warn() << "learner: run failed: " << status.to_string();
   result.status = std::move(status);
-  return result;
 }
 
 /// The entry guard of every public learn call: owns the run's one
 /// Stopwatch and hands it to `body`, caps accounted memory for the call,
-/// returns a structured failure or a failed allocation as a verdict, and
-/// records the accountant's peak and the call's total time on every exit,
-/// failures included.
+/// returns a structured failure or a failed allocation that escaped `body`
+/// as a verdict (the search folds its own into its record), and records the
+/// accountant's peak since the call began and the call's total time on
+/// every exit, failures included.
 template <typename Body>
 LearnResult guarded(std::size_t max_memory_bytes, const Body& body) {
   const Stopwatch total;
   const ScopedMemoryLimit mem_limit(max_memory_bytes);
+  MemoryAccountant::global().rebase_peak();
   LearnResult result;
   try {
     result = body(total);
   } catch (const StatusError& e) {
-    result = failure_result(e.status());
+    log_warn() << "learner: run failed: " << e.status().to_string();
+    fold_failure(result, e.status());
   } catch (const std::bad_alloc&) {
-    result = failure_result(Status::ResourceExhausted("allocation failed during learn"));
+    log_warn() << "learner: run failed: allocation failed during learn";
+    fold_failure(result, Status::ResourceExhausted("allocation failed during learn"));
   }
   result.stats.accounted_peak_bytes = MemoryAccountant::global().peak();
   result.stats.total_seconds = total.elapsed_seconds();
@@ -293,6 +295,7 @@ LearnResult ModelLearner::run_cegis(PredicateSequence preds, std::size_t sequenc
         }
         ++result.stats.sat_calls;
         obs::Progress::global().add_sat_calls(1);
+        T2M_INJECT_STATUS("learn.solve", ErrorCode::internal, "search failed before a solve");
         sat::SolveResult sat_result;
         {
           T2M_SPAN_SCOPE(solve_span, "learn.solve", "n", n, "call",
@@ -385,41 +388,36 @@ LearnResult ModelLearner::run_cegis(PredicateSequence preds, std::size_t sequenc
     // Falling out of the loop exhausted the state budget.
   };
 
-  // Deadline expiry and allocation pressure anywhere inside the loop —
-  // clause emission, the compliance DFS, an arena grow — surface as
-  // structured errors; both become verdicts (with salvage) rather than
-  // unwinding out of the learn. Other taxonomies (io, parse, internal) are
-  // not this loop's to own and propagate to the entry guard.
+  // A structured error anywhere inside the loop — deadline expiry or
+  // allocation pressure in clause emission, the compliance DFS or an arena
+  // grow, or an internal error — ends the search with its status folded
+  // into this run's record, so the counts taken before it survive. Deadline
+  // expiry and allocation pressure become verdicts with salvage.
   try {
     search();
   } catch (const StatusError& e) {
-    const ErrorCode code = e.status().code();
-    if (code != ErrorCode::deadline_exceeded && code != ErrorCode::resource_exhausted) {
-      throw;
-    }
-    result.status = e.status();
-    if (code == ErrorCode::deadline_exceeded) {
-      result.timed_out = true;
-    } else {
-      result.resource_exhausted = true;
+    if (e.status().code() != ErrorCode::deadline_exceeded) {
       log_warn() << "learner: " << e.status().to_string();
     }
+    fold_failure(result, e.status());
   } catch (const std::bad_alloc&) {
-    result.status = Status::ResourceExhausted("allocation failed during the search");
-    result.resource_exhausted = true;
+    fold_failure(result, Status::ResourceExhausted("allocation failed during the search"));
   }
 
   // The one exit. A run that ended with a verdict (a model, an Unsat proof
   // that stopped the search, or the state budget) records the fingerprint of
-  // the CSP that produced it. A run cut short by the deadline, the clause
-  // budget or the memory cap hands back the best model so far, tagged
-  // `salvaged`: it is compliant for the window length it was checked at,
-  // just not a full verdict. A cancelled run hands back nothing, since the
-  // caller who raised the stop flag asked for no verdict.
+  // the CSP that produced it; a run ended by an internal error records none.
+  // A run cut short by the deadline, the clause budget or the memory cap
+  // hands back the best model so far, tagged `salvaged`: it is compliant for
+  // the window length it was checked at, just not a full verdict. A
+  // cancelled run hands back nothing, since the caller who raised the stop
+  // flag asked for no verdict.
   const bool cut_short = result.timed_out || result.budget_exceeded || result.resource_exhausted;
   if (csp) {
     absorb_solver_stats(*csp);
-    if (!cut_short) result.stats.encoding_fingerprint = csp->encoding_fingerprint();
+    if (!cut_short && result.status.ok()) {
+      result.stats.encoding_fingerprint = csp->encoding_fingerprint();
+    }
   }
   if (cut_short && !result.cancelled && best_model) {
     best_model->set_pred_names(preds.names_for(schema));

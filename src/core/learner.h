@@ -123,9 +123,10 @@ struct LearnStats {
   /// ended without one (timeout, clause budget, memory). Pins the emitted
   /// encoding: bench_check compares it with the baseline.
   std::uint64_t encoding_fingerprint = 0;
-  /// Process-wide MemoryAccountant peak in bytes when the public learn call
-  /// returned (arenas, CSP buffers and other accounted allocations of every
-  /// run in the process so far).
+  /// MemoryAccountant peak in bytes over the public learn call: the
+  /// accountant's peak is restarted from its current usage as the call
+  /// begins. The accountant is process-wide, so bytes other live structures
+  /// hold at the start count too (and so do those of concurrent learns).
   std::size_t accounted_peak_bytes = 0;
   /// Always false: prefix refinement never abandons trace acceptance. Kept
   /// so stats readers that consult it still compile and read "not relaxed".

@@ -46,6 +46,7 @@ Solver::Solver() = default;
 void Solver::set_config(const SolverConfig& config) {
   config_ = config;
   plog_ = config.proof_log;
+  plain_axioms_ = plog_ == nullptr && !config.keep_originals;
   // A fresh instance taking over the log stream: tell the checker to drop
   // the previous instance's clause database (capacity rebuilds reuse one
   // stream across solver generations).
@@ -109,9 +110,13 @@ Var Solver::new_vars(std::size_t count) {
 
 ClauseRef Solver::alloc_clause(std::span<const Lit> lits, bool learned) {
   const ClauseRef cref = arena_.alloc(lits, learned);
+  sync_arena_stats();
+  return cref;
+}
+
+void Solver::sync_arena_stats() {
   stats_.arena_bytes = arena_.size_bytes();
   stats_.peak_arena_bytes = arena_.peak_bytes();
-  return cref;
 }
 
 bool Solver::add_clause(std::span<const Lit> lits) {
@@ -146,7 +151,7 @@ bool Solver::add_clause(std::span<const Lit> lits) {
   return finish_add_clause(norm);
 }
 
-bool Solver::add_clause_presorted(std::span<const Lit> lits) {
+bool Solver::add_clause_filtered(std::span<const Lit> lits) {
   if (!ok_) return false;
   record_axiom(lits);
   if (decision_level() > 0) backtrack(0);
@@ -195,6 +200,8 @@ void Solver::begin_batch() {
 
 void Solver::end_batch() {
   assert(batch_open_);
+  // The batch's clauses bypassed alloc_clause(), which keeps these current.
+  sync_arena_stats();
   try {
     attach_pending();
   } catch (...) {
@@ -214,7 +221,28 @@ void Solver::end_batch() {
 }
 
 void Solver::attach_pending() {
-  for (; batch_begin_ < problem_clauses_.size(); ++batch_begin_) {
+  // The two watch lists a clause is pushed onto are a random pick among all
+  // of them, so nearly every push misses the cache twice: once on the list
+  // object and once on its tail slot. The loop prefetches both a few
+  // clauses ahead: the list objects kHeadAhead clauses early, and the tail
+  // slots, whose address needs the list object, kTailAhead clauses early.
+  constexpr std::size_t kHeadAhead = 16;
+  constexpr std::size_t kTailAhead = 8;
+  const auto watched = [this](ClauseRef cref, std::size_t i) -> WatcherList& {
+    return watches_[static_cast<std::size_t>((~arena_.lit(cref, i)).code())];
+  };
+  const std::size_t end = problem_clauses_.size();
+  for (; batch_begin_ < end; ++batch_begin_) {
+    if (batch_begin_ + kHeadAhead < end) {
+      const ClauseRef ahead = problem_clauses_[batch_begin_ + kHeadAhead];
+      __builtin_prefetch(&watched(ahead, 0), 1);
+      __builtin_prefetch(&watched(ahead, 1), 1);
+    }
+    if (batch_begin_ + kTailAhead < end) {
+      const ClauseRef ahead = problem_clauses_[batch_begin_ + kTailAhead];
+      watched(ahead, 0).prefetch_tail();
+      watched(ahead, 1).prefetch_tail();
+    }
     attach_clause(problem_clauses_[batch_begin_]);
   }
 }
@@ -718,8 +746,7 @@ void Solver::garbage_collect() {
 
   arena_ = std::move(to);
   ++stats_.gc_runs;
-  stats_.arena_bytes = arena_.size_bytes();
-  stats_.peak_arena_bytes = arena_.peak_bytes();
+  sync_arena_stats();
 }
 
 std::uint64_t Solver::luby(std::uint64_t i) {

@@ -92,7 +92,23 @@ public:
   /// add_clause for callers that already sorted the literals (the CSP
   /// encoder's clause emission): skips the sort, duplicate and tautology
   /// handling but still filters against the live root-level assignment.
-  bool add_clause_presorted(std::span<const Lit> lits);
+  /// Inside a batch, a clause of two or more literals none of which is
+  /// assigned, with no proof log or original-clause copy to feed, goes
+  /// straight to the arena: that is what the general path would store, so
+  /// the database is the same either way.
+  bool add_clause_presorted(std::span<const Lit> lits) {
+    if (!batch_open_ || !plain_axioms_ || !ok_ || lits.size() < 2 || decision_level() > 0) {
+      return add_clause_filtered(lits);
+    }
+    for (const Lit l : lits) {
+      const auto v = static_cast<std::size_t>(l.var());
+      if (v >= assign_.size() || assign_[v] != LBool::Undef) return add_clause_filtered(lits);
+    }
+    problem_clauses_.push_back(arena_.alloc(lits, /*learned=*/false));
+    ++num_problem_clauses_;
+    problem_literals_ += lits.size();
+    return true;
+  }
 
   /// Convenience helpers for the encoders.
   bool add_unit(Lit a) { return add_clause({a}); }
@@ -117,6 +133,9 @@ public:
   ///   adding, so they grow by the same doubling and end with the same
   ///   watchers at the same capacity. The clause database and the proof log
   ///   are identical too.
+  /// - Bulk path. add_clause_presorted() stores a clause with no assigned
+  ///   literal without the general path's call chain, and end_batch()
+  ///   brings the arena statistics in stats() up to date.
   /// Attaching apart from emission keeps the emission loop's cache working
   /// set small: on the rtlinux unsegmented chain, growing from N = 2 to 7
   /// then costs per clause what a direct build at N = 7 does. If end_batch()
@@ -229,10 +248,15 @@ private:
   LBool value(Var v) const { return assign_[static_cast<std::size_t>(v)]; }
 
   ClauseRef alloc_clause(std::span<const Lit> lits, bool learned);
+  /// Copies the arena's size and high-water mark into stats_.
+  void sync_arena_stats();
   void attach_clause(ClauseRef cref);
   /// Attaches the open batch's pending clauses, advancing batch_begin_ past
   /// each one (see begin_batch()).
   void attach_pending();
+  /// add_clause_presorted()'s general path: proof log, original copy,
+  /// unwinding to the root and the root-assignment filter.
+  bool add_clause_filtered(std::span<const Lit> lits);
   bool finish_add_clause(std::span<const Lit> lits);
   void enqueue(Lit l, ClauseRef reason);
   ClauseRef propagate();
@@ -322,6 +346,8 @@ private:
 
   // --- proof logging / model auditing ---
   ProofLog* plog_ = nullptr;            // = config_.proof_log (hot-path copy)
+  // No proof log and no original copies: record_axiom() is a no-op.
+  bool plain_axioms_ = true;
   std::vector<Clause> originals_;       // as handed to add_*(); keep_originals
   std::vector<Lit> log_scratch_;        // literal buffer for log_remove()
   /// Retains/logs a problem clause exactly as the caller handed it.

@@ -338,6 +338,28 @@ TEST(Salvage, CancelledLaneDoesNotSalvage) {
   EXPECT_FALSE(r.salvaged);
 }
 
+// --- internal errors ---------------------------------------------------------
+
+TEST(SearchFaults, InternalErrorMidSearchKeepsTheRunRecord) {
+  const FailpointGuard guard;
+  // The search folds an internal error into its own record: the SAT calls
+  // and conflicts counted before the throw survive, with no verdict flag and
+  // no salvage. The failure fires as the third SAT call starts.
+  const Trace t = sim::random_dfa_walk_trace(6, 600, 3);
+  failpoint::FailSpec third;
+  third.skip = 2;
+  third.count = 1;
+  failpoint::arm("learn.solve", third);
+  const LearnResult r = ModelLearner().learn(t);
+  EXPECT_EQ(failpoint::fires("learn.solve"), 1u);
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.status.code(), ErrorCode::internal);
+  EXPECT_EQ(r.stats.sat_calls, 3u);
+  EXPECT_GT(r.stats.sat_conflicts, 0u);
+  EXPECT_GT(r.stats.total_seconds, 0.0);
+  EXPECT_FALSE(r.timed_out || r.resource_exhausted || r.salvaged);
+}
+
 // --- determinism with the harness compiled in ------------------------------
 
 TEST(Determinism, FingerprintUnchangedWithAccountantAndDisarmedFailpoints) {

@@ -207,6 +207,20 @@ TEST(Learner, FailedRunRecordsItsTotalTime) {
   EXPECT_GT(total->number, 0.0);
 }
 
+TEST(Learner, AccountedPeakIsThePeakOfEachLearn) {
+  // The memory accountant is process-wide; each learn restarts its peak, so
+  // a small learn after a large one reports its own, smaller peak.
+  LearnerConfig unsegmented;
+  unsegmented.segmented = false;
+  const LearnResult large = ModelLearner(unsegmented).learn(sim::generate_counter_trace({}));
+  const LearnResult small =
+      ModelLearner().learn(event_trace({"a", "b", "a", "b", "a", "b"}, {"a", "b"}));
+  ASSERT_TRUE(large.success);
+  ASSERT_TRUE(small.success);
+  EXPECT_GT(small.stats.accounted_peak_bytes, 0u);
+  EXPECT_LT(small.stats.accounted_peak_bytes, large.stats.accounted_peak_bytes);
+}
+
 TEST(Learner, StopFlagCancelsLearn) {
   // A pre-raised stop flag cancels the run before any real work.
   std::atomic<bool> stop{true};

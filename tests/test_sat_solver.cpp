@@ -10,6 +10,7 @@
 
 #include "src/sat/dimacs.h"
 #include "src/sat/solver.h"
+#include "src/util/failpoint.h"
 #include "src/util/rng.h"
 
 namespace t2m::sat {
@@ -313,6 +314,27 @@ void fill_solver(Solver& s, std::size_t vars, const std::vector<Clause>& clauses
   }
 }
 
+/// Same clause database (fingerprint) and the same watchers at the same
+/// capacity on every watch list.
+void expect_same_database(const Solver& got, const Solver& want, std::size_t vars,
+                          std::uint64_t seed) {
+  EXPECT_EQ(got.clause_fingerprint(), want.clause_fingerprint()) << "seed " << seed;
+  for (Var v = 0; v < static_cast<Var>(vars); ++v) {
+    for (const Lit p : {pos(v), neg(v)}) {
+      const WatcherList& want_list = want.watchers(p);
+      const WatcherList& got_list = got.watchers(p);
+      ASSERT_EQ(got_list.size(), want_list.size())
+          << "seed " << seed << " lit " << p.debug_string();
+      // Same pushes, same doubling: deferring adds no memory.
+      EXPECT_EQ(got_list.capacity(), want_list.capacity()) << "seed " << seed;
+      for (std::size_t w = 0; w < want_list.size(); ++w) {
+        EXPECT_EQ(got_list[w].clause, want_list[w].clause);
+        EXPECT_EQ(got_list[w].blocker, want_list[w].blocker);
+      }
+    }
+  }
+}
+
 TEST(ClauseBatch, MatchesOneByOneAdding) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     Rng rng(seed);
@@ -323,25 +345,107 @@ TEST(ClauseBatch, MatchesOneByOneAdding) {
     fill_solver(one_by_one, vars, clauses, /*batched=*/false, seed);
     fill_solver(batched, vars, clauses, /*batched=*/true, seed);
     ASSERT_TRUE(batched.check_invariants().ok()) << batched.check_invariants().to_string();
-    EXPECT_EQ(batched.clause_fingerprint(), one_by_one.clause_fingerprint()) << "seed " << seed;
     ASSERT_FALSE(one_by_one.in_unsat_state()) << "seed " << seed;
     EXPECT_FALSE(batched.in_unsat_state()) << "seed " << seed;
-    for (Var v = 0; v < static_cast<Var>(vars); ++v) {
-      for (const Lit p : {pos(v), neg(v)}) {
-        const WatcherList& want = one_by_one.watchers(p);
-        const WatcherList& got = batched.watchers(p);
-        ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " lit " << p.debug_string();
-        // Same pushes, same doubling: deferring adds no memory.
-        EXPECT_EQ(got.capacity(), want.capacity()) << "seed " << seed;
-        for (std::size_t w = 0; w < want.size(); ++w) {
-          EXPECT_EQ(got[w].clause, want[w].clause);
-          EXPECT_EQ(got[w].blocker, want[w].blocker);
-        }
-      }
-    }
+    expect_same_database(batched, one_by_one, vars, seed);
     EXPECT_EQ(one_by_one.solve(), SolveResult::Sat) << "seed " << seed;
     EXPECT_EQ(batched.solve(), SolveResult::Sat) << "seed " << seed;
     EXPECT_EQ(batched.stats().conflicts, one_by_one.stats().conflicts) << "seed " << seed;
+  }
+}
+
+/// Sorted, duplicate-free clauses (the CSP encoder's presorted shapes: mostly
+/// 2 to 6 literals, some wide ones) over `vars` variables, each satisfied by
+/// one hidden assignment. About one in fifty is a unit, so later clauses
+/// hold root-true and root-false literals.
+std::vector<Clause> random_presorted_clauses(Rng& rng, std::size_t vars) {
+  std::vector<bool> hidden(vars);
+  for (std::size_t v = 0; v < vars; ++v) hidden[v] = rng.chance(0.5);
+  std::vector<Clause> clauses(2000);
+  for (Clause& clause : clauses) {
+    const std::size_t width = rng.chance(0.02)   ? 1
+                              : rng.chance(0.05) ? 7 + rng.below(6)
+                                                 : 2 + rng.below(5);
+    while (clause.size() < width) {
+      const auto v = static_cast<Var>(rng.below(vars));
+      if (std::any_of(clause.begin(), clause.end(), [v](Lit l) { return l.var() == v; })) continue;
+      clause.push_back(Lit(v, rng.chance(0.5)));
+    }
+    const auto satisfied = [&](Lit l) {
+      return hidden[static_cast<std::size_t>(l.var())] != l.negated();
+    };
+    if (std::none_of(clause.begin(), clause.end(), satisfied)) clause[0] = ~clause[0];
+    std::sort(clause.begin(), clause.end());
+  }
+  return clauses;
+}
+
+/// Feeds `clauses` to a fresh solver the way the encoder's emission does,
+/// stopping at `max_clauses` problem clauses: with `bulk`, inside one batch
+/// through add_clause_presorted(); otherwise one add_clause() at a time.
+/// A clause whose arena allocation fails ends the stream.
+void feed_stream(Solver& s, std::size_t vars, const std::vector<Clause>& clauses,
+                 std::size_t max_clauses, bool bulk) {
+  s.new_vars(vars);
+  const auto add_all = [&] {
+    for (const Clause& clause : clauses) {
+      if (s.num_clauses() >= max_clauses) return;
+      if (bulk) {
+        s.add_clause_presorted(clause);
+      } else {
+        s.add_clause(clause);
+      }
+    }
+  };
+  try {
+    if (!bulk) {
+      add_all();
+      return;
+    }
+    ClauseBatch batch(s);
+    add_all();
+    batch.close();
+  } catch (const StatusError& e) {
+    ASSERT_EQ(e.code(), ErrorCode::resource_exhausted);
+  }
+}
+
+TEST(ClauseBatch, BulkPathMatchesOneByOneAdding) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const std::size_t vars = 80 + rng.below(80);
+    const std::vector<Clause> clauses = random_presorted_clauses(rng, vars);
+    // Half the streams overflow the clause budget mid-pass; every third has
+    // an arena allocation fail mid-batch.
+    const std::size_t max_clauses = rng.chance(0.5) ? 500 + rng.below(1000) : clauses.size();
+    failpoint::FailSpec fail;
+    const bool alloc_fails = seed % 3 == 0;
+    if (alloc_fails) {
+      fail.skip = 50 + rng.below(400);
+      fail.count = 1;
+    }
+    Solver one_by_one;
+    Solver bulk;
+    failpoint::arm("arena.alloc", fail);
+    feed_stream(one_by_one, vars, clauses, max_clauses, /*bulk=*/false);
+    const std::uint64_t one_by_one_allocs = failpoint::evaluations("arena.alloc");
+    EXPECT_EQ(failpoint::fires("arena.alloc"), alloc_fails ? 1u : 0u) << "seed " << seed;
+    failpoint::arm("arena.alloc", fail);
+    feed_stream(bulk, vars, clauses, max_clauses, /*bulk=*/true);
+    EXPECT_EQ(failpoint::evaluations("arena.alloc"), one_by_one_allocs) << "seed " << seed;
+    EXPECT_EQ(failpoint::fires("arena.alloc"), alloc_fails ? 1u : 0u) << "seed " << seed;
+    failpoint::disarm_all();
+
+    const Status audit = bulk.check_invariants();
+    ASSERT_TRUE(audit.ok()) << "seed " << seed << ": " << audit.to_string();
+    ASSERT_FALSE(one_by_one.in_unsat_state()) << "seed " << seed;
+    EXPECT_FALSE(bulk.in_unsat_state()) << "seed " << seed;
+    EXPECT_EQ(bulk.num_clauses(), one_by_one.num_clauses()) << "seed " << seed;
+    expect_same_database(bulk, one_by_one, vars, seed);
+    EXPECT_EQ(one_by_one.solve(), SolveResult::Sat) << "seed " << seed;
+    EXPECT_EQ(bulk.solve(), SolveResult::Sat) << "seed " << seed;
+    EXPECT_EQ(bulk.stats().conflicts, one_by_one.stats().conflicts) << "seed " << seed;
+    EXPECT_EQ(bulk.stats().propagations, one_by_one.stats().propagations) << "seed " << seed;
   }
 }
 
