@@ -5,21 +5,23 @@
 
 #include "src/automaton/ops.h"
 #include "src/base/status.h"
+#include "src/obs/progress.h"
 #include "src/obs/trace.h"
 
 namespace t2m {
 
 namespace {
 
-/// Amortised deadline poll shared by both DFS paths: reads the clock every
-/// 4096th leaf word and throws the structured timeout that cancels the
-/// whole check.
+/// Amortised deadline poll shared by both DFS paths: every 4096th leaf word
+/// it ticks the progress poll and reads the clock, and throws the structured
+/// timeout that cancels the whole check.
 struct DeadlinePoll {
   const Deadline& deadline;
   std::uint64_t ticks = 0;
   void operator()() {
-    if ((ticks++ & 4095u) != 0 || !deadline.is_finite()) return;
-    if (deadline.expired()) {
+    if ((ticks++ & 4095u) != 0) return;
+    obs::ProgressPoll::tick();
+    if (deadline.is_finite() && deadline.expired()) {
       throw_status(ErrorCode::deadline_exceeded,
                    "compliance check exceeded the learn deadline");
     }

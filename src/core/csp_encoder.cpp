@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "src/base/status.h"
+#include "src/obs/progress.h"
 #include "src/obs/trace.h"
 #include "src/util/log.h"
 
@@ -85,10 +86,10 @@ namespace {
 /// one clause batch (sat::ClauseBatch). Returns false when the clause budget
 /// was hit; the caller marks the CSP overflowed.
 ///
-/// The deadline is polled once per 64 items. An expiry throws
-/// deadline_exceeded; the batch still closes, attaching the clauses emitted
-/// so far, and the learner discards the half-built CSP and converts the
-/// escape into its timed-out verdict.
+/// Once per 64 items the progress poll ticks and the deadline is read. An
+/// expiry throws deadline_exceeded; the batch still closes, attaching the
+/// clauses emitted so far, and the learner discards the half-built CSP and
+/// converts the escape into its timed-out verdict.
 template <typename BuildFn>
 bool run_emission(sat::Solver& solver, std::size_t max_clauses, std::size_t n_items,
                   const Deadline& deadline, const BuildFn& build) {
@@ -97,9 +98,12 @@ bool run_emission(sat::Solver& solver, std::size_t max_clauses, std::size_t n_it
   sat::ClauseBatch batch(solver);
   ClauseSink sink(solver, max_clauses);
   for (std::size_t i = 0; i < n_items && !sink.overflowed(); ++i) {
-    if (deadline.is_finite() && (i & 63u) == 0 && deadline.expired()) {
-      throw_status(ErrorCode::deadline_exceeded,
-                   "clause emission exceeded the learn deadline");
+    if ((i & 63u) == 0) {
+      obs::ProgressPoll::tick();
+      if (deadline.is_finite() && deadline.expired()) {
+        throw_status(ErrorCode::deadline_exceeded,
+                     "clause emission exceeded the learn deadline");
+      }
     }
     build(i, sink);
   }

@@ -53,19 +53,20 @@ void fold_failure(LearnResult& result, Status status) {
 }
 
 /// The entry guard of every public learn call: owns the run's one
-/// Stopwatch and hands it to `body`, caps accounted memory for the call,
-/// returns a structured failure or a failed allocation that escaped `body`
-/// as a verdict (the search folds its own into its record), and records the
-/// accountant's peak since the call began and the call's total time on
-/// every exit, failures included.
+/// Stopwatch and progress poll and hands both to `body`, caps accounted
+/// memory for the call, returns a structured failure or a failed allocation
+/// that escaped `body` as a verdict (the search folds its own into its
+/// record), and records the accountant's peak since the call began and the
+/// call's total time on every exit, failures included.
 template <typename Body>
-LearnResult guarded(std::size_t max_memory_bytes, const Body& body) {
+LearnResult guarded(const LearnerConfig& config, const Body& body) {
   const Stopwatch total;
-  const ScopedMemoryLimit mem_limit(max_memory_bytes);
+  obs::ProgressPoll progress(config.progress_seconds);
+  const ScopedMemoryLimit mem_limit(config.max_memory_bytes);
   MemoryAccountant::global().rebase_peak();
   LearnResult result;
   try {
-    result = body(total);
+    result = body(total, progress);
   } catch (const StatusError& e) {
     log_warn() << "learner: run failed: " << e.status().to_string();
     fold_failure(result, e.status());
@@ -99,13 +100,13 @@ ComplianceChecker trace_window_checker(const LearnerConfig& config,
 ModelLearner::ModelLearner(LearnerConfig config) : config_(std::move(config)) {}
 
 LearnResult ModelLearner::learn(const Trace& trace, AbstractionMode mode) const {
-  return guarded(config_.max_memory_bytes, [&](const Stopwatch& total) {
+  return guarded(config_, [&](const Stopwatch& total, obs::ProgressPoll& progress) {
     AbstractionConfig abs_config = config_.abstraction;
     abs_config.window = config_.window;
     PredicateSequence preds = abstract_trace(trace, abs_config, mode);
     const double abstraction_seconds = total.elapsed_seconds();
 
-    LearnResult result = search_sequence(std::move(preds), trace.schema());
+    LearnResult result = search_sequence(std::move(preds), trace.schema(), progress);
     result.stats.abstraction_seconds = abstraction_seconds;
     return result;
   });
@@ -113,26 +114,28 @@ LearnResult ModelLearner::learn(const Trace& trace, AbstractionMode mode) const 
 
 LearnResult ModelLearner::learn_from_sequence(PredicateSequence preds,
                                               const Schema& schema) const {
-  return guarded(config_.max_memory_bytes, [&](const Stopwatch&) {
-    return search_sequence(std::move(preds), schema);
+  return guarded(config_, [&](const Stopwatch&, obs::ProgressPoll& progress) {
+    return search_sequence(std::move(preds), schema, progress);
   });
 }
 
 LearnResult ModelLearner::learn_from_stream(PredStream& stream) const {
-  return guarded(config_.max_memory_bytes,
-                 [&](const Stopwatch& total) { return search_stream(stream, total); });
+  return guarded(config_, [&](const Stopwatch& total, obs::ProgressPoll& progress) {
+    return search_stream(stream, total, progress);
+  });
 }
 
 LearnResult ModelLearner::learn_from_ftrace(const std::string& path,
                                             const std::string& task_filter) const {
-  return guarded(config_.max_memory_bytes, [&](const Stopwatch& total) {
+  return guarded(config_, [&](const Stopwatch& total, obs::ProgressPoll& progress) {
     LineReader lines(path);
     FtracePredStream stream(lines, task_filter);
-    return search_stream(stream, total);
+    return search_stream(stream, total, progress);
   });
 }
 
-LearnResult ModelLearner::search_sequence(PredicateSequence preds, const Schema& schema) const {
+LearnResult ModelLearner::search_sequence(PredicateSequence preds, const Schema& schema,
+                                          obs::ProgressPoll& progress) const {
   const std::size_t sequence_length = preds.length();
   std::vector<Segment> segments = config_.segmented
                                       ? segment_sequence(preds.seq, config_.window)
@@ -140,10 +143,12 @@ LearnResult ModelLearner::search_sequence(PredicateSequence preds, const Schema&
 
   const ComplianceChecker compliance_checker =
       trace_window_checker(config_, segments, preds.seq);
-  return run_cegis(std::move(preds), sequence_length, segments, compliance_checker, schema);
+  return run_cegis(std::move(preds), sequence_length, segments, compliance_checker, schema,
+                   progress);
 }
 
-LearnResult ModelLearner::search_stream(PredStream& stream, const Stopwatch& total) const {
+LearnResult ModelLearner::search_stream(PredStream& stream, const Stopwatch& total,
+                                        obs::ProgressPoll& progress) const {
   // One pass: every pulled id goes into the window segmenter, and P_l is
   // then taken from the segments it kept. The full id sequence is retained
   // only when a downstream consumer needs it: trace acceptance, the
@@ -173,7 +178,7 @@ LearnResult ModelLearner::search_stream(PredStream& stream, const Stopwatch& tot
   const double pass_seconds = total.elapsed_seconds();
 
   LearnResult result = run_cegis(std::move(preds), sequence_length, segments,
-                                 compliance_checker, stream.schema());
+                                 compliance_checker, stream.schema(), progress);
   result.stats.abstraction_seconds = pass_seconds;
   return result;
 }
@@ -181,13 +186,11 @@ LearnResult ModelLearner::search_stream(PredStream& stream, const Stopwatch& tot
 LearnResult ModelLearner::run_cegis(PredicateSequence preds, std::size_t sequence_length,
                                     const std::vector<Segment>& segments,
                                     const ComplianceChecker& compliance_checker,
-                                    const Schema& schema) const {
+                                    const Schema& schema,
+                                    obs::ProgressPoll& progress) const {
   const Deadline deadline = config_.timeout_seconds > 0
                                 ? Deadline::after_seconds(config_.timeout_seconds)
                                 : Deadline::never();
-  // The search is the phase worth watching: arm the progress counters (when
-  // enabled) against this run's deadline.
-  if (obs::Progress::global().enabled()) obs::Progress::global().begin_run(deadline);
   T2M_SPAN_SCOPE(run_span, "learn.run", "segments", segments.size());
 
   LearnResult result;
@@ -202,7 +205,7 @@ LearnResult ModelLearner::run_cegis(PredicateSequence preds, std::size_t sequenc
   const bool check_acceptance = config_.require_trace_acceptance && !preds.seq.empty();
 
   const auto stopped = [this] {
-    // order: relaxed — pure cancellation signal (see docs/concurrency.md).
+    // order: relaxed — pure cancellation signal (see docs/observability.md).
     return config_.stop != nullptr && config_.stop->load(std::memory_order_relaxed);
   };
 
@@ -240,6 +243,18 @@ LearnResult ModelLearner::run_cegis(PredicateSequence preds, std::size_t sequenc
 
   const Stopwatch construction_watch;
   std::unique_ptr<AutomatonCsp> csp;
+
+  // Progress lines read this run's own counters plus the live solver's,
+  // whose conflicts the stats absorb only when its CSP retires.
+  std::size_t searching_states = 0;
+  progress.set_source([&](obs::ProgressSnapshot& s) {
+    s.states = searching_states;
+    s.sat_calls = result.stats.sat_calls;
+    s.conflicts = result.stats.sat_conflicts + (csp ? csp->solver_stats().conflicts : 0);
+    s.refinements = result.stats.refinements;
+    s.deadline_remaining_seconds = deadline.remaining_seconds();
+  });
+
   // Builds the CSP from scratch at state count n over the current layout.
   // Persistent mode allocates headroom columns beyond n so subsequent
   // increments are in-place grows; the shared chain cache keeps re-adding
@@ -274,7 +289,7 @@ LearnResult ModelLearner::run_cegis(PredicateSequence preds, std::size_t sequenc
   // the run's verdict flags; the one exit below completes the record.
   const auto search = [&] {
     for (std::size_t n = config_.initial_states; n <= config_.max_states; ++n) {
-      obs::Progress::global().set_states(n);
+      searching_states = n;
       bool grown = false;
       if (csp && config_.persistent_solver) {
         T2M_SPAN("learn.grow", "n", n);
@@ -288,13 +303,13 @@ LearnResult ModelLearner::run_cegis(PredicateSequence preds, std::size_t sequenc
 
       bool next_n = false;
       while (!next_n) {
+        obs::ProgressPoll::tick();
         if (deadline.expired() || stopped()) {
           result.timed_out = true;
           result.cancelled = stopped();
           return;
         }
         ++result.stats.sat_calls;
-        obs::Progress::global().add_sat_calls(1);
         T2M_INJECT_STATUS("learn.solve", ErrorCode::internal, "search failed before a solve");
         sat::SolveResult sat_result;
         {
@@ -362,7 +377,6 @@ LearnResult ModelLearner::run_cegis(PredicateSequence preds, std::size_t sequenc
           best_states = n;
           ++result.stats.refinements;
           ++result.stats.prefix_refinements;
-          obs::Progress::global().add_refinements(1);
           log_debug() << "learner: acceptance refinement to a " << replayed + 1
                       << "-step prefix at N = " << n;
           continue;
@@ -377,7 +391,6 @@ LearnResult ModelLearner::run_cegis(PredicateSequence preds, std::size_t sequenc
           return;
         }
         ++result.stats.refinements;
-        obs::Progress::global().add_refinements(1);
         log_debug() << "learner: compliance failed with "
                     << compliance.invalid_sequences.size() << " invalid sequences";
         for (const auto& word : compliance.invalid_sequences) {
@@ -403,6 +416,8 @@ LearnResult ModelLearner::run_cegis(PredicateSequence preds, std::size_t sequenc
   } catch (const std::bad_alloc&) {
     fold_failure(result, Status::ResourceExhausted("allocation failed during the search"));
   }
+  // The source reads this frame's locals, and the poll outlives them.
+  progress.set_source(nullptr);
 
   // The one exit. A run that ended with a verdict (a model, an Unsat proof
   // that stopped the search, or the state budget) records the fingerprint of

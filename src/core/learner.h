@@ -13,6 +13,7 @@
 #include "src/core/compliance.h"
 #include "src/core/csp_encoder.h"
 #include "src/core/segmentation.h"
+#include "src/obs/progress.h"
 #include "src/trace/trace.h"
 #include "src/util/stopwatch.h"
 
@@ -82,6 +83,11 @@ struct LearnerConfig {
   /// becomes a verdict, not a crash. The accountant is process-global, so
   /// concurrent learners share the cap.
   std::size_t max_memory_bytes = 0;
+  /// Seconds between progress lines (`t2m --progress`); 0 = off. While the
+  /// search runs, its deadline checks poll the clock on the learn's own
+  /// thread and log an Info line once this interval has passed (see
+  /// obs::ProgressPoll). The lines' `t=` counts from the learn call's entry.
+  double progress_seconds = 0.0;
   /// Trace-abstraction settings (window is taken from `window`).
   AbstractionConfig abstraction;
 };
@@ -232,19 +238,23 @@ public:
 private:
   /// learn_from_sequence and learn_from_stream without the entry guard, so
   /// a public call that delegates applies the guard once. `total` is the
-  /// guard's clock, started when the public call was entered.
-  LearnResult search_sequence(PredicateSequence preds, const Schema& schema) const;
-  LearnResult search_stream(PredStream& stream, const Stopwatch& total) const;
+  /// guard's clock and `progress` its progress poll, both started when the
+  /// public call was entered.
+  LearnResult search_sequence(PredicateSequence preds, const Schema& schema,
+                              obs::ProgressPoll& progress) const;
+  LearnResult search_stream(PredStream& stream, const Stopwatch& total,
+                            obs::ProgressPoll& progress) const;
 
   /// The iterative SAT search and refinement loop (Algorithm 1 plus the
   /// acceptance refinement) shared by the in-memory and streaming entry
   /// points. `sequence_length` is |P|; preds.seq may be empty in streaming
   /// mode (acceptance is then skipped). The timeout starts here, after
-  /// ingest, so both paths give the search the same budget.
+  /// ingest, so both paths give the search the same budget. `progress`
+  /// reads the run's counters while the search runs.
   LearnResult run_cegis(PredicateSequence preds, std::size_t sequence_length,
                         const std::vector<Segment>& segments,
                         const ComplianceChecker& compliance_checker,
-                        const Schema& schema) const;
+                        const Schema& schema, obs::ProgressPoll& progress) const;
 
   LearnerConfig config_;
 };

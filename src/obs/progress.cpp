@@ -1,8 +1,6 @@
 #include "src/obs/progress.h"
 
-#include <chrono>
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "src/base/memory_accountant.h"
@@ -14,11 +12,8 @@ namespace t2m::obs {
 
 namespace {
 
-std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+/// The live poll of the calling thread; null when progress is off.
+thread_local ProgressPoll* t_poll = nullptr;
 
 /// "3456" → "3.5k", "12582912" → "12.0M": progress lines favour glance
 /// value over digit-exact counts (the exact numbers land in LearnStats).
@@ -45,90 +40,33 @@ std::string format_progress_line(const ProgressSnapshot& snapshot) {
   return os.str();
 }
 
-Progress& Progress::global() {
-  static Progress progress;
-  return progress;
+ProgressPoll::ProgressPoll(double interval_seconds)
+    : interval_(interval_seconds), next_(interval_seconds) {
+  if (interval_ > 0) t_poll = this;
 }
 
-void Progress::begin_run(const Deadline& deadline) {
-  // order: relaxed — independent counters; see the header.
-  states_.store(0, std::memory_order_relaxed);
-  sat_calls_.store(0, std::memory_order_relaxed);
-  conflicts_.store(0, std::memory_order_relaxed);
-  refinements_.store(0, std::memory_order_relaxed);
-  const std::int64_t now = steady_now_ns();
-  const double remaining = deadline.remaining_seconds();
-  // Deadline first, then start with release: the concurrency audit found the
-  // old relaxed start-then-deadline order let a heartbeat pair a fresh start
-  // with the previous run's deadline and print a wildly negative remaining.
-  // order: relaxed — publication rides on the release store of start_ns_.
-  deadline_ns_.store(std::isfinite(remaining)
-                         ? now + static_cast<std::int64_t>(remaining * 1e9)
-                         : -1,
-                     std::memory_order_relaxed);
-  // order: release pairs with snapshot()'s acquire load of start_ns_,
-  // publishing the deadline stored above as one consistent pair.
-  start_ns_.store(now, std::memory_order_release);
+ProgressPoll::~ProgressPoll() {
+  if (t_poll == this) t_poll = nullptr;
 }
 
-ProgressSnapshot Progress::snapshot() const {
-  ProgressSnapshot s;
-  const std::int64_t now = steady_now_ns();
-  // order: acquire pairs with begin_run()'s release store: observing the new
-  // start guarantees the matching deadline is visible below.
-  s.uptime_seconds =
-      static_cast<double>(now - start_ns_.load(std::memory_order_acquire)) / 1e9;
-  // order: relaxed — independent counters; see the header.
-  s.states = states_.load(std::memory_order_relaxed);
-  s.sat_calls = sat_calls_.load(std::memory_order_relaxed);
-  s.conflicts = conflicts_.load(std::memory_order_relaxed);
-  s.refinements = refinements_.load(std::memory_order_relaxed);
-  s.memory_used_bytes = MemoryAccountant::global().used();
-  // order: relaxed — ordered by the acquire load of start_ns_ above.
-  const std::int64_t deadline = deadline_ns_.load(std::memory_order_relaxed);
-  s.deadline_remaining_seconds = deadline < 0
-                                     ? std::numeric_limits<double>::infinity()
-                                     : static_cast<double>(deadline - now) / 1e9;
-  return s;
+void ProgressPoll::tick() {
+  if (t_poll != nullptr) t_poll->poll();
 }
 
-Heartbeat::Heartbeat(double interval_seconds, Callback callback) {
-  const auto interval = clamped_clock_duration(interval_seconds > 0 ? interval_seconds : 1.0);
-  worker_ = Thread([this, interval, callback = std::move(callback)] {
-    Tracer::set_thread_name("obs.heartbeat");
-    // Absolute-deadline loop (CondVar has no predicate overloads — the
-    // analysis cannot see through a predicate lambda): stop_ is only read
-    // and written under mutex_, and every emission happens with the lock
-    // shed so the callback / logger / tracer take their own locks freely.
-    auto next = std::chrono::steady_clock::now() + interval;
-    MutexLock lock(mutex_);
-    while (!stop_) {
-      if (cv_.wait_until(mutex_, next) != std::cv_status::timeout) {
-        continue;  // notified (stop) or spurious: re-check stop_
-      }
-      lock.unlock();
-      const ProgressSnapshot snapshot = Progress::global().snapshot();
-      log_info() << format_progress_line(snapshot);
-      // A conflicts-over-time counter track makes a stalled solve visible
-      // at a glance in the Perfetto view of the same run.
-      T2M_TRACE_COUNTER("progress.conflicts", snapshot.conflicts);
-      T2M_TRACE_COUNTER("progress.memory_bytes", snapshot.memory_used_bytes);
-      if (callback) callback(snapshot);
-      next += interval;
-      lock.lock();
-    }
-  });
-}
-
-Heartbeat::~Heartbeat() { stop(); }
-
-void Heartbeat::stop() {
-  {
-    const MutexLock lock(mutex_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
+void ProgressPoll::poll() {
+  // An infinite or huge interval is simply never due.
+  const double now = clock_.elapsed_seconds();
+  if (now < next_ || !source_) return;
+  next_ = now + interval_;
+  ProgressSnapshot snapshot;
+  source_(snapshot);
+  snapshot.uptime_seconds = now;
+  snapshot.memory_used_bytes = MemoryAccountant::global().used();
+  log_info() << format_progress_line(snapshot);
+  // A conflicts-over-time counter track makes a stalled solve visible at a
+  // glance in the Perfetto view of the same run.
+  T2M_TRACE_COUNTER("progress.conflicts", snapshot.conflicts);
+  T2M_TRACE_COUNTER("progress.memory_bytes", snapshot.memory_used_bytes);
 }
 
 }  // namespace t2m::obs

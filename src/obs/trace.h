@@ -4,27 +4,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
+#include <mutex>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "src/util/sync.h"
-
-// Compile-time kill switch for the span macros (configure with -DT2M_OBS=OFF,
-// which defines T2M_OBS_DISABLED): every T2M_SPAN expands to nothing and the
-// instrumented binaries carry no per-site code at all. The Tracer itself
-// still links so `--trace-out` degrades to an empty-but-valid trace instead
-// of a missing-symbol build break.
-#if !defined(T2M_OBS_ENABLED)
-#if defined(T2M_OBS_DISABLED)
-#define T2M_OBS_ENABLED 0
-#else
-#define T2M_OBS_ENABLED 1
-#endif
-#endif
 
 namespace t2m::obs {
 
@@ -69,20 +55,18 @@ struct TraceEvent {
 
 /// Process-wide span collector emitting Chrome trace-event / Perfetto JSON.
 ///
-/// Appends go to lock-free per-thread chunked buffers: the owning thread
-/// writes a slot and publishes it with one release store, so the hot path
-/// takes no lock and touches no shared cache line; write_json() walks the
-/// published prefixes with acquire loads and may run concurrently with
-/// stragglers (their late events are simply not in that flush). The
-/// intended lifecycle is start() → instrumented run → stop() →
-/// write_file(), all driven from the coordinating thread.
+/// Events go to one vector under one mutex: the learn itself runs on one
+/// thread, and caller threads that trace at the same time simply take turns.
+/// Each event's track is a dense per-thread id: the position of its thread
+/// in first-record order since start(). The intended lifecycle is start() →
+/// instrumented run → stop() → write_file(), all driven from one thread.
 class Tracer {
 public:
   static Tracer& instance();
 
   /// True when spans are being collected — one relaxed load, safe anywhere.
-  // order: relaxed — pure gate; a span that races start()/stop() either
-  // lands in the old generation's orphaned buffer or is skipped, both fine.
+  // order: relaxed — pure gate; a span that races start()/stop() is either
+  // recorded or skipped, both fine.
   static bool enabled() { return detail::g_trace_enabled.load(std::memory_order_relaxed); }
 
   /// Discards previously collected events, restarts the clock at 0 and
@@ -101,13 +85,9 @@ public:
   void instant(const char* name, std::vector<EventArg> args = {});
   void counter(const char* name, std::int64_t value);
 
-  /// Names the calling thread's own track ("obs.heartbeat"). Sticky: the
-  /// name survives start()/stop() cycles.
-  static void set_thread_name(const std::string& name);
-
-  /// Number of events currently published across all buffers (tests).
+  /// Number of events currently buffered (tests).
   std::size_t event_count();
-  /// Events dropped by the per-thread overflow cap across all buffers.
+  /// Events dropped by the overflow cap since start().
   std::size_t dropped_count();
 
   /// Emits the collected events as a Chrome trace-event JSON document
@@ -118,19 +98,12 @@ public:
 private:
   Tracer();
 
-  class EventBuffer;
-  struct ThreadState;
-  static ThreadState& thread_state();
-  /// Binds the calling thread to the current generation, allocating its
-  /// buffer and track id on first contact.
-  void ensure_registered(ThreadState& state);
-
-  Mutex mutex_;
-  std::vector<std::shared_ptr<EventBuffer>> buffers_ GUARDED_BY(mutex_);
-  std::vector<std::string> track_names_ GUARDED_BY(mutex_);
-  std::atomic<std::uint64_t> generation_{1};
+  std::mutex mutex_;  ///< guards events_, threads_ and dropped_
+  std::vector<TraceEvent> events_;
+  std::vector<std::thread::id> threads_;  ///< track id = index
+  std::size_t dropped_ = 0;
   /// steady_clock nanoseconds captured at start(); atomic so spans on
-  /// worker threads can read it without synchronising with start().
+  /// caller threads can read it without taking the mutex.
   std::atomic<std::int64_t> epoch_ns_{0};
 };
 
@@ -171,20 +144,11 @@ private:
   std::vector<EventArg> args_;
 };
 
-/// Compiled-out stand-in for T2M_SPAN_SCOPE handles when T2M_OBS is off.
-class NullSpan {
-public:
-  bool active() const { return false; }  // NOLINT(readability-convert-member-functions-to-static)
-  template <typename V>
-  void arg(const char*, V&&) {}
-};
-
 }  // namespace t2m::obs
 
 #define T2M_OBS_CONCAT_INNER(a, b) a##b
 #define T2M_OBS_CONCAT(a, b) T2M_OBS_CONCAT_INNER(a, b)
 
-#if T2M_OBS_ENABLED
 /// Anonymous scope span: T2M_SPAN("phase.name", "key", value, ...).
 #define T2M_SPAN(...) \
   const ::t2m::obs::Span T2M_OBS_CONCAT(t2m_obs_span_, __LINE__){__VA_ARGS__}
@@ -202,11 +166,5 @@ public:
       ::t2m::obs::Tracer::instance().counter(name, static_cast<std::int64_t>(value)); \
     } \
   } while (false)
-#else
-#define T2M_SPAN(...) static_cast<void>(0)
-#define T2M_SPAN_SCOPE(var, ...) ::t2m::obs::NullSpan var
-#define T2M_INSTANT(name) static_cast<void>(0)
-#define T2M_TRACE_COUNTER(name, value) static_cast<void>(0)
-#endif
 
 #endif  // T2M_OBS_TRACE_H

@@ -780,7 +780,7 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
   // order: relaxed — the stop flag is a pure signal with no payload: the
   // caller that raised it synchronises with this solver's results through
   // its own join of the solving thread, never through the flag itself
-  // (docs/concurrency.md).
+  // (docs/observability.md).
   if (stop_ != nullptr && stop_->load(std::memory_order_relaxed)) {
     if (plog_ != nullptr) plog_->conclude_unknown();
     return SolveResult::Unknown;
@@ -826,24 +826,19 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
       problem_simplified_up_to_ == root_end ? learned_limit() : kMinLearnedLimit;
   std::vector<Lit> learnt;
 
-  // Runs on every exit path of the search loop: flushes the conflicts not
-  // yet reported at a restart boundary into the live progress counters and
-  // stamps the epoch span with its totals. Declared after the span so it is
-  // destroyed first, while the span is still open for arg().
-  std::uint64_t conflicts_reported = 0;
+  // Runs on every exit path of the search loop: stamps the epoch span with
+  // its totals. Declared after the span so it is destroyed first, while the
+  // span is still open for arg().
   struct EpochObs {
     decltype(solve_span)& span;
     const std::uint64_t& total;
-    const std::uint64_t& reported;
     const std::uint64_t& restarts;
     const std::uint64_t restarts_before;
     ~EpochObs() {
-      obs::Progress::global().add_conflicts(total - reported);
       span.arg("conflicts", total);
       span.arg("restarts", restarts - restarts_before);
     }
-  } epoch_obs{solve_span, conflicts_total, conflicts_reported, stats_.restarts,
-              stats_.restarts};
+  } epoch_obs{solve_span, conflicts_total, stats_.restarts, stats_.restarts};
 
   while (true) {
     const ClauseRef conflict = propagate();
@@ -883,9 +878,12 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
         if (plog_ != nullptr) plog_->conclude_unknown();
         return SolveResult::Unknown;
       }
-      if ((conflicts_total & 255) == 0 && deadline_.expired()) {
-        if (plog_ != nullptr) plog_->conclude_unknown();
-        return SolveResult::Unknown;
+      if ((conflicts_total & 255) == 0) {
+        obs::ProgressPoll::tick();
+        if (deadline_.expired()) {
+          if (plog_ != nullptr) plog_->conclude_unknown();
+          return SolveResult::Unknown;
+        }
       }
       if (conflict_budget_ != 0 && conflicts_total >= conflict_budget_) {
         if (plog_ != nullptr) plog_->conclude_unknown();
@@ -908,11 +906,6 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
       ++restart_number;
       restart_limit = kRestartBase * luby(restart_number);
       conflicts_since_restart = 0;
-      // Restart boundaries double as progress ticks: cheap (they arrive at
-      // Luby intervals, not per conflict) yet frequent enough for a live
-      // conflict count during a long epoch.
-      obs::Progress::global().add_conflicts(conflicts_total - conflicts_reported);
-      conflicts_reported = conflicts_total;
       T2M_TRACE_COUNTER("solver.conflicts",
                         static_cast<std::int64_t>(stats_.conflicts));
       backtrack(0);

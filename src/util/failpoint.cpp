@@ -1,10 +1,10 @@
 #include "src/util/failpoint.h"
 
 #include <cstdlib>
+#include <mutex>
 #include <unordered_map>
 
 #include "src/util/string_utils.h"
-#include "src/util/sync.h"
 
 namespace t2m::failpoint {
 
@@ -23,8 +23,8 @@ struct SiteState {
 };
 
 struct Registry {
-  Mutex mu;
-  std::unordered_map<std::string, SiteState> sites GUARDED_BY(mu);
+  std::mutex mu;  ///< guards sites
+  std::unordered_map<std::string, SiteState> sites;
 };
 
 // Leaked singleton: failpoints are evaluated from thread_local destructors
@@ -113,7 +113,7 @@ FailSpec parse_spec(const std::string& spec) {
 
 void arm(const std::string& name, const FailSpec& spec) {
   Registry& r = registry();
-  const MutexLock lock(r.mu);
+  const std::lock_guard<std::mutex> lock(r.mu);
   SiteState& s = r.sites[name];
   // order: relaxed — the count is only the any_armed() fast gate; the spec
   // is published by the registry mutex both sides hold.
@@ -138,7 +138,7 @@ void arm_list(const std::string& list) {
 
 void disarm(const std::string& name) {
   Registry& r = registry();
-  const MutexLock lock(r.mu);
+  const std::lock_guard<std::mutex> lock(r.mu);
   auto it = r.sites.find(name);
   if (it != r.sites.end() && it->second.armed) {
     it->second.armed = false;
@@ -149,7 +149,7 @@ void disarm(const std::string& name) {
 
 void disarm_all() {
   Registry& r = registry();
-  const MutexLock lock(r.mu);
+  const std::lock_guard<std::mutex> lock(r.mu);
   for (auto& [name, s] : r.sites) {
     if (s.armed) {
       s.armed = false;
@@ -161,14 +161,14 @@ void disarm_all() {
 
 std::uint64_t evaluations(const std::string& name) {
   Registry& r = registry();
-  const MutexLock lock(r.mu);
+  const std::lock_guard<std::mutex> lock(r.mu);
   auto it = r.sites.find(name);
   return it == r.sites.end() ? 0 : it->second.evaluations;
 }
 
 std::uint64_t fires(const std::string& name) {
   Registry& r = registry();
-  const MutexLock lock(r.mu);
+  const std::lock_guard<std::mutex> lock(r.mu);
   auto it = r.sites.find(name);
   return it == r.sites.end() ? 0 : it->second.fires;
 }
@@ -177,7 +177,7 @@ namespace detail {
 
 bool should_fail_slow(const char* name) {
   Registry& r = registry();
-  const MutexLock lock(r.mu);
+  const std::lock_guard<std::mutex> lock(r.mu);
   auto it = r.sites.find(name);
   if (it == r.sites.end() || !it->second.armed) return false;
   SiteState& s = it->second;

@@ -68,7 +68,7 @@ Logger& Logger::instance() {
 }
 
 void Logger::set_sink(Sink sink) {
-  const MutexLock lock(mutex_);
+  const std::lock_guard<std::mutex> lock(mutex_);
   sink_ = std::move(sink);
 }
 
@@ -81,7 +81,7 @@ void Logger::write(LogLevel level, const std::string& message) {
   // One line per call, serialised: concurrent workers must not shear lines,
   // and a sink swap must not race an in-flight write. A span inside this
   // region would recurse through the tracer while the logger lock is held.
-  const MutexLock lock(mutex_);  // no-span
+  const std::lock_guard<std::mutex> lock(mutex_);  // no-span
   if (sink_) {
     sink_(level, line);
   } else {

@@ -4,12 +4,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
-
-#include "src/util/sync.h"
 
 namespace t2m {
 
@@ -24,8 +23,8 @@ std::optional<LogLevel> parse_log_level(std::string_view name);
 const char* log_level_name(LogLevel level);
 
 /// Minimal logger writing to stderr (or an installed sink). Lines are
-/// emitted whole under a mutex, so concurrent writers (the heartbeat thread,
-/// a caller's own threads) interleave at line granularity, and every line
+/// emitted whole under a mutex, so concurrent writers (a caller's own
+/// threads) interleave at line granularity, and every line
 /// carries a monotonic timestamp (seconds since process start) plus a small
 /// per-thread id: `[t2m INFO  12.345678 t03] message`.
 ///
@@ -59,8 +58,8 @@ private:
   Logger() = default;
 
   std::atomic<LogLevel> level_{LogLevel::Warn};
-  Mutex mutex_;  ///< serialises write() and sink swaps
-  Sink sink_ GUARDED_BY(mutex_);
+  std::mutex mutex_;  ///< serialises write() and sink swaps; guards sink_
+  Sink sink_;
 };
 
 namespace detail {

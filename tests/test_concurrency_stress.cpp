@@ -1,26 +1,27 @@
-// Concurrency stress for the annotated sync layer (docs/concurrency.md):
-// the components the thread-safety audit certifies — logger sink swaps,
-// heartbeat, tracer, the caller's stop flag — hammered
-// together from plain threads under the sanitizer jobs (TSan is where these
-// tests earn their keep; on plain builds they are fast smoke checks).
+// Concurrency stress for what caller threads share (docs/observability.md,
+// "Threads and locks"): the tracer, the logger and its sink swaps, and the
+// caller's stop flag — hammered together from plain threads under the
+// sanitizer jobs (TSan is where these tests earn their keep; on plain builds
+// they are fast smoke checks).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/learner.h"
-#include "src/obs/progress.h"
 #include "src/obs/trace.h"
 #include "src/obs/validate.h"
 #include "src/sim/basic/counter.h"
 #include "src/sim/rtlinux/workloads.h"
 #include "src/util/log.h"
 #include "src/util/stopwatch.h"
-#include "src/util/sync.h"
 
 namespace t2m {
 namespace {
@@ -29,49 +30,62 @@ namespace {
 /// calling thread, then joins them all.
 template <typename Body, typename During>
 void fan_out(int tasks, Body body, During during) {
-  std::vector<Thread> threads;
+  std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(tasks));
   for (int task = 0; task < tasks; ++task) threads.emplace_back(body, task);
   during();
-  for (Thread& thread : threads) thread.join();
+  for (std::thread& thread : threads) thread.join();
 }
 
 /// Restores global observability state on scope exit (mirrors test_obs.cpp).
 struct ObsQuiescent {
   ~ObsQuiescent() {
     obs::Tracer::instance().stop();
-    obs::Progress::global().disable();
     Logger::instance().set_sink(nullptr);
     Logger::instance().set_level(LogLevel::Warn);
   }
 };
 
 TEST(ConcurrencyStress, LearnUnderFullObservability) {
-  // The worst-case lock interleaving the library offers: a learn with the
-  // tracer, progress and a fast heartbeat thread all live, plus a
-  // capturing logger sink — every capability in the lock hierarchy is
-  // exercised concurrently.
+  // Two caller threads learn at once with tracing and progress lines on,
+  // into one capturing logger sink: both learns take the tracer's and the
+  // logger's locks concurrently, and each polls its own progress clock.
   const ObsQuiescent guard;
   obs::Tracer::instance().start();
-  obs::Progress::global().enable();
   Logger::instance().set_level(LogLevel::Info);
-  Mutex lines_mutex;
+  std::mutex lines_mutex;
   std::vector<std::string> lines;
   Logger::instance().set_sink([&](LogLevel, const std::string& line) {
-    const MutexLock lock(lines_mutex);
+    const std::lock_guard<std::mutex> lock(lines_mutex);
     lines.push_back(line);
   });
 
-  obs::Progress::global().begin_run(Deadline::never());
-  const obs::Heartbeat heartbeat(0.005);
-  const LearnResult result = ModelLearner().learn(sim::generate_counter_trace({}));
-  EXPECT_TRUE(result.success);
-
+  LearnerConfig config;
+  config.progress_seconds = 1e-9;
+  const ModelLearner learner(config);
+  const Trace trace = sim::generate_counter_trace({});
+  LearnResult results[2];
+  fan_out(2, [&](int task) { results[task] = learner.learn(trace); }, [] {});
+  Logger::instance().set_sink(nullptr);
   obs::Tracer::instance().stop();
+
+  for (const LearnResult& result : results) EXPECT_TRUE(result.success);
+  EXPECT_EQ(results[0].stats.sat_conflicts, results[1].stats.sat_conflicts);
+  // "[t2m INFO  0.001234 t01] progress: ..." — both learns logged lines.
+  std::set<std::string> progress_threads;
+  for (const std::string& line : lines) {
+    const std::size_t at = line.find("] progress: ");
+    if (at == std::string::npos) continue;
+    const std::size_t from = line.rfind(' ', at);
+    progress_threads.insert(line.substr(from, at - from));
+  }
+  EXPECT_EQ(progress_threads.size(), 2u);
   std::ostringstream os;
   obs::Tracer::instance().write_json(os);
-  const Status status = obs::validate_trace_json(os.str());
+  obs::TraceSummary summary;
+  const Status status = obs::validate_trace_json(os.str(), &summary);
   EXPECT_TRUE(status.ok()) << status.to_string();
+  EXPECT_EQ(summary.tracks.size(), 2u);
 }
 
 TEST(ConcurrencyStress, LoggerSinkSwapsDuringConcurrentWrites) {
@@ -102,22 +116,6 @@ TEST(ConcurrencyStress, LoggerSinkSwapsDuringConcurrentWrites) {
   EXPECT_GT(delivered.load(), 0u);
 }
 
-TEST(ConcurrencyStress, HeartbeatStartStopChurn) {
-  // Construction/destruction churn on the heartbeat worker: every cycle
-  // joins the thread through the stop_ handshake the annotations guard.
-  const ObsQuiescent guard;
-  obs::Progress::global().enable();
-  obs::Progress::global().begin_run(Deadline::never());
-  for (int cycle = 0; cycle < 20; ++cycle) {
-    std::atomic<int> beats{0};
-    obs::Heartbeat heartbeat(0.001, [&beats](const obs::ProgressSnapshot&) {
-      // order: relaxed — counter only; the destructor joins the worker.
-      beats.fetch_add(1, std::memory_order_relaxed);
-    });
-    obs::Progress::global().add_conflicts(1);
-  }
-}
-
 TEST(ConcurrencyStress, OuterStopCancelsLearnMidRun) {
   // The caller's stop flag, raised from another thread mid-run, must reach
   // the solver (polled every conflict) and the CEGIS loop (polled between
@@ -126,7 +124,7 @@ TEST(ConcurrencyStress, OuterStopCancelsLearnMidRun) {
   LearnerConfig config;
   config.stop = &stop;
   const Trace trace = sim::generate_full_coverage_sched_trace(20165);
-  Thread raiser([&stop] {
+  std::thread raiser([&stop] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     // order: relaxed — pure signal; the learner's join publishes results.
     stop.store(true, std::memory_order_relaxed);

@@ -1,17 +1,15 @@
-// The observability layer: span tracer (lock-free buffers, nesting, per-thread
-// tracks), the run record's JSON (to_json of LearnResult/LearnStats), the
-// progress heartbeat, the upgraded logger — and the identity guarantee the
-// design hinges on: the learn's artefacts (every LearnStats count, the
-// clause fingerprint) are the same with observability on or off.
+// The observability layer: span tracer (nesting, per-thread tracks), the run
+// record's JSON (to_json of LearnResult/LearnStats), the progress poll, the
+// upgraded logger — and the identity guarantee the design hinges on: the
+// learn's artefacts (every LearnStats count, the clause fingerprint) are the
+// same with observability on or off.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,22 +20,19 @@
 #include "src/core/learner.h"
 #include "src/core/report.h"
 #include "src/obs/json.h"
-#include "src/obs/progress.h"
 #include "src/obs/trace.h"
 #include "src/obs/validate.h"
 #include "src/sim/basic/counter.h"
 #include "src/util/log.h"
-#include "src/util/sync.h"
 
 namespace t2m {
 namespace {
 
 /// Restores global observability state on scope exit so tests cannot leak
-/// an enabled tracer/progress into their neighbours.
+/// an enabled tracer or a capture sink into their neighbours.
 struct ObsQuiescent {
   ~ObsQuiescent() {
     obs::Tracer::instance().stop();
-    obs::Progress::global().disable();
     Logger::instance().set_sink(nullptr);
     Logger::instance().set_level(LogLevel::Warn);
   }
@@ -81,17 +76,12 @@ TEST(Tracer, NestedSpansValidateAndParseBack) {
   obs::TraceSummary summary;
   const Status status = obs::validate_trace_json(trace_json(), &summary);
   ASSERT_TRUE(status.ok()) << status.to_string();
-#if T2M_OBS_ENABLED
   EXPECT_EQ(summary.spans, 3u);
   EXPECT_EQ(summary.instants, 1u);
   EXPECT_EQ(summary.counters, 1u);
   EXPECT_TRUE(summary.span_names.count("outer"));
   EXPECT_TRUE(summary.span_names.count("middle"));
   EXPECT_TRUE(summary.span_names.count("inner"));
-#else
-  // T2M_OBS=OFF strips the macros: empty-but-valid is the contract.
-  EXPECT_EQ(summary.events, 0u);
-#endif
 }
 
 TEST(Tracer, SpansAcrossThreadsNestPerTrack) {
@@ -100,7 +90,7 @@ TEST(Tracer, SpansAcrossThreadsNestPerTrack) {
   {
     T2M_SPAN("fanout");
     // 16 chunks of 16 items, dealt round-robin to 4 threads.
-    std::vector<Thread> threads;
+    std::vector<std::thread> threads;
     for (std::size_t t = 0; t < 4; ++t) {
       threads.emplace_back([t] {
         for (std::size_t c = t; c < 16; c += 4) {
@@ -111,20 +101,19 @@ TEST(Tracer, SpansAcrossThreadsNestPerTrack) {
         }
       });
     }
-    for (Thread& thread : threads) thread.join();
+    for (std::thread& thread : threads) thread.join();
   }
   obs::Tracer::instance().stop();
 
   obs::TraceSummary summary;
   const Status status = obs::validate_trace_json(trace_json(), &summary);
   ASSERT_TRUE(status.ok()) << status.to_string();
-#if T2M_OBS_ENABLED
   // 1 fanout + 16 chunk + 256 item spans over five thread tracks — the
   // validator has already asserted every track's spans nest laminarly.
   EXPECT_EQ(summary.spans, 1u + 16u + 256u);
+  EXPECT_EQ(summary.tracks.size(), 5u);
   EXPECT_TRUE(summary.span_names.count("chunk"));
   EXPECT_TRUE(summary.span_names.count("item"));
-#endif
 }
 
 TEST(Tracer, StartDiscardsPreviousRun) {
@@ -138,9 +127,7 @@ TEST(Tracer, StartDiscardsPreviousRun) {
   obs::TraceSummary summary;
   ASSERT_TRUE(obs::validate_trace_json(trace_json(), &summary).ok());
   EXPECT_FALSE(summary.span_names.count("first.run"));
-#if T2M_OBS_ENABLED
   EXPECT_TRUE(summary.span_names.count("second.run"));
-#endif
 }
 
 TEST(TraceValidation, RejectsCorruptedInput) {
@@ -176,9 +163,10 @@ TEST(Json, ParsesStructuresAndRejectsGarbage) {
 
 // --- identity guarantees ---------------------------------------------------
 
-LearnResult run_small_learn() {
+LearnResult run_small_learn(double progress_seconds = 0.0) {
   LearnerConfig config;
   config.require_trace_acceptance = false;
+  config.progress_seconds = progress_seconds;
   const ModelLearner learner(config);
   return learner.learn(sim::generate_counter_trace({}));
 }
@@ -200,10 +188,11 @@ TEST(ObsIdentity, LearnArtefactsIdenticalWithObservabilityOnAndOff) {
   obs::Tracer::instance().stop();
   const LearnResult dark = run_small_learn();
 
-  // Fully lit run: tracing and progress live.
+  // Fully lit run: tracing and progress live, the progress lines logged.
   obs::Tracer::instance().start();
-  obs::Progress::global().enable();
-  const LearnResult lit = run_small_learn();
+  Logger::instance().set_level(LogLevel::Info);
+  Logger::instance().set_sink([](LogLevel, const std::string&) {});
+  const LearnResult lit = run_small_learn(1e-9);
   obs::Tracer::instance().stop();
 
   ASSERT_TRUE(dark.success);
@@ -309,94 +298,85 @@ TEST(ObsIdentity, EncodingFingerprintUnaffectedByTracing) {
 
 // --- progress --------------------------------------------------------------
 
-TEST(Progress, CountersAndSnapshot) {
-  const ObsQuiescent guard;
-  obs::Progress::global().enable();
-  obs::Progress::global().begin_run(Deadline::never());
-  obs::Progress::global().set_states(4);
-  obs::Progress::global().add_sat_calls(2);
-  obs::Progress::global().add_conflicts(100);
-  obs::Progress::global().add_refinements(1);
-
-  const obs::ProgressSnapshot snap = obs::Progress::global().snapshot();
-  EXPECT_EQ(snap.states, 4u);
-  EXPECT_EQ(snap.sat_calls, 2u);
-  EXPECT_EQ(snap.conflicts, 100u);
-  EXPECT_EQ(snap.refinements, 1u);
-  EXPECT_GE(snap.uptime_seconds, 0.0);
-  EXPECT_TRUE(std::isinf(snap.deadline_remaining_seconds));
-
-  const std::string line = format_progress_line(snap);
-  EXPECT_NE(line.find("progress:"), std::string::npos);
-  EXPECT_NE(line.find("N=4"), std::string::npos);
-  EXPECT_NE(line.find("sat_calls=2"), std::string::npos);
-  EXPECT_NE(line.find("conflicts=100"), std::string::npos);
-}
-
-TEST(Progress, DisabledUpdatesAreDropped) {
-  const ObsQuiescent guard;
-  obs::Progress::global().enable();
-  obs::Progress::global().begin_run(Deadline::never());
-  obs::Progress::global().disable();
-  obs::Progress::global().add_sat_calls(5);
-  obs::Progress::global().enable();
-  EXPECT_EQ(obs::Progress::global().snapshot().sat_calls, 0u);
-}
-
-TEST(Heartbeat, HugeIntervalClampsInsteadOfSpinning) {
-  // Regression: an interval of inf or 1e12 s wrapped to a negative clock
-  // span, and the heartbeat fired back to back (about 66,000 lines during a
-  // half-second learn).
-  const ObsQuiescent guard;
-  obs::Progress::global().enable();
-  obs::Progress::global().begin_run(Deadline::never());
-  std::atomic<int> callbacks{0};
-  Logger::instance().set_sink([](LogLevel, const std::string&) {});
-  for (const double interval : {std::numeric_limits<double>::infinity(), 1e12}) {
-    obs::Heartbeat heartbeat(interval, [&callbacks](const obs::ProgressSnapshot&) {
-      callbacks.fetch_add(1);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  }
-  Logger::instance().set_sink(nullptr);
-  EXPECT_EQ(callbacks.load(), 0);
-}
-
-TEST(Heartbeat, FiresCallbackAndInfoLine) {
-  const ObsQuiescent guard;
-  obs::Progress::global().enable();
-  obs::Progress::global().begin_run(Deadline::never());
-  obs::Progress::global().add_conflicts(7);
-
-  std::atomic<int> callbacks{0};
-  Mutex lines_mutex;
+/// The learn's progress lines, captured through a logger sink.
+std::vector<std::string> progress_lines(double interval_seconds, LearnResult& result) {
   std::vector<std::string> lines;
   Logger::instance().set_level(LogLevel::Info);
-  Logger::instance().set_sink([&](LogLevel, const std::string& line) {
-    const MutexLock lock(lines_mutex);
-    lines.push_back(line);
+  Logger::instance().set_sink([&lines](LogLevel, const std::string& line) {
+    const std::size_t at = line.find("progress: ");
+    if (at != std::string::npos) lines.push_back(line.substr(at));
   });
-  {
-    obs::Heartbeat heartbeat(0.02, [&callbacks](const obs::ProgressSnapshot& snap) {
-      EXPECT_EQ(snap.conflicts, 7u);
-      callbacks.fetch_add(1);
-    });
-    // Generous budget for loaded CI machines; exits as soon as one fires.
-    for (int i = 0; i < 200 && callbacks.load() == 0; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  }
+  result = run_small_learn(interval_seconds);
   Logger::instance().set_sink(nullptr);
-  EXPECT_GE(callbacks.load(), 1);
-  const MutexLock lock(lines_mutex);
-  bool progress_line = false;
-  for (const std::string& line : lines) {
-    if (line.find("progress:") != std::string::npos &&
-        line.find("conflicts=7") != std::string::npos) {
-      progress_line = true;
-    }
+  return lines;
+}
+
+/// "progress: t=0.0s N=2 sat_calls=1 ..." → {"t": "0.0s", "N": "2", ...}.
+std::map<std::string, std::string> progress_fields(const std::string& line) {
+  std::map<std::string, std::string> fields;
+  std::istringstream is(line.substr(std::string("progress: ").size()));
+  std::string field;
+  while (is >> field) {
+    const std::size_t eq = field.find('=');
+    if (eq != std::string::npos) fields[field.substr(0, eq)] = field.substr(eq + 1);
   }
-  EXPECT_TRUE(progress_line);
+  return fields;
+}
+
+TEST(ProgressPoll, LinesCountUpToTheFinalStats) {
+  // A tiny interval makes every poll due: the lines sample the whole search.
+  const ObsQuiescent guard;
+  LearnResult result;
+  const std::vector<std::string> lines = progress_lines(1e-9, result);
+  ASSERT_TRUE(result.success);
+  ASSERT_FALSE(lines.empty());
+  const LearnStats& s = result.stats;
+  // A glance format: conflicts past 10k print as "3.4k"; this learn has far
+  // fewer, so every count parses exactly.
+  ASSERT_LT(s.sat_conflicts, 10000u);
+  const std::pair<const char*, std::uint64_t> finals[] = {
+      {"N", result.states},
+      {"sat_calls", s.sat_calls},
+      {"conflicts", s.sat_conflicts},
+      {"refinements", s.refinements},
+  };
+  std::map<std::string, std::uint64_t> last;
+  for (const std::string& line : lines) {
+    const std::map<std::string, std::string> fields = progress_fields(line);
+    for (const auto& [key, final_value] : finals) {
+      ASSERT_TRUE(fields.count(key)) << line;
+      const std::uint64_t value = std::stoull(fields.at(key));
+      EXPECT_GE(value, last[key]) << key << " decreased: " << line;
+      EXPECT_LE(value, final_value) << key << " exceeds the final stats: " << line;
+      last[key] = value;
+    }
+    EXPECT_FALSE(fields.count("deadline")) << "no timeout, no deadline: " << line;
+  }
+}
+
+TEST(ProgressPoll, FirstLineCountsFromTheLearnEntry) {
+  // Regression: lines before the search printed the steady clock's epoch
+  // (the machine's uptime) as the run's age. The poll's clock starts in the
+  // learn's entry guard, so the first line is due one interval in.
+  const ObsQuiescent guard;
+  LearnResult result;
+  const double interval = 1e-9;
+  const std::vector<std::string> lines = progress_lines(interval, result);
+  ASSERT_FALSE(lines.empty());
+  const std::string t = progress_fields(lines.front()).at("t");
+  EXPECT_LT(std::stod(t), interval + 1.0) << lines.front();
+}
+
+TEST(ProgressPoll, InfiniteOrHugeIntervalLogsNothing) {
+  // Regression: an interval of inf or 1e12 s once wrapped to a negative
+  // clock span and fired back to back (about 66,000 lines during a
+  // half-second learn).
+  const ObsQuiescent guard;
+  for (const double interval : {std::numeric_limits<double>::infinity(), 1e12}) {
+    LearnResult result;
+    EXPECT_TRUE(progress_lines(interval, result).empty()) << interval;
+    EXPECT_TRUE(result.success);
+  }
 }
 
 // --- logger ----------------------------------------------------------------
@@ -415,10 +395,10 @@ TEST(Logger, ParseAndNameRoundTrip) {
 TEST(Logger, SinkCapturesPrefixedLines) {
   const ObsQuiescent guard;
   std::vector<std::pair<LogLevel, std::string>> captured;
-  Mutex captured_mutex;
+  std::mutex captured_mutex;
   Logger::instance().set_level(LogLevel::Info);
   Logger::instance().set_sink([&](LogLevel level, const std::string& line) {
-    const MutexLock lock(captured_mutex);
+    const std::lock_guard<std::mutex> lock(captured_mutex);
     captured.emplace_back(level, line);
   });
   log_info() << "observable " << 42;

@@ -1,16 +1,8 @@
-// lint_t2m: the project's concurrency-discipline lint engine
-// (docs/concurrency.md). Complements the Clang thread-safety job: the
-// analysis proves lock discipline for code written against t2m::Mutex, and
-// this lint is what forces code to be written against t2m::Mutex in the
-// first place — plus the conventions no compiler checks (memory-order
-// rationale comments, span-free lock regions, include hygiene).
+// lint_t2m: the project's convention lint engine (docs/observability.md,
+// "Threads and locks"): the conventions no compiler checks — memory-order
+// rationale comments, span-free lock regions, include hygiene.
 //
 // Rules:
-//   R1 raw-sync    std::mutex / std::lock_guard / std::condition_variable /
-//                  std::thread and friends are forbidden outside
-//                  src/util/sync.h; use t2m::Mutex / MutexLock / CondVar /
-//                  Thread (std::this_thread is fine — it names the current
-//                  thread, it does not create one).
 //   R2 order       every non-seq_cst std::memory_order_* constant needs a
 //                  "order:" rationale comment on the same line or within
 //                  the 6 lines above it.
@@ -26,7 +18,7 @@
 //                  translation unit.
 //
 // Comments, string literals, char literals and raw strings are blanked
-// before token matching, so this file's own rule text does not trip R1.
+// before token matching, so this file's own rule text trips no rule.
 //
 // Modes (mirroring drat_check / trace_check):
 //   lint_t2m --self-test     run the embedded accept/reject fixtures
@@ -166,9 +158,7 @@ bool is_word_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
-/// True when `token` occurs in `line` delimited by non-identifier characters
-/// ("std::this_thread" never matches the "std::thread" token — the literal
-/// substring simply is not there).
+/// True when `token` occurs in `line` delimited by non-identifier characters.
 bool has_token(const std::string& line, const std::string& token) {
   std::size_t pos = 0;
   while ((pos = line.find(token, pos)) != std::string::npos) {
@@ -183,19 +173,6 @@ bool has_token(const std::string& line, const std::string& token) {
 
 // --- rules ------------------------------------------------------------------
 
-// The raw vocabulary R1 bans outside src/util/sync.h. std::this_thread is
-// allowed (sleep/yield act on the current thread, they don't create one) and
-// never matches: "std::this_thread" does not contain the "std::thread" token.
-const char* const kRawSyncTokens[] = {
-    "std::mutex",          "std::recursive_mutex",
-    "std::timed_mutex",    "std::recursive_timed_mutex",
-    "std::shared_mutex",   "std::shared_timed_mutex",
-    "std::lock_guard",     "std::unique_lock",
-    "std::scoped_lock",    "std::shared_lock",
-    "std::condition_variable", "std::condition_variable_any",
-    "std::thread",         "std::jthread",
-};
-
 const char* const kOrderTokens[] = {
     "memory_order_relaxed", "memory_order_acquire", "memory_order_release",
     "memory_order_acq_rel", "memory_order_consume",
@@ -209,7 +186,7 @@ constexpr std::size_t kOrderCommentWindow = 6;  // lines above a memory_order us
 
 std::string derive_guard(const std::string& path) {
   std::string guard = "T2M_";
-  // src/util/sync.h -> T2M_UTIL_SYNC_H
+  // src/util/log.h -> T2M_UTIL_LOG_H
   std::string tail = path.substr(4);  // drop "src/"
   tail = tail.substr(0, tail.size() - 2);  // drop ".h"
   for (char c : tail) {
@@ -227,7 +204,6 @@ void lint_file(const std::string& path, const std::string& content,
   const std::string blanked = blank_noncode(content);
   const std::vector<std::string> code = split_lines(blanked);
   const std::vector<std::string> raw = split_lines(content);
-  const bool is_sync_header = path == "src/util/sync.h";
   const bool in_src = path.rfind("src/", 0) == 0;
 
   long depth = 0;                      // brace depth at the current line start
@@ -236,19 +212,6 @@ void lint_file(const std::string& path, const std::string& content,
   for (std::size_t i = 0; i < code.size(); ++i) {
     const std::string& cl = code[i];
     const std::string& rl = i < raw.size() ? raw[i] : cl;
-
-    // R1: raw synchronisation vocabulary.
-    if (!is_sync_header) {
-      for (const char* token : kRawSyncTokens) {
-        if (has_token(cl, token)) {
-          out.push_back({path, i + 1, "raw-sync",
-                         std::string(token) +
-                             " is forbidden outside src/util/sync.h; use the "
-                             "annotated t2m wrappers (Mutex/MutexLock/CondVar/"
-                             "Thread)"});
-        }
-      }
-    }
 
     // R2: non-seq_cst memory orders need a nearby "order:" rationale.
     for (const char* token : kOrderTokens) {
@@ -386,39 +349,9 @@ struct Fixture {
 
 int self_test() {
   const std::vector<Fixture> fixtures = {
-      {"accept_annotated_sync", "src/x/a.cpp", false,
-       "#include \"src/util/sync.h\"\n"
-       "void f() {\n"
-       "  t2m::Mutex mu;\n"
-       "  const t2m::MutexLock lock(mu);\n"
-       "}\n",
-       {}},
-      {"reject_raw_mutex", "src/x/a.cpp", false,
-       "#include <mutex>\n"
-       "std::mutex g_mu;\n",
-       {"raw-sync"}},
-      {"reject_raw_lock_guard", "src/x/a.cpp", false,
-       "void f() { const std::lock_guard<std::mutex> lk(g); }\n",
-       {"raw-sync", "raw-sync"}},
-      {"reject_raw_thread", "src/x/a.cpp", false,
-       "void f() { std::thread t([] {}); t.join(); }\n",
-       {"raw-sync"}},
-      {"reject_raw_condvar", "src/x/a.cpp", false,
-       "std::condition_variable cv;\n",
-       {"raw-sync"}},
-      {"accept_this_thread", "src/x/a.cpp", false,
-       "void f() { std::this_thread::yield(); }\n",
-       {}},
-      {"accept_sync_header_itself", "src/util/sync.h", false,
-       "#ifndef T2M_UTIL_SYNC_H\n"
-       "#define T2M_UTIL_SYNC_H\n"
-       "#include <mutex>\n"
-       "namespace t2m { class Mutex { std::mutex m_; }; }\n"
-       "#endif  // T2M_UTIL_SYNC_H\n",
-       {}},
       {"accept_token_in_string_or_comment", "src/x/a.cpp", false,
-       "// a std::mutex mentioned in prose is fine\n"
-       "const char* s = \"std::thread\";\n",
+       "// a std::memory_order_relaxed mentioned in prose is fine\n"
+       "const char* s = \"std::memory_order_relaxed\";\n",
        {}},
       {"reject_naked_relaxed", "src/x/a.cpp", false,
        "int f() { return x.load(std::memory_order_relaxed); }\n",
@@ -439,21 +372,21 @@ int self_test() {
        {}},
       {"reject_span_in_no_span_region", "src/x/a.cpp", false,
        "void f() {\n"
-       "  const t2m::MutexLock lock(mu);  // no-span\n"
+       "  const std::lock_guard<std::mutex> lock(mu);  // no-span\n"
        "  T2M_SPAN(\"oops\");\n"
        "}\n",
        {"span-under-lock"}},
       {"accept_span_after_no_span_region", "src/x/a.cpp", false,
        "void f() {\n"
        "  {\n"
-       "    const t2m::MutexLock lock(mu);  // no-span\n"
+       "    const std::lock_guard<std::mutex> lock(mu);  // no-span\n"
        "  }\n"
        "  T2M_SPAN(\"fine: the lock scope is closed\");\n"
        "}\n",
        {}},
       {"reject_counter_in_nested_block", "src/x/a.cpp", false,
        "void f() {\n"
-       "  const t2m::MutexLock lock(mu);  // no-span\n"
+       "  const std::lock_guard<std::mutex> lock(mu);  // no-span\n"
        "  if (cond) {\n"
        "    T2M_TRACE_COUNTER(\"oops\", 1);\n"
        "  }\n"

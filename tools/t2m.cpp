@@ -20,7 +20,6 @@
 #include "src/base/status.h"
 #include "src/core/learner.h"
 #include "src/core/report.h"
-#include "src/obs/progress.h"
 #include "src/obs/trace.h"
 #include "src/sim/basic/counter.h"
 #include "src/sim/basic/integrator.h"
@@ -57,9 +56,9 @@ int usage() {
       "  --trace-out F    write a Chrome trace-event / Perfetto JSON span\n"
       "                   timeline of the learn to F (docs/observability.md)\n"
       "  --stats-out F    write the run verdict + LearnStats as JSON to F\n"
-      "  --progress [S]   heartbeat: an Info progress line every S seconds\n"
-      "                   (default 5) with N, SAT calls, conflicts, memory\n"
-      "                   and deadline remaining\n"
+      "  --progress [S]   while the search runs, an Info progress line every\n"
+      "                   S seconds (default 5; 0 is off) with N, SAT calls,\n"
+      "                   conflicts, memory and deadline remaining\n"
       "  --log-level L    trace|debug|info|warn|error|off (default warn;\n"
       "                   --verbose is shorthand for debug)\n"
       "\n"
@@ -139,21 +138,19 @@ int cmd_learn(const t2m::CliArgs& args) {
     if (!name.empty()) config.abstraction.input_vars.push_back(name);
   }
 
-  // Observability: the trace, the stats record and the heartbeat are opt-in
-  // and independent. Tracing must be live before the learn starts so the
-  // ingest/abstraction spans are captured.
+  // Observability: the trace, the stats record and the progress lines are
+  // opt-in and independent. Tracing must be live before the learn starts so
+  // the ingest/abstraction spans are captured.
   const auto trace_out = args.get("trace-out");
   const auto stats_out = args.get("stats-out");
   if (trace_out && !trace_out->empty()) t2m::obs::Tracer::instance().start();
-  std::optional<t2m::obs::Heartbeat> heartbeat;
   if (args.has("progress")) {
-    t2m::obs::Progress::global().enable();
+    config.progress_seconds = args.get_seconds_or("progress", 5.0);
     // Progress lines are Info-level; --progress without an explicit
     // --log-level quieter than info would otherwise print nothing.
     if (!args.has("log-level") && !t2m::Logger::instance().enabled(t2m::LogLevel::Info)) {
       t2m::Logger::instance().set_level(t2m::LogLevel::Info);
     }
-    heartbeat.emplace(args.get_seconds_or("progress", 5.0));
   }
 
   const t2m::ModelLearner learner(config);
@@ -165,7 +162,6 @@ int cmd_learn(const t2m::CliArgs& args) {
     result = learner.learn(t2m::read_trace_file(*path));
   }
 
-  heartbeat.reset();
   if (trace_out && !trace_out->empty()) {
     t2m::obs::Tracer::instance().stop();
     if (t2m::obs::Tracer::instance().write_file(*trace_out)) {

@@ -19,13 +19,13 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/obs/trace.h"
 #include "src/obs/validate.h"
 #include "src/util/cli.h"
 #include "src/util/string_utils.h"
-#include "src/util/sync.h"
 
 namespace {
 
@@ -98,7 +98,7 @@ int self_test() {
   {
     T2M_SPAN("selftest.run", "items", 64);
     // 8 chunks of 8 items, dealt round-robin to 2 threads.
-    std::vector<Thread> threads;
+    std::vector<std::thread> threads;
     for (std::size_t t = 0; t < 2; ++t) {
       threads.emplace_back([t] {
         for (std::size_t c = t; c < 8; c += 2) {
@@ -109,7 +109,7 @@ int self_test() {
         }
       });
     }
-    for (Thread& thread : threads) thread.join();
+    for (std::thread& thread : threads) thread.join();
     T2M_INSTANT("selftest.marker");
     T2M_TRACE_COUNTER("selftest.counter", 42);
   }
@@ -124,16 +124,12 @@ int self_test() {
               << "\n";
     return 1;
   }
-#if T2M_OBS_ENABLED
-  // The span macros compile to real code: the workload above must be in the
-  // document. With T2M_OBS=OFF the macros vanish and an empty-but-valid
-  // trace is exactly what the build promises.
+  // The workload above must be in the document.
   if (summary.span_names.count("selftest.run") == 0 ||
       summary.span_names.count("selftest.chunk") == 0) {
     std::cerr << "trace_check self-test: workload spans missing from the trace\n";
     return 1;
   }
-#endif
 
   // Corrupted input must be rejected, not crash.
   if (obs::validate_trace_json("{\"traceEvents\": [{\"ph\": \"X\"}]}").ok()) {
